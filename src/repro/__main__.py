@@ -1,97 +1,49 @@
-"""Command-line entry points: ``python -m repro [stats|chaos]``.
+"""Command-line entry point: ``python -m repro [COMMAND] [options]``.
 
-The default (no arguments) is the self-check: it builds the paper's
-three-site scenario end to end and verifies the core behavioural battery
-— Table 2 authorizations, Table 4 view resolution, VIG generation of the
-Table 5 view, QoS adaptation planning, and a live revocation — printing
-one PASS/FAIL line per check.  Exit status is non-zero when any check
-fails, so the command doubles as a smoke test for packaging and new
+With no command it runs the self-check: it builds the paper's three-site
+scenario end to end and verifies the core behavioural battery — Table 2
+authorizations, Table 4 view resolution, VIG generation of the Table 5
+view, QoS adaptation planning, and a live revocation — printing one
+PASS/FAIL line per check.  Exit status is non-zero when any check fails,
+so the command doubles as a smoke test for packaging and new
 environments.
 
-``python -m repro stats [--json]`` exercises the same scenario under the
-:mod:`repro.obs` observability layer — proof searches in both directions,
-cached authorization, a plan/deploy cycle over a Switchboard channel, and
-mail traffic through the deployed view — then dumps the metrics registry
-as a formatted table (or JSON).
+Every other behaviour is a row of :data:`COMMANDS`: its options, the
+callable that builds its report, the predicate that says whether the
+report passed, and the text renderer.  The report-specific callables live
+in the module that builds the report; this module knows only the table
+and the one runner (:func:`run_command`) that gives every command the
+same contract:
 
-``python -m repro chaos --seed N --duration S [--json]`` runs the
-deterministic fault-injection harness (:mod:`repro.faults`): a seeded
-storm of link failures, partitions, node crashes, latency spikes, loss
-bursts, and revocations against two adapted sessions, with per-class
-recovery verification and an invariant sweep.  Identical seeds produce
-byte-identical ``--json`` reports; exit status is non-zero when any
-invariant is violated.
+* ``--json`` prints the full report as sorted, indented JSON — byte-
+  identical for identical seeds; ``--out PATH`` also writes it to a file;
+* exit 0 when the report passed, 1 when a gate failed or the run raised,
+  2 (with the generated usage on stderr) when the arguments are bad.
 
-``python -m repro bench-load --seed N --clients C [--json]`` measures the
-high-throughput session layer (:mod:`repro.load`): the same seeded mixed
-view/RPC workload through a serial baseline and through RPC pipelining +
-frame batching, reporting virtual-time throughput, latency percentiles,
-authorization-cache hit rates, and the serial-vs-pipelined differential
-check.  Same seed, byte-identical JSON.
-
-``python -m repro bench-overload --seed N [--json]`` runs the overload
-experiment (:mod:`repro.flow` + :mod:`repro.load.overload`): the same
-seeded open-loop workload at 1x/3x/10x of service capacity, once with
-admission control off (unbounded queue, latency collapse) and once with
-the full flow stack (token buckets, weighted fair queueing, typed sheds
-with retry-after hints).  The report asserts the overload invariants —
-goodput retention at 10x, zero monitor-class sheds, no starvation of the
-lowest class — and exits non-zero when one fails.  Same seed,
-byte-identical JSON.
-
-``python -m repro bench-churn --seed N [--ops K] [--json]`` replays one
-seeded publish/revoke/expiry/authorize schedule through the full-search
-and incremental authorization engines (:mod:`repro.load.churn`) behind
-the same sharded cache, comparing deterministic work units — credential
-edges searched + repository queries + incremental maintenance — with the
-headline authorize-after-revoke throughput ratio.  Verdict transcripts
-must match across arms and agree with the reference oracle, or the exit
-status is non-zero.  Same seed, byte-identical JSON.
-
-``python -m repro bench-recovery --seed N [--ops K] [--crashes C]
-[--json]`` replays one seeded schedule with embedded crash/restart
-cycles through two arms sharing one update feed (:mod:`repro.load.recovery`):
-a :class:`~repro.durable.node.DurableNode` that is repeatedly crashed —
-WAL tail torn, revocations landing while it is down — and a control
-node that never crashes.  After every recovery a full (subject, role)
-verdict battery must match across arms, agree with the reference
-oracle, and leave identical durable-state digests, or the exit status
-is non-zero.  Recovery cost is reported in deterministic work units;
-same seed, byte-identical JSON.
-
-``python -m repro simtest --seed N [--steps S] [--chaos] [--json]`` runs
-the model-based simulation checker (:mod:`repro.check`): a seeded
-interleaved workload of delegations, revocations, view accesses, and
-authorization-guarded RPC is replayed against the real stack while
-pure-Python reference oracles predict every observable.  On divergence
-the trace is delta-debugged down to a minimal replayable repro
-(``--replay FILE`` re-runs one).  ``--mutate ignore-revoke`` /
-``--mutate ignore-expiry`` intentionally breaks an oracle to demonstrate
-detection and shrinking end to end.  Same seed, byte-identical JSON.  On
-divergence, the flight-recorder snapshot captured at the moment the
-oracles disagreed is written next to the shrunk repro
-(``<out>-flight.json``).
-
-``python -m repro trace --seed N [--chaos] [--out F]`` runs the
-distributed-tracing scenario (:mod:`repro.obs.dist`): an authorization-
-and view-guarded RPC workload with wire trace-context propagation on,
-exported as Chrome/Perfetto trace-event JSON — load the output at
-https://ui.perfetto.dev.  ``--chaos`` adds frame loss and at-least-once
-retries, so the trace shows per-attempt spans.  Without ``--out`` the
-JSON goes to stdout; same seed, byte-identical output.
+``python -m repro COMMAND --help`` describes one command; ``python -m
+repro verify`` replays every pinned scenario CI gates on
+(:mod:`repro.verify`).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from . import obs
+from . import obs, verify
+from .check import shrink
+from .check.executor import ENGINE_MODES
 from .drbac.cache import CachedAuthorizer
 from .drbac.model import Role
 from .errors import AuthorizationError
+from .faults.runner import ChaosReport, ChaosRunner
+from .load import churn, generator, overload, recovery
 from .mail import MailClient, build_scenario
+from .obs import dist
 from .psf import EdgeRequirement, ServiceRequest
 
 
@@ -250,662 +202,240 @@ def exercise_scenario(*, key_bits: int = 512):
     return scenario, deployment
 
 
-def run_stats(argv: list[str] | None = None) -> int:
-    """The ``repro stats`` subcommand."""
-    argv = argv or []
-    unknown = [a for a in argv if a not in ("--json", "--full-keys")]
-    if unknown:
-        print(f"repro stats: unknown argument {unknown[0]!r}", file=sys.stderr)
-        print("usage: python -m repro stats [--json] [--full-keys]", file=sys.stderr)
-        return 2
-    as_json = "--json" in argv
-    key_bits = 1024 if "--full-keys" in argv else 512
+def _stats(args: argparse.Namespace) -> dict:
     obs.enable()
     obs.reset()
-    exercise_scenario(key_bits=key_bits)
-    snap = obs.snapshot()
-    if as_json:
-        print(json.dumps(snap, indent=2, sort_keys=True))
-    else:
-        print("repro stats: mail-scenario metrics snapshot")
-        print(obs.format_snapshot(snap))
-    return 0
+    exercise_scenario(key_bits=1024 if args.full_keys else 512)
+    return obs.snapshot()
 
 
-def run_chaos(argv: list[str] | None = None) -> int:
-    """The ``repro chaos`` subcommand."""
-    from .faults import ChaosRunner
+# -- the command table --------------------------------------------------------
 
-    argv = list(argv or [])
-    usage = "usage: python -m repro chaos [--seed N] [--duration S] [--intensity X] [--json]"
-    seed, duration, intensity = 7, 5.0, 1.0
-    as_json = False
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg in ("--seed", "--duration", "--intensity"):
-            if index + 1 >= len(argv):
-                print(f"repro chaos: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--duration":
-                    duration = float(value)
-                else:
-                    intensity = float(value)
-            except ValueError:
-                print(f"repro chaos: bad value for {arg}: {value!r}", file=sys.stderr)
-                return 2
-            index += 2
-            continue
-        print(f"repro chaos: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
-    try:
-        report = ChaosRunner(seed=seed, duration=duration, intensity=intensity).run()
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"repro chaos: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    if as_json:
-        print(report.to_json(indent=2))
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
+Option = tuple[tuple[str, ...], dict[str, Any]]
 
 
-def run_bench_load(argv: list[str] | None = None) -> int:
-    """The ``repro bench-load`` subcommand.
-
-    Runs the seeded virtual-time load harness (:mod:`repro.load`) twice
-    over one world shape — serial baseline, then pipelined + batched —
-    and prints the comparison.  Identical seeds produce byte-identical
-    ``--json`` output; exit status is non-zero when the differential
-    guarantee fails (serial and pipelined transcripts diverge).
-    """
-    from .load import run_bench
-
-    argv = list(argv or [])
-    usage = (
-        "usage: python -m repro bench-load [--seed N] [--clients C]"
-        " [--requests R] [--depth D] [--json] [--out PATH]"
-    )
-    seed, clients, requests, depth = 7, 8, 40, 8
-    as_json = False
-    out_path: str | None = None
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg in ("--seed", "--clients", "--requests", "--depth", "--out"):
-            if index + 1 >= len(argv):
-                print(f"repro bench-load: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--clients":
-                    clients = int(value)
-                elif arg == "--requests":
-                    requests = int(value)
-                elif arg == "--depth":
-                    depth = int(value)
-                else:
-                    out_path = value
-            except ValueError:
-                print(
-                    f"repro bench-load: bad value for {arg}: {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            index += 2
-            continue
-        print(f"repro bench-load: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
-    try:
-        report = run_bench(
-            seed=seed, clients=clients, requests=requests, depth=depth
-        )
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(
-            f"repro bench-load: run failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-    if as_json:
-        print(rendered)
-    else:
-        serial, fast = report["serial"], report["pipelined"]
-        print(
-            f"bench-load seed={seed} clients={clients} requests={requests} "
-            f"depth={depth}"
-        )
-        for label, run in (("serial   ", serial), ("pipelined", fast)):
-            lat = run["latency_s"]
-            print(
-                f"  {label}: makespan {run['makespan_s']:.4f}s  "
-                f"throughput {run['throughput_ops_per_s']:.1f} ops/s  "
-                f"p50 {lat['p50'] * 1000:.2f}ms  p95 {lat['p95'] * 1000:.2f}ms  "
-                f"p99 {lat['p99'] * 1000:.2f}ms"
-            )
-        print(
-            f"  speedup: {report['speedup']:.2f}x  "
-            f"transcripts match: {'yes' if report['transcripts_match'] else 'NO'}  "
-            f"cache hit-rate: {fast['cache']['hit_rate']:.3f}"
-        )
-        print(
-            f"  batching: {fast['net']['batches_sent']} batches carried "
-            f"{fast['net']['frames_coalesced']} of {fast['net']['messages_sent']} "
-            f"frames"
-        )
-    return 0 if report["transcripts_match"] else 1
+def opt(*flags: str, **kwargs: Any) -> Option:
+    """One ``argparse`` argument as data, in ``add_argument``'s own terms."""
+    return flags, kwargs
 
 
-def run_bench_churn(argv: list[str] | None = None) -> int:
-    """The ``repro bench-churn`` subcommand.
+def num(flag: str, default: float, metavar: str, what: str) -> Option:
+    """A numeric option; its type is its default's type."""
+    return opt(flag, type=type(default), default=default, metavar=metavar,
+               help=f"{what} (default {default})")
 
-    Replays one seeded publish/revoke/expiry/authorize schedule through
-    the full-search and incremental authorization arms
-    (:mod:`repro.load.churn`) and prints the work-unit comparison.
-    Identical seeds produce byte-identical ``--json`` output; exit
-    status is non-zero when the arms' verdict transcripts diverge or
-    either arm disagrees with the reference oracle.
-    """
-    from .load import run_bench_churn as run_churn
 
-    argv = list(argv or [])
-    usage = (
-        "usage: python -m repro bench-churn [--seed N] [--ops K]"
-        " [--json] [--out PATH]"
-    )
-    seed, ops = 7, 600
-    as_json = False
-    out_path: str | None = None
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg in ("--seed", "--ops", "--out"):
-            if index + 1 >= len(argv):
-                print(f"repro bench-churn: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--ops":
-                    ops = int(value)
-                else:
-                    out_path = value
-            except ValueError:
-                print(
-                    f"repro bench-churn: bad value for {arg}: {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            index += 2
-            continue
-        print(f"repro bench-churn: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
+FULL_KEYS = opt("--full-keys", action="store_true",
+                help="use 1024-bit RSA keys instead of 512-bit")
+SEED = num("--seed", 7, "N", "seed of the workload")
+CHAOS = opt("--chaos", action="store_true",
+            help="add faults (frame loss, crashes) and at-least-once retries")
+MUTATE = opt("--mutate", metavar="NAME",
+             help="break one oracle or recovery step on purpose: the run must fail")
+# The runner owns these two; listing them is all a command does about them.
+JSON = opt("--json", action="store_true",
+           help="print the full report as JSON (byte-identical per seed)")
+OUT = opt("--out", metavar="PATH", help="also write the JSON report to PATH")
+
+
+@dataclass(frozen=True, slots=True)
+class Command:
+    """One ``python -m repro`` subcommand, declared rather than coded."""
+
+    name: str
+    help: str
+    options: tuple[Option, ...]
+    build: Callable[[argparse.Namespace], Any]
+    """Runs the command and returns its report."""
+    render: Callable[[Any, float], str]
+    """The human-readable summary of (report, wall seconds the run took)."""
+    ok: Callable[[Any], bool] = lambda report: True
+    """Whether the report passed; ``False`` becomes exit status 1."""
+    to_dict: Callable[[Any], dict] = lambda report: report
+    """The JSON-ready form, for builders that return a report object."""
+    json_is_product: bool = False
+    """The JSON document is what the command is for (``trace``): without
+    ``--out`` it goes to stdout in place of the summary."""
+
+
+COMMANDS: tuple[Command, ...] = (
+    Command(
+        "stats",
+        "Drive the mail scenario through every instrumented subsystem and"
+        " dump the metrics registry.",
+        (JSON, FULL_KEYS),
+        build=_stats,
+        render=lambda snap, _s: (
+            f"repro stats: mail-scenario metrics snapshot\n{obs.format_snapshot(snap)}"
+        ),
+    ),
+    Command(
+        "chaos",
+        "Seeded storm of link failures, partitions, node crashes, latency"
+        " spikes, loss bursts and revocations against two adapted sessions;"
+        " fails on any invariant violation.",
+        (SEED, num("--duration", 5.0, "S", "virtual seconds of faults"),
+         num("--intensity", 1.0, "X", "fault-rate multiplier"), JSON),
+        build=lambda a: ChaosRunner(
+            seed=a.seed, duration=a.duration, intensity=a.intensity
+        ).run(),
+        render=lambda report, _s: report.summary(),
+        ok=lambda report: report.ok,
+        to_dict=ChaosReport.to_dict,
+    ),
+    Command(
+        "bench-load",
+        "One seeded mixed view/RPC workload through a serial baseline and"
+        " through RPC pipelining + frame batching; fails if the two"
+        " transcripts diverge.",
+        (SEED, num("--clients", 8, "C", "client nodes"),
+         num("--requests", 40, "R", "requests per client"),
+         num("--depth", 8, "D", "pipeline depth"), JSON, OUT),
+        build=lambda a: generator.run_bench(
+            seed=a.seed, clients=a.clients, requests=a.requests, depth=a.depth
+        ),
+        render=generator.summarize,
+        ok=generator.passed,
+    ),
+    Command(
+        "bench-overload",
+        "One seeded open-loop workload at 1x/3x/10x of service capacity, with"
+        " and without flow control; fails if an overload invariant does.",
+        (SEED, num("--clients", 4, "C", "client nodes"),
+         num("--duration", 1.5, "S", "virtual seconds of offered load"),
+         JSON, OUT),
+        build=lambda a: overload.run_bench_overload(
+            seed=a.seed, clients=a.clients, duration_s=a.duration
+        ),
+        render=overload.summarize,
+        ok=overload.passed,
+    ),
+    Command(
+        "bench-churn",
+        "One seeded publish/revoke/expiry/authorize schedule through the"
+        " full-search and incremental engines, compared in work units; fails"
+        " if the arms or the oracle disagree.",
+        (SEED, num("--ops", 600, "K", "schedule length"), JSON, OUT),
+        build=lambda a: churn.ChurnBench(seed=a.seed, ops=a.ops).run(),
+        render=churn.summarize,
+        ok=churn.passed,
+    ),
+    Command(
+        "bench-recovery",
+        "One seeded schedule with crash/restart cycles through a crashing"
+        " durable node and a never-crashed control; fails if verdicts, oracle"
+        " or durable digests disagree after any recovery.",
+        (SEED, num("--ops", 360, "K", "schedule length"),
+         num("--crashes", 4, "C", "crash/restart cycles"), MUTATE, JSON, OUT),
+        build=lambda a: recovery.RecoveryBench(
+            seed=a.seed, ops=a.ops, crashes=a.crashes, mutation=a.mutate
+        ).run(),
+        render=recovery.summarize,
+        ok=recovery.passed,
+    ),
+    Command(
+        "simtest",
+        "Replay a seeded interleaving of delegations, revocations, view"
+        " accesses and guarded RPC against the real stack while reference"
+        " oracles predict every observable; on divergence shrink the trace to"
+        " a minimal repro.",
+        (SEED, num("--steps", 500, "S", "operations to generate"), CHAOS,
+         opt("--engine", choices=ENGINE_MODES, default="incr",
+             help="authorization engine arm (default incr)"),
+         MUTATE,
+         opt("--replay", metavar="FILE",
+             help="re-run a saved trace instead of generating one"),
+         opt("--out", default="simtest-repro.json", metavar="PATH",
+             help="where a shrunk repro goes (default simtest-repro.json); the"
+                  " flight-recorder dump lands beside it"),
+         JSON),
+        build=lambda a: shrink.simtest(
+            seed=a.seed, steps=a.steps, chaos=a.chaos, engine=a.engine,
+            mutation=a.mutate, replay=a.replay, out_path=a.out,
+        ),
+        render=lambda run, _s: run.summary(),
+        ok=lambda run: run.ok,
+        to_dict=shrink.SimtestRun.to_dict,
+    ),
+    Command(
+        "trace",
+        "Run the distributed-tracing scenario and export it as Chrome/Perfetto"
+        " trace-event JSON: to stdout, or to --out with a one-line summary.",
+        (SEED, CHAOS, OUT),
+        build=lambda a: dist.run_trace(a.seed, chaos=a.chaos),
+        render=dist.summarize,
+        json_is_product=True,
+    ),
+    Command(
+        "verify",
+        "Replay the pinned scenarios CI gates on: smoke, report gates,"
+        " determinism across fresh processes, snapshot-is-current and"
+        " mutation drills.",
+        (opt("names", nargs="*", type=verify.scenario, metavar="NAME",
+             help="scenarios to check (default: all of them)"),
+         opt("--list", action="store_true",
+             help="print the scenario table instead of running it")),
+        build=lambda a: verify.verify(a.names or verify.SCENARIOS, listing=a.list),
+        render=verify.summarize,
+        ok=verify.passed,
+    ),
+)
+
+
+def run_command(command: Command, args: argparse.Namespace) -> int:
+    """Execute one table row: build, write, print, and map to an exit status."""
     started = time.perf_counter()
     try:
-        report = run_churn(seed=seed, ops=ops)
+        report = command.build(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(
-            f"repro bench-churn: run failed: {type(exc).__name__}: {exc}",
+            f"repro {command.name}: run failed: {type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
         return 1
-    elapsed = time.perf_counter() - started
-    rendered = json.dumps(report, indent=2, sort_keys=True)
+    elapsed_s = time.perf_counter() - started
+    rendered = json.dumps(command.to_dict(report), indent=2, sort_keys=True)
+    out_path = args.out if OUT in command.options else None
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
-    if as_json:
-        print(rendered)
+    if JSON in command.options:
+        as_json = args.json
     else:
-        mix = report["mix"]
-        print(
-            f"bench-churn seed={seed} ops={ops} "
-            f"(delegate {mix['delegate']}, revoke {mix['revoke']}, "
-            f"authorize {mix['authorize']}, advance {mix['advance']}) "
-            f"wall {elapsed:.2f}s"
-        )
-        for name in ("full", "incremental"):
-            arm = report["arms"][name]
-            pr = arm["post_revoke"]
-            print(
-                f"  {name:>11}: work {arm['work_units']:>6}  "
-                f"grants {arm['grants']}  denials {arm['denials']}  "
-                f"post-revoke {pr['count']} queries / {pr['work_units']} work "
-                f"= {pr['throughput_per_kwork']:.1f} per kwork"
-            )
-        print(
-            f"  speedup: authorize-after-revoke "
-            f"{report['speedup']['authorize_after_revoke']:.2f}x  "
-            f"overall work {report['speedup']['overall_work']:.2f}x  "
-            f"transcripts match: {'yes' if report['transcripts_match'] else 'NO'}  "
-            f"oracle agrees: {'yes' if report['oracle_agrees'] else 'NO'}"
-        )
-    return 0 if report["transcripts_match"] and report["oracle_agrees"] else 1
+        as_json = command.json_is_product and out_path is None
+    print(rendered if as_json else command.render(report, elapsed_s))
+    return 0 if command.ok(report) else 1
 
 
-def run_bench_recovery(argv: list[str] | None = None) -> int:
-    """The ``repro bench-recovery`` subcommand.
-
-    Replays one seeded crash/restart schedule through the crashy and
-    control arms (:mod:`repro.load.recovery`) and prints the recovery
-    cost plus the gate verdicts.  ``--mutate skip-catchup`` breaks the
-    delta catch-up on purpose to demonstrate detection.  Identical
-    seeds produce byte-identical ``--json`` output; exit status is
-    non-zero when any gate fails.
-    """
-    from .load import run_bench_recovery as run_recovery
-
-    argv = list(argv or [])
-    usage = (
-        "usage: python -m repro bench-recovery [--seed N] [--ops K]"
-        " [--crashes C] [--mutate NAME] [--json] [--out PATH]"
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Reproduction self-check (no COMMAND) and harnesses.",
+        allow_abbrev=False,
     )
-    seed, ops, crashes = 7, 360, 4
-    mutation: str | None = None
-    as_json = False
-    out_path: str | None = None
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg in ("--seed", "--ops", "--crashes", "--mutate", "--out"):
-            if index + 1 >= len(argv):
-                print(f"repro bench-recovery: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--ops":
-                    ops = int(value)
-                elif arg == "--crashes":
-                    crashes = int(value)
-                elif arg == "--mutate":
-                    mutation = value
-                else:
-                    out_path = value
-            except ValueError:
-                print(
-                    f"repro bench-recovery: bad value for {arg}: {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            index += 2
-            continue
-        print(f"repro bench-recovery: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
-    started = time.perf_counter()
-    try:
-        report = run_recovery(seed=seed, ops=ops, crashes=crashes, mutation=mutation)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(
-            f"repro bench-recovery: run failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
+    parser.add_argument(*FULL_KEYS[0], **FULL_KEYS[1])
+    parser.set_defaults(command=None)
+    subparsers = parser.add_subparsers(metavar="COMMAND")
+    for command in COMMANDS:
+        sub = subparsers.add_parser(
+            command.name, help=command.help, description=command.help,
+            allow_abbrev=False,
         )
-        return 1
-    elapsed = time.perf_counter() - started
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-    if as_json:
-        print(rendered)
-    else:
-        mix, rec, verdicts = report["mix"], report["recovery"], report["verdicts"]
-        print(
-            f"bench-recovery seed={seed} ops={ops} crashes={crashes} "
-            f"(delegate {mix['delegate']}, revoke {mix['revoke']}, "
-            f"authorize {mix['authorize']}, advance {mix['advance']}) "
-            f"wall {elapsed:.2f}s"
-        )
-        for n, r in enumerate(report["recoveries"]):
-            print(
-                f"  restart {n}: replayed {r['wal_records_replayed']:>3} wal "
-                f"records (snapshot {r['snapshot_creds']} creds, "
-                f"{r['torn_bytes']} torn bytes), caught up "
-                f"{r['catchup_updates']} updates, cache kept "
-                f"{r['cache_kept']}/evicted {r['cache_evicted']} = "
-                f"{r['work_units']} work units"
-            )
-        print(
-            f"  verdicts: {verdicts['checked']} checked, "
-            f"{verdicts['grants']} grants, {verdicts['denials']} denials  "
-            f"total recovery work {rec['work_units']}"
-        )
-        for gate in ("verdicts_match", "oracle_agrees", "digests_match"):
-            print(f"  [{'PASS' if report[gate] else 'FAIL'}] {gate}")
-    return 0 if report["ok"] else 1
-
-
-def run_bench_overload(argv: list[str] | None = None) -> int:
-    """The ``repro bench-overload`` subcommand.
-
-    Drives :class:`repro.load.overload.OverloadBench` — 1x/3x/10x offered
-    load, each with and without flow control — and prints the goodput
-    comparison plus the invariant verdicts.  Identical seeds produce
-    byte-identical ``--json`` output; exit status is non-zero when an
-    overload invariant is violated.
-    """
-    from .load import run_bench_overload as run_overload
-
-    argv = list(argv or [])
-    usage = (
-        "usage: python -m repro bench-overload [--seed N] [--clients C]"
-        " [--duration S] [--json] [--out PATH]"
-    )
-    seed, clients, duration = 7, 4, 1.5
-    as_json = False
-    out_path: str | None = None
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg in ("--seed", "--clients", "--duration", "--out"):
-            if index + 1 >= len(argv):
-                print(f"repro bench-overload: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--clients":
-                    clients = int(value)
-                elif arg == "--duration":
-                    duration = float(value)
-                else:
-                    out_path = value
-            except ValueError:
-                print(
-                    f"repro bench-overload: bad value for {arg}: {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            index += 2
-            continue
-        print(f"repro bench-overload: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
-    try:
-        report = run_overload(seed=seed, clients=clients, duration_s=duration)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(
-            f"repro bench-overload: run failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-    if as_json:
-        print(rendered)
-    else:
-        print(
-            f"bench-overload seed={seed} clients={clients} "
-            f"duration={duration}s capacity={report['capacity_rps']:.0f} rps "
-            f"slo={report['slo_s'] * 1000:.0f}ms"
-        )
-        for arm in report["arms"]:
-            off, on = arm["without_flow"], arm["with_flow"]
-            print(
-                f"  {arm['multiplier']:>2}x ({arm['offered_rps']:.0f} rps): "
-                f"goodput {off['goodput_rps']:7.1f} -> {on['goodput_rps']:7.1f} rps"
-                f"  shed {on['shed']:>4}  p99 {off['latency_s']['p99'] * 1000:8.1f}"
-                f" -> {on['latency_s']['p99'] * 1000:6.1f} ms"
-            )
-        verdicts = report["invariants"]
-        for name, passed in verdicts.items():
-            if name == "ok":
-                continue
-            print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
-    return 0 if report["invariants"]["ok"] else 1
-
-
-def run_simtest(argv: list[str] | None = None) -> int:
-    """The ``repro simtest`` subcommand.
-
-    Generates (or ``--replay``s) a trace, runs it through the simulation
-    checker, and — when the oracles and the stack disagree — shrinks the
-    trace and writes the minimal repro to ``--out`` (default
-    ``simtest-repro.json``).  Exit status 0 means no divergence.
-    """
-    from .check import SimTester, Trace, generate_trace, shrink_trace
-
-    argv = list(argv or [])
-    usage = (
-        "usage: python -m repro simtest [--seed N] [--steps S] [--chaos]"
-        " [--engine incr|full] [--mutate NAME] [--replay FILE] [--out PATH]"
-        " [--json]"
-    )
-    seed, steps = 7, 500
-    chaos = as_json = False
-    mutation: str | None = None
-    replay_path: str | None = None
-    engine = "incr"
-    out_path = "simtest-repro.json"
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg == "--chaos":
-            chaos = True
-            index += 1
-            continue
-        if arg in ("--seed", "--steps", "--engine", "--mutate", "--replay", "--out"):
-            if index + 1 >= len(argv):
-                print(f"repro simtest: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--steps":
-                    steps = int(value)
-                elif arg == "--engine":
-                    if value not in ("incr", "full"):
-                        print(
-                            f"repro simtest: --engine must be incr or full,"
-                            f" got {value!r}",
-                            file=sys.stderr,
-                        )
-                        return 2
-                    engine = value
-                elif arg == "--mutate":
-                    mutation = value
-                elif arg == "--replay":
-                    replay_path = value
-                else:
-                    out_path = value
-            except ValueError:
-                print(
-                    f"repro simtest: bad value for {arg}: {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            index += 2
-            continue
-        print(f"repro simtest: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
-    try:
-        if replay_path is not None:
-            with open(replay_path, encoding="utf-8") as handle:
-                trace = Trace.from_json(handle.read())
-        else:
-            trace = generate_trace(seed=seed, steps=steps, chaos=chaos)
-        tester = SimTester(mutation=mutation, engine=engine)
-        report = tester.run(trace)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(
-            f"repro simtest: run failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    if as_json:
-        print(report.to_json(indent=2))
-    else:
-        print(report.summary())
-    if report.ok:
-        return 0
-    result = shrink_trace(trace, tester)
-    if not as_json:
-        print(result.summary())
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(result.trace.to_json() + "\n")
-    print(f"repro simtest: minimal repro written to {out_path}", file=sys.stderr)
-    if report.flight is not None:
-        # The flight recorder froze the last events + live spans at the
-        # moment the oracles diverged; park the dump next to the repro.
-        stem = out_path[:-5] if out_path.endswith(".json") else out_path
-        flight_path = f"{stem}-flight.json"
-        with open(flight_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.flight, indent=2, sort_keys=True) + "\n")
-        print(
-            f"repro simtest: flight-recorder dump written to {flight_path}",
-            file=sys.stderr,
-        )
-    return 1
-
-
-def run_trace(argv: list[str] | None = None) -> int:
-    """The ``repro trace`` subcommand."""
-    from .obs.dist import run_trace as build_trace
-
-    argv = list(argv or [])
-    usage = "usage: python -m repro trace [--seed N] [--chaos] [--out F]"
-    seed = 7
-    chaos = False
-    out_path: str | None = None
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--chaos":
-            chaos = True
-            index += 1
-            continue
-        if arg in ("--seed", "--out"):
-            if index + 1 >= len(argv):
-                print(f"repro trace: {arg} needs a value", file=sys.stderr)
-                print(usage, file=sys.stderr)
-                return 2
-            value = argv[index + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                else:
-                    out_path = value
-            except ValueError:
-                print(f"repro trace: bad value for {arg}: {value!r}", file=sys.stderr)
-                return 2
-            index += 2
-            continue
-        print(f"repro trace: unknown argument {arg!r}", file=sys.stderr)
-        print(usage, file=sys.stderr)
-        return 2
-    try:
-        trace = build_trace(seed, chaos=chaos)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"repro trace: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    rendered = json.dumps(trace, indent=2, sort_keys=True)
-    if out_path is None:
-        print(rendered)
-        return 0
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(rendered + "\n")
-    other = trace.get("otherData", {})
-    spans = sum(1 for e in trace["traceEvents"] if e.get("ph") == "X")
-    instants = sum(1 for e in trace["traceEvents"] if e.get("ph") == "i")
-    print(
-        f"repro trace seed={seed} chaos={'yes' if chaos else 'no'}: "
-        f"{spans} spans, {instants} events, "
-        f"{other.get('retries', 0)} retries, "
-        f"{other.get('frames_lost', 0)} frames lost, "
-        f"makespan {other.get('virtual_makespan_s', 0.0):.4f}s"
-    )
-    print(f"written to {out_path} (load at https://ui.perfetto.dev)")
-    return 0
+        for flags, kwargs in command.options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(command=command)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "stats":
-        return run_stats(argv[1:])
-    if argv and argv[0] == "chaos":
-        return run_chaos(argv[1:])
-    if argv and argv[0] == "bench-load":
-        return run_bench_load(argv[1:])
-    if argv and argv[0] == "bench-overload":
-        return run_bench_overload(argv[1:])
-    if argv and argv[0] == "bench-churn":
-        return run_bench_churn(argv[1:])
-    if argv and argv[0] == "bench-recovery":
-        return run_bench_recovery(argv[1:])
-    if argv and argv[0] == "simtest":
-        return run_simtest(argv[1:])
-    if argv and argv[0] == "trace":
-        return run_trace(argv[1:])
-    key_bits = 512
-    if argv and argv[0] == "--full-keys":
-        key_bits = 1024
-    elif argv:
-        print(f"repro: unknown command {argv[0]!r}", file=sys.stderr)
-        print(
-            "usage: python -m repro [--full-keys] | stats [--json] [--full-keys]"
-            " | chaos [--seed N] [--duration S] [--json]"
-            " | bench-load [--seed N] [--clients C] [--json]"
-            " | bench-overload [--seed N] [--clients C] [--json]"
-            " | bench-churn [--seed N] [--ops K] [--json]"
-            " | bench-recovery [--seed N] [--ops K] [--crashes C] [--json]"
-            " | simtest [--seed N] [--steps S] [--chaos] [--engine incr|full]"
-            " [--json]"
-            " | trace [--seed N] [--chaos] [--out F]",
-            file=sys.stderr,
-        )
-        return 2
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 + usage on bad argv, 0 after --help
+        return exc.code
+    if args.command is not None:
+        return run_command(args.command, args)
     print("repro self-check: Using Views for Customizing Reusable Components (HPDC 2003)")
-    return 1 if run_selfcheck(key_bits=key_bits) else 0
+    return 1 if run_selfcheck(key_bits=1024 if args.full_keys else 512) else 0
 
 
 if __name__ == "__main__":

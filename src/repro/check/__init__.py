@@ -19,7 +19,7 @@ from __future__ import annotations
 from .executor import Divergence, SimReport, SimTester, run_simtest
 from .gen import generate_trace
 from .oracles import DrbacOracle, RpcOracle, ViewAclOracle
-from .shrink import ShrinkResult, shrink_trace
+from .shrink import ShrinkResult, SimtestRun, shrink_trace, simtest
 from .trace import Op, Trace
 
 __all__ = [
@@ -35,4 +35,6 @@ __all__ = [
     "run_simtest",
     "ShrinkResult",
     "shrink_trace",
+    "SimtestRun",
+    "simtest",
 ]

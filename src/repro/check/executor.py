@@ -55,10 +55,7 @@ from ..durable import DurableNode, UpdateFeed
 from ..errors import AuthorizationError
 from ..faults.injector import FaultInjector
 from ..faults.retry import RetryPolicy
-from ..hermetic import hermetic_counters
-from ..net.events import EventScheduler
-from ..net.simnet import Network
-from ..net.transport import Transport
+from ..hermetic import GuardedKV, HarnessWorld, harness_world
 from ..obs import names as metric_names
 from ..psf.monitor import EnvironmentMonitor
 from ..switchboard.rpc import PlainRpcEndpoint
@@ -137,30 +134,6 @@ class _KVSurface:
     def put(self, key: str, value: str) -> str | None: ...
 
     def has(self, key: str) -> bool: ...
-
-
-class GuardedKV:
-    """The RPC-exported store: every data op authorizes its caller."""
-
-    def __init__(self, authorizer: CachedAuthorizer) -> None:
-        self._authorizer = authorizer
-        self._data: dict[str, str] = {}
-
-    def _admit(self, subject: str) -> None:
-        self._authorizer.authorize(subject, RPC_ROLE)
-
-    def get(self, subject: str, key: str) -> str | None:
-        self._admit(subject)
-        return self._data.get(key)
-
-    def put(self, subject: str, key: str, value: str) -> str | None:
-        self._admit(subject)
-        old = self._data.get(key)
-        self._data[key] = value
-        return old
-
-    def check(self, subject: str) -> bool:
-        return self._authorizer.is_authorized(subject, RPC_ROLE)
 
 
 @dataclass(slots=True)
@@ -288,21 +261,15 @@ class SimTester:
     # -- entry point --------------------------------------------------------
 
     def run(self, trace: Trace) -> SimReport:
-        with hermetic_counters(), obs.scoped(enabled=True):
-            return self._run(trace)
+        with harness_world(
+            seed=trace.seed, domain="CHECK", clients=["client"]
+        ) as world:
+            return self._run(trace, world)
 
     # -- world construction -------------------------------------------------
 
-    def _build_world(self, trace: Trace) -> None:
-        self.scheduler = EventScheduler()
-        obs.set_tracer_clock(self.scheduler)
-        network = Network()
-        network.add_node("client", domain="CHECK")
-        network.add_node("server", domain="CHECK")
-        network.add_link(
-            "client", "server", latency_s=0.004, bandwidth_bps=8e6, secure=False
-        )
-        self.transport = Transport(network, self.scheduler, loss_seed=trace.seed)
+    def _build_world(self, trace: Trace, world: HarnessWorld) -> None:
+        self.scheduler = world.scheduler
 
         self.engine = DrbacEngine(
             key_store=self.key_store,
@@ -327,10 +294,10 @@ class SimTester:
             mutation=self.durable_mutation,
         )
 
-        self.store = GuardedKV(self.cache)
-        server_rpc = PlainRpcEndpoint(self.transport, "server")
+        self.store = GuardedKV(self.cache, RPC_ROLE)
+        server_rpc = PlainRpcEndpoint(world.transport, "server")
         server_rpc.exporter.export("GuardedKV", self.store)
-        self.client_rpc = PlainRpcEndpoint(self.transport, "client")
+        self.client_rpc = PlainRpcEndpoint(world.transport, "client")
 
         self.view_store = ViewKV()
         self.policy = ViewAccessPolicy("ViewKV")
@@ -349,7 +316,7 @@ class SimTester:
         if trace.chaos and trace.faults:
             injector = FaultInjector(
                 self.scheduler,
-                EnvironmentMonitor(network),
+                EnvironmentMonitor(world.network),
                 durable_nodes={"server": self.node},
             )
             injector.arm(trace.fault_plan())
@@ -366,8 +333,8 @@ class SimTester:
 
     # -- the run ------------------------------------------------------------
 
-    def _run(self, trace: Trace) -> SimReport:
-        self._build_world(trace)
+    def _run(self, trace: Trace, world: HarnessWorld) -> SimReport:
+        self._build_world(trace, world)
         transcript: list[str] = []
         self.comparisons = 0
         self.net_failures = 0

@@ -14,16 +14,23 @@ sweep never re-runs a probe ddmin already answered.
 
 Shrinking is what turns "seed 23417 diverges after 412 operations" into
 a three-line repro a human can read: delegate, revoke, authorize.
+
+:func:`simtest` is the ``python -m repro simtest`` workhorse: check one
+trace and, on divergence, shrink it and write the repro files.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
 
 from .. import obs
 from ..obs import names as metric_names
 from .executor import SimReport, SimTester
+from .gen import generate_trace
 from .trace import Op, Trace
 
 
@@ -122,3 +129,62 @@ def shrink_trace(trace: Trace, tester: SimTester) -> ShrinkResult:
         original_ops=len(trace.ops),
         probes=len(cache),
     )
+
+
+@dataclass(slots=True)
+class SimtestRun:
+    """What ``repro simtest`` produced: the report and, when the oracles
+    and the stack disagreed, the shrunk repro written beside it."""
+
+    report: SimReport
+    shrunk: ShrinkResult | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.report.ok
+
+    def to_dict(self) -> dict[str, Any]:
+        return self.report.to_dict()
+
+    def summary(self) -> str:
+        if self.shrunk is None:
+            return self.report.summary()
+        return f"{self.report.summary()}\n{self.shrunk.summary()}"
+
+
+def simtest(
+    *,
+    seed: int,
+    steps: int,
+    chaos: bool,
+    engine: str,
+    mutation: str | None,
+    replay: str | None,
+    out_path: str,
+) -> SimtestRun:
+    """Generate (or ``replay``) a trace and check it; on divergence shrink
+    it, write the minimal repro to ``out_path`` and the flight-recorder
+    dump frozen at the diverging op to ``<out_path stem>-flight.json``.
+    """
+    if replay is not None:
+        trace = Trace.from_json(Path(replay).read_text(encoding="utf-8"))
+    else:
+        trace = generate_trace(seed=seed, steps=steps, chaos=chaos)
+    tester = SimTester(mutation=mutation, engine=engine)
+    report = tester.run(trace)
+    if report.ok:
+        return SimtestRun(report)
+    shrunk = shrink_trace(trace, tester)
+    Path(out_path).write_text(shrunk.trace.to_json() + "\n", encoding="utf-8")
+    print(f"repro simtest: minimal repro written to {out_path}", file=sys.stderr)
+    if report.flight is not None:
+        flight_path = f"{out_path.removesuffix('.json')}-flight.json"
+        Path(flight_path).write_text(
+            json.dumps(report.flight, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(
+            f"repro simtest: flight-recorder dump written to {flight_path}",
+            file=sys.stderr,
+        )
+    return SimtestRun(report, shrunk)

@@ -75,7 +75,7 @@ class DistributedRepository:
     With ``replicated=True`` every publish is mirrored to a warm replica
     shard; :meth:`fail_shard` then models the home node crashing — routed
     queries transparently fail over to the replica (counted, so chaos runs
-    can assert the recovery happened) until :meth:`restore_shard`.  An
+    can assert the recovery happened) until :meth:`recover_shard`.  An
     unreplicated repository answers queries for a failed shard with the
     empty set, which is the paper's degraded mode: proofs relying on that
     home's credentials become undiscoverable until the node returns.
@@ -140,9 +140,6 @@ class DistributedRepository:
     def fail_shard(self, home: str) -> None:
         """Mark a home shard unreachable (its node crash-stopped)."""
         self._down.add(home)
-
-    def restore_shard(self, home: str) -> None:
-        self._down.discard(home)
 
     def recover_shard(self, home: str) -> None:
         """Bring a failed shard back by *rebuilding* it, not resurrecting it.

@@ -45,11 +45,8 @@ class FaultInjector:
 
     Healing a ``NODE_CRASH`` *rebuilds* the failed shards from their warm
     replicas (:meth:`~repro.drbac.repository.DistributedRepository.recover_shard`)
-    — empty if unreplicated, which is honest data loss.  ``lossless=True``
-    restores the legacy magical heal, where the primary's in-memory index
-    is assumed to have survived the crash intact; it exists only for old
-    tests and scenarios that model fail-stop *pauses* rather than
-    crashes.  ``NODE_CRASH_RESTART`` needs the crashing node registered
+    — empty if unreplicated, which is honest data loss.
+    ``NODE_CRASH_RESTART`` needs the crashing node registered
     in ``durable_nodes`` (name → :class:`~repro.durable.node.DurableNode`):
     injection drops its volatile state, healing runs real WAL recovery —
     minus an optional ``torn_tail`` of bytes — and then delta catch-up.
@@ -65,7 +62,6 @@ class FaultInjector:
         credentials: dict[str, object] | None = None,
         shard_map: dict[str, list[str]] | None = None,
         durable_nodes: dict[str, object] | None = None,
-        lossless: bool = False,
     ) -> None:
         self.scheduler = scheduler
         self.monitor = monitor
@@ -74,7 +70,6 @@ class FaultInjector:
         self.credentials = dict(credentials or {})
         self.shard_map = {k: list(v) for k, v in (shard_map or {}).items()}
         self.durable_nodes = dict(durable_nodes or {})
-        self.lossless = lossless
         self.log: list[dict] = []
         """Chronological record of (virtual time, event, phase) as dicts."""
         self._listeners: list[InjectorListener] = []
@@ -198,12 +193,7 @@ class FaultInjector:
         def heal() -> None:
             if self.repository is not None:
                 for home in homes:
-                    if self.lossless:
-                        # Legacy mode: pretend the primary's in-memory
-                        # index survived the crash (a pause, not a crash).
-                        self.repository.restore_shard(home)
-                    else:
-                        self.repository.recover_shard(home)
+                    self.repository.recover_shard(home)
             self.monitor.set_node_up(node, True)
 
         return heal

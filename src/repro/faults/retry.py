@@ -53,7 +53,7 @@ class RetryPolicy:
 
     @classmethod
     def fixed(cls, interval: float, retries: int) -> "RetryPolicy":
-        """The legacy shape: ``retries`` re-sends at a constant interval."""
+        """The constant-interval policy: ``retries`` re-sends, ``interval`` apart."""
         return cls(
             base_delay=interval,
             multiplier=1.0,

@@ -13,8 +13,8 @@ Crash semantics — this harness enables repository replication up front,
 so the injector's honest ``NODE_CRASH`` heal (rebuild the failed shard
 from its warm replica, see
 :meth:`~repro.drbac.repository.DistributedRepository.recover_shard`)
-restores exactly the content the legacy lossless heal pretended had
-survived; the crash probes therefore verify failover *and* rebuild.
+restores the shard's content; the crash probes therefore verify failover
+*and* rebuild.
 Full WAL-backed crash-restart (``NODE_CRASH_RESTART``) is exercised by
 the simulation tester and ``bench-recovery``, which own
 :class:`~repro.durable.node.DurableNode` worlds.
@@ -56,10 +56,6 @@ WAN_LINKS = (("ny-gw", "sd-gw"), ("ny-gw", "se-gw"), ("sd-gw", "se-gw"))
 #: Table 2 credential numbers eligible for revocation storms, with the
 #: subject / role / re-issuing guard needed to verify deny → re-issue → allow.
 STORM_CREDENTIALS = ("1", "11")
-
-# Backwards-compatible alias: the guard moved to repro.hermetic so the
-# load generator, simulation tester, and test fixtures share one copy.
-_hermetic_counters = hermetic_counters
 
 
 _RECOVERED_COUNTERS = {

@@ -6,29 +6,26 @@
 ``python -m repro bench-overload`` drives :func:`run_bench_overload`:
 the same service model under 1x/3x/10x offered load, with and without
 the :mod:`repro.flow` overload-protection stack.
-``python -m repro bench-churn`` drives :func:`run_bench_churn`: one
+``python -m repro bench-churn`` drives :class:`ChurnBench`: one
 seeded credential-churn schedule through the full-search and
 incremental authorization engines, compared in deterministic work units.
-``python -m repro bench-recovery`` drives :func:`run_bench_recovery`:
+``python -m repro bench-recovery`` drives :class:`RecoveryBench`:
 one seeded schedule with embedded crash/restart cycles through a
 crashing :class:`~repro.durable.node.DurableNode` arm and a
 never-crashed control arm, oracle-checked after every recovery.
 """
 
-from .churn import ChurnBench, run_bench_churn
-from .generator import LoadGenerator, LoadRun, classify_error, run_bench
+from .churn import ChurnBench
+from .generator import LoadGenerator, LoadRun, run_bench
 from .overload import OverloadBench, run_bench_overload
-from .recovery import RecoveryBench, run_bench_recovery
+from .recovery import RecoveryBench
 
 __all__ = [
     "ChurnBench",
     "LoadGenerator",
     "LoadRun",
-    "classify_error",
     "run_bench",
     "OverloadBench",
     "run_bench_overload",
-    "run_bench_churn",
     "RecoveryBench",
-    "run_bench_recovery",
 ]

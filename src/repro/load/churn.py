@@ -257,11 +257,34 @@ class ChurnBench:
         }
 
 
-def run_bench_churn(
-    *,
-    seed: int = 7,
-    ops: int = 600,
-    key_store: KeyStore | None = None,
-) -> dict[str, Any]:
-    """Build, run, and return the churn comparison report."""
-    return ChurnBench(seed=seed, ops=ops, key_store=key_store).run()
+def passed(report: dict[str, Any]) -> bool:
+    """Both arms produced one transcript and the oracle agrees with it."""
+    return report["transcripts_match"] and report["oracle_agrees"]
+
+
+def summarize(report: dict[str, Any], elapsed_s: float) -> str:
+    """The human-readable ``repro bench-churn`` summary."""
+    mix = report["mix"]
+    lines = [
+        f"bench-churn seed={report['seed']} ops={report['ops']} "
+        f"(delegate {mix['delegate']}, revoke {mix['revoke']}, "
+        f"authorize {mix['authorize']}, advance {mix['advance']}) "
+        f"wall {elapsed_s:.2f}s"
+    ]
+    for name in ("full", "incremental"):
+        arm = report["arms"][name]
+        pr = arm["post_revoke"]
+        lines.append(
+            f"  {name:>11}: work {arm['work_units']:>6}  "
+            f"grants {arm['grants']}  denials {arm['denials']}  "
+            f"post-revoke {pr['count']} queries / {pr['work_units']} work "
+            f"= {pr['throughput_per_kwork']:.1f} per kwork"
+        )
+    lines.append(
+        f"  speedup: authorize-after-revoke "
+        f"{report['speedup']['authorize_after_revoke']:.2f}x  "
+        f"overall work {report['speedup']['overall_work']:.2f}x  "
+        f"transcripts match: {'yes' if report['transcripts_match'] else 'NO'}  "
+        f"oracle agrees: {'yes' if report['oracle_agrees'] else 'NO'}"
+    )
+    return "\n".join(lines)

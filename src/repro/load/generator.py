@@ -40,12 +40,7 @@ from .. import obs
 from ..crypto import KeyStore
 from ..drbac import DrbacEngine
 from ..drbac.cache import CachedAuthorizer
-from ..errors import AuthorizationError, RpcShedError, RpcTimeoutError
-from ..flow import FlowConfig
-from ..hermetic import hermetic_counters
-from ..net.events import EventScheduler
-from ..net.simnet import Network
-from ..net.transport import Transport
+from ..hermetic import GuardedKV, harness_world
 from ..obs import names as metric_names
 from ..switchboard.rpc import PlainRpcEndpoint, RpcPipeline
 from ..views import (
@@ -65,37 +60,6 @@ CLIENT_ROLE = "Load.Client"
 _KEYS = tuple(f"k{i}" for i in range(8))
 
 
-class KVStore:
-    """Authorization-guarded key-value store exported over plain RPC.
-
-    Every operation authorizes its caller through the shared (sharded)
-    :class:`CachedAuthorizer` first, so the RPC workload doubles as the
-    cache workload.
-    """
-
-    def __init__(
-        self, authorizer: CachedAuthorizer, *, initial: dict[str, str]
-    ) -> None:
-        self._authorizer = authorizer
-        self._data = dict(initial)
-
-    def _admit(self, subject: str) -> None:
-        self._authorizer.authorize(subject, CLIENT_ROLE)
-
-    def get(self, subject: str, key: str) -> str | None:
-        self._admit(subject)
-        return self._data.get(key)
-
-    def put(self, subject: str, key: str, value: str) -> str | None:
-        self._admit(subject)
-        old = self._data.get(key)
-        self._data[key] = value
-        return old
-
-    def check(self, subject: str) -> bool:
-        return self._authorizer.is_authorized(subject, CLIENT_ROLE)
-
-
 class _KVReadSurface:
     """Interface template: the methods the read-only view exposes."""
 
@@ -104,15 +68,15 @@ class _KVReadSurface:
     def check(self, subject: str) -> bool: ...
 
 
-def _read_only_view(store: KVStore) -> Any:
+def _read_only_view(store: GuardedKV) -> Any:
     """A VIG-generated view of the store that cannot ``put``."""
     registry = InterfaceRegistry()
     registry.register(interface_from_class(_KVReadSurface, "LoadReadI"))
     spec = infer_view_spec(
-        "ViewKVReader", KVStore, registry, ViewHint(allow=["get", "check"])
+        "ViewKVReader", GuardedKV, registry, ViewHint(allow=["get", "check"])
     )
-    view_cls = Vig(registry).generate(spec, KVStore)
-    return view_cls(ViewRuntime(local_objects={"KVStore": store}))
+    view_cls = Vig(registry).generate(spec, GuardedKV)
+    return view_cls(ViewRuntime(local_objects={"GuardedKV": store}))
 
 
 @dataclass(slots=True)
@@ -129,10 +93,6 @@ class LoadRun:
     transcripts: list[list[str]] = field(repr=False)
     cache: dict[str, Any] = field(repr=False)
     net: dict[str, int] = field(repr=False)
-    error_kinds: dict[str, int] | None = field(default=None, repr=False)
-    """Errors bucketed by kind (``shed`` / ``timeout`` / ``denied`` /
-    ``other``); populated only when the run executed with flow control,
-    so a flow-off report keeps its exact legacy key set."""
     flight: dict[str, Any] | None = field(default=None, repr=False)
     """Flight-recorder snapshot taken as the run's world wound down; the
     report surfaces it only when the serial/pipelined transcripts
@@ -151,7 +111,7 @@ class LoadRun:
 
     def to_dict(self) -> dict[str, Any]:
         ordered = sorted(self.latencies)
-        out: dict[str, Any] = {
+        return {
             "mode": self.mode,
             "batching": self.batching,
             "pipeline_depth": self.depth,
@@ -168,13 +128,6 @@ class LoadRun:
             "cache": self.cache,
             "net": self.net,
         }
-        if self.error_kinds is not None:
-            # Only under flow control: a flow-off report keeps its exact
-            # legacy key set (the CI determinism diff depends on it).
-            out["errors_by_kind"] = {
-                kind: self.error_kinds[kind] for kind in sorted(self.error_kinds)
-            }
-        return out
 
 
 def _percentile(ordered: list[float], pct: float) -> float:
@@ -182,24 +135,6 @@ def _percentile(ordered: list[float], pct: float) -> float:
         return 0.0
     index = max(0, math.ceil(pct / 100.0 * len(ordered)) - 1)
     return ordered[index]
-
-
-def classify_error(exc: Exception) -> str:
-    """Bucket a load-run failure for the errors-by-kind breakdown.
-
-    ``shed`` (typed overload refusal) and ``timeout`` are mechanical;
-    ``denied`` covers both dRBAC denials and interface-narrowing refusals
-    — application-level no's that crossed the wire as
-    :class:`~repro.switchboard.rpc.RemoteError` text.
-    """
-    if isinstance(exc, RpcShedError):
-        return "shed"
-    if isinstance(exc, RpcTimeoutError):
-        return "timeout"
-    message = str(exc)
-    if message.startswith("AuthorizationError") or "no callable method" in message:
-        return "denied"
-    return "other"
 
 
 class LoadGenerator:
@@ -213,7 +148,6 @@ class LoadGenerator:
         requests: int = 40,
         depth: int = 8,
         key_store: KeyStore | None = None,
-        flow: FlowConfig | None = None,
     ) -> None:
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
@@ -223,7 +157,6 @@ class LoadGenerator:
         self.clients = clients
         self.requests = requests
         self.depth = depth
-        self.flow = flow
         # Key material never crosses the wire, so a shared store is
         # determinism-safe and skips RSA generation in tests.
         self.key_store = key_store or KeyStore(key_bits=512)
@@ -263,22 +196,12 @@ class LoadGenerator:
 
     def run(self, *, pipelined: bool, batching: bool) -> LoadRun:
         """Build a fresh world and push the whole workload through it."""
-        with hermetic_counters(), obs.scoped(enabled=True) as registry:
-            scheduler = EventScheduler()
-            obs.set_tracer_clock(scheduler)
-            network = Network()
-            network.add_node("server", domain="LOAD")
-            for index in range(self.clients):
-                name = f"client-{index}"
-                network.add_node(name, domain="LOAD")
-                network.add_link(
-                    name,
-                    "server",
-                    latency_s=0.004,
-                    bandwidth_bps=8e6,
-                    secure=False,
-                )
-            transport = Transport(network, scheduler, loss_seed=self.seed)
+        with harness_world(
+            seed=self.seed,
+            domain="LOAD",
+            clients=[f"client-{index}" for index in range(self.clients)],
+        ) as world:
+            scheduler, transport = world.scheduler, world.transport
             if batching:
                 transport.configure_batching(max_frames=8, window=0.002)
 
@@ -288,15 +211,16 @@ class LoadGenerator:
             # Small and sharded on purpose: clients + mallory overflow it,
             # so the run exercises LRU churn, not just a warm cache.
             authorizer = CachedAuthorizer(engine, max_entries=8, shards=4)
-            store = KVStore(
+            store = GuardedKV(
                 authorizer,
+                CLIENT_ROLE,
                 initial={
                     f"c{index}-{key}": f"init-{index}-{key}"
                     for index in range(self.clients)
                     for key in _KEYS
                 },
             )
-            server_rpc = PlainRpcEndpoint(transport, "server", flow=self.flow)
+            server_rpc = PlainRpcEndpoint(transport, "server")
             server_rpc.exporter.export("KVStore", store)
             server_rpc.exporter.export("StoreView", _read_only_view(store))
 
@@ -323,7 +247,6 @@ class LoadGenerator:
 
             transcripts: list[list[str]] = []
             errors = 0
-            error_kinds: dict[str, int] = {}
             for client_index, pipeline in enumerate(pipelines):
                 entries: list[str] = []
                 for op_index, result in enumerate(
@@ -331,11 +254,9 @@ class LoadGenerator:
                 ):
                     if isinstance(result, Exception):
                         errors += 1
-                        kind = classify_error(result)
-                        error_kinds[kind] = error_kinds.get(kind, 0) + 1
                         obs.event(
                             "load.error", client=client_index, op=op_index,
-                            error=type(result).__name__, kind=kind,
+                            error=type(result).__name__,
                         )
                         entries.append(f"<{type(result).__name__}:{result}>")
                     else:
@@ -343,6 +264,7 @@ class LoadGenerator:
                 transcripts.append(entries)
 
             stats = authorizer.stats
+            registry = obs.get_registry()
             return LoadRun(
                 mode="pipelined" if pipelined else "serial",
                 batching=batching,
@@ -360,7 +282,6 @@ class LoadGenerator:
                     "invalidated": stats.invalidated,
                     "hit_rate": round(stats.hit_rate, 4),
                 },
-                error_kinds=error_kinds if self.flow is not None else None,
                 net={
                     "messages_sent": transport.stats.messages_sent,
                     "messages_delivered": transport.stats.messages_delivered,
@@ -450,6 +371,40 @@ def _trace_topology(tracer: obs.Tracer) -> list[list]:
 def transcript_digest(transcripts: list[list[str]]) -> str:
     payload = json.dumps(transcripts, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
+
+
+def passed(report: dict[str, Any]) -> bool:
+    """The differential gate: serial and pipelined transcripts agree."""
+    return report["transcripts_match"]
+
+
+def summarize(report: dict[str, Any], elapsed_s: float) -> str:
+    """The human-readable ``repro bench-load`` summary."""
+    fast = report["pipelined"]
+    lines = [
+        f"bench-load seed={report['seed']} clients={report['clients']} "
+        f"requests={report['requests_per_client']} "
+        f"depth={fast['pipeline_depth']}"
+    ]
+    for label, run in (("serial   ", report["serial"]), ("pipelined", fast)):
+        lat = run["latency_s"]
+        lines.append(
+            f"  {label}: makespan {run['makespan_s']:.4f}s  "
+            f"throughput {run['throughput_ops_per_s']:.1f} ops/s  "
+            f"p50 {lat['p50'] * 1000:.2f}ms  p95 {lat['p95'] * 1000:.2f}ms  "
+            f"p99 {lat['p99'] * 1000:.2f}ms"
+        )
+    lines.append(
+        f"  speedup: {report['speedup']:.2f}x  "
+        f"transcripts match: {'yes' if report['transcripts_match'] else 'NO'}  "
+        f"cache hit-rate: {fast['cache']['hit_rate']:.3f}"
+    )
+    lines.append(
+        f"  batching: {fast['net']['batches_sent']} batches carried "
+        f"{fast['net']['frames_coalesced']} of {fast['net']['messages_sent']} "
+        f"frames"
+    )
+    return "\n".join(lines)
 
 
 def run_bench(

@@ -35,10 +35,7 @@ from typing import Any
 from .. import obs
 from ..errors import RpcShedError
 from ..flow import PRIO_BULK, PRIO_MONITOR, FlowConfig, classify_priority
-from ..hermetic import hermetic_counters
-from ..net.events import EventScheduler
-from ..net.simnet import Network
-from ..net.transport import Transport
+from ..hermetic import harness_world
 from ..switchboard.rpc import PlainRpcEndpoint
 from .generator import _percentile
 
@@ -162,19 +159,13 @@ class OverloadBench:
 
     def _run_arm(self, multiplier: int, enabled: bool) -> dict[str, Any]:
         plans = [self._plan(multiplier, c) for c in range(self.clients)]
-        with hermetic_counters(), obs.scoped(enabled=True):
-            scheduler = EventScheduler()
-            obs.set_tracer_clock(scheduler)
-            network = Network()
-            network.add_node("server", domain="LOAD")
-            for index in range(self.clients):
-                name = f"client-{index}"
-                network.add_node(name, domain="LOAD")
-                network.add_link(
-                    name, "server", latency_s=0.002, bandwidth_bps=8e6,
-                    secure=False,
-                )
-            transport = Transport(network, scheduler, loss_seed=self.seed)
+        with harness_world(
+            seed=self.seed,
+            domain="LOAD",
+            clients=[f"client-{index}" for index in range(self.clients)],
+            latency_s=0.002,
+        ) as world:
+            scheduler, transport = world.scheduler, world.transport
             server = PlainRpcEndpoint(
                 transport, "server", flow=self._flow(enabled)
             )
@@ -312,6 +303,33 @@ class OverloadBench:
             # clean runs keeps the report byte-stable.
             "flight": None if ok else flights,
         }
+
+
+def passed(report: dict[str, Any]) -> bool:
+    """Every overload invariant held."""
+    return report["invariants"]["ok"]
+
+
+def summarize(report: dict[str, Any], elapsed_s: float) -> str:
+    """The human-readable ``repro bench-overload`` summary."""
+    lines = [
+        f"bench-overload seed={report['seed']} clients={report['clients']} "
+        f"duration={report['duration_s']}s "
+        f"capacity={report['capacity_rps']:.0f} rps "
+        f"slo={report['slo_s'] * 1000:.0f}ms"
+    ]
+    for arm in report["arms"]:
+        off, on = arm["without_flow"], arm["with_flow"]
+        lines.append(
+            f"  {arm['multiplier']:>2}x ({arm['offered_rps']:.0f} rps): "
+            f"goodput {off['goodput_rps']:7.1f} -> {on['goodput_rps']:7.1f} rps"
+            f"  shed {on['shed']:>4}  p99 {off['latency_s']['p99'] * 1000:8.1f}"
+            f" -> {on['latency_s']['p99'] * 1000:6.1f} ms"
+        )
+    for name, held in report["invariants"].items():
+        if name != "ok":
+            lines.append(f"  [{'PASS' if held else 'FAIL'}] {name}")
+    return "\n".join(lines)
 
 
 def run_bench_overload(

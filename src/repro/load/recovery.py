@@ -278,16 +278,35 @@ class RecoveryBench:
         }
 
 
-def run_bench_recovery(
-    *,
-    seed: int = 7,
-    ops: int = 360,
-    crashes: int = 4,
-    key_store: KeyStore | None = None,
-    mutation: str | None = None,
-) -> dict[str, Any]:
-    """Build, run, and return the crash-recovery comparison report."""
-    return RecoveryBench(
-        seed=seed, ops=ops, crashes=crashes,
-        key_store=key_store, mutation=mutation,
-    ).run()
+def passed(report: dict[str, Any]) -> bool:
+    """Every recovery gate held."""
+    return report["ok"]
+
+
+def summarize(report: dict[str, Any], elapsed_s: float) -> str:
+    """The human-readable ``repro bench-recovery`` summary."""
+    mix, rec, verdicts = report["mix"], report["recovery"], report["verdicts"]
+    lines = [
+        f"bench-recovery seed={report['seed']} ops={report['ops']} "
+        f"crashes={report['crashes']} "
+        f"(delegate {mix['delegate']}, revoke {mix['revoke']}, "
+        f"authorize {mix['authorize']}, advance {mix['advance']}) "
+        f"wall {elapsed_s:.2f}s"
+    ]
+    for n, r in enumerate(report["recoveries"]):
+        lines.append(
+            f"  restart {n}: replayed {r['wal_records_replayed']:>3} wal "
+            f"records (snapshot {r['snapshot_creds']} creds, "
+            f"{r['torn_bytes']} torn bytes), caught up "
+            f"{r['catchup_updates']} updates, cache kept "
+            f"{r['cache_kept']}/evicted {r['cache_evicted']} = "
+            f"{r['work_units']} work units"
+        )
+    lines.append(
+        f"  verdicts: {verdicts['checked']} checked, "
+        f"{verdicts['grants']} grants, {verdicts['denials']} denials  "
+        f"total recovery work {rec['work_units']}"
+    )
+    for gate in ("verdicts_match", "oracle_agrees", "digests_match"):
+        lines.append(f"  [{'PASS' if report[gate] else 'FAIL'}] {gate}")
+    return "\n".join(lines)

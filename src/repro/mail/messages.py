@@ -2,7 +2,7 @@
 
 Plain JSON-compatible records: messages and accounts cross simulated
 network links inside RPC frames, so everything here (de)serializes to
-dicts losslessly.
+dicts without loss.
 """
 
 from __future__ import annotations

@@ -38,10 +38,7 @@ from ..crypto import KeyStore
 from ..drbac import DrbacEngine
 from ..drbac.cache import CachedAuthorizer
 from ..faults.retry import RetryPolicy
-from ..hermetic import hermetic_counters
-from ..net.events import EventScheduler
-from ..net.simnet import Network
-from ..net.transport import Transport
+from ..hermetic import GuardedKV, harness_world
 from ..switchboard.rpc import PlainRpcEndpoint
 from ..views.acl import ViewAccessPolicy
 from .export import to_chrome_trace
@@ -55,7 +52,7 @@ CLIENT_ROLE = "Trace.Client"
 CHAOS_LOSS_RATE = 0.35
 
 
-class TracedKV:
+class TracedKV(GuardedKV):
     """Guarded key-value object: every call authorizes *and* resolves a view.
 
     Serving one RPC therefore produces, under the activated ``rpc.server``
@@ -72,31 +69,21 @@ class TracedKV:
         *,
         initial: dict[str, str],
     ) -> None:
-        self._authorizer = authorizer
+        super().__init__(authorizer, CLIENT_ROLE, initial=initial)
         self._policy = policy
         self._engine = engine
-        self._data = dict(initial)
 
-    def _admit(self, subject: str) -> str | None:
-        self._authorizer.authorize(subject, CLIENT_ROLE)
+    def _view_of(self, subject: str) -> str | None:
         decision = self._policy.resolve(subject, self._engine)
         return decision.view_name if decision is not None else None
 
-    def get(self, subject: str, key: str) -> str | None:
-        self._admit(subject)
-        return self._data.get(key)
-
-    def put(self, subject: str, key: str, value: str) -> str | None:
-        self._admit(subject)
-        old = self._data.get(key)
-        self._data[key] = value
-        return old
+    def _admit(self, subject: str) -> None:
+        super()._admit(subject)
+        self._view_of(subject)
 
     def check(self, subject: str) -> list:
         """Never raises: the anonymous default view admits strangers."""
-        ok = self._authorizer.is_authorized(subject, CLIENT_ROLE)
-        decision = self._policy.resolve(subject, self._engine)
-        return [ok, decision.view_name if decision is not None else None]
+        return [super().check(subject), self._view_of(subject)]
 
 
 #: The fixed workload: enough shape to cover grant/deny, cache miss/hit,
@@ -115,21 +102,14 @@ def run_trace(
 ) -> dict[str, Any]:
     """Run the traced scenario and return its Chrome trace-event JSON."""
     key_store = key_store or KeyStore(key_bits=512)
-    with hermetic_counters(), obs.scoped(enabled=True, dist=True):
-        scheduler = EventScheduler()
-        obs.set_tracer_clock(scheduler)
-        network = Network()
-        network.add_node("client", domain="TRACE")
-        network.add_node("server", domain="TRACE")
-        network.add_link(
-            "client",
-            "server",
-            latency_s=0.004,
-            bandwidth_bps=8e6,
-            secure=False,
-            loss_rate=CHAOS_LOSS_RATE if chaos else 0.0,
-        )
-        transport = Transport(network, scheduler, loss_seed=seed)
+    with harness_world(
+        seed=seed,
+        domain="TRACE",
+        clients=["client"],
+        loss_rate=CHAOS_LOSS_RATE if chaos else 0.0,
+        dist=True,
+    ) as world:
+        scheduler, transport = world.scheduler, world.transport
         transport.configure_batching(max_frames=4, window=0.002)
 
         # Full-search engine: the demo's point is the stitched
@@ -187,3 +167,18 @@ def run_trace(
                 "frames_lost": len(log.find("net.loss")),
             },
         )
+
+
+def summarize(trace: dict[str, Any], elapsed_s: float) -> str:
+    """One-line digest of an export, printed when it went to a file."""
+    other = trace["otherData"]
+    spans = sum(1 for e in trace["traceEvents"] if e.get("ph") == "X")
+    instants = sum(1 for e in trace["traceEvents"] if e.get("ph") == "i")
+    return (
+        f"repro trace seed={other['seed']} "
+        f"chaos={'yes' if other['chaos'] else 'no'}: "
+        f"{spans} spans, {instants} events, {other['retries']} retries, "
+        f"{other['frames_lost']} frames lost, "
+        f"makespan {other['virtual_makespan_s']:.4f}s\n"
+        "load the exported file at https://ui.perfetto.dev"
+    )

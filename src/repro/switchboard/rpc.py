@@ -568,18 +568,15 @@ class PlainRpcEndpoint:
         method: str,
         args: list | None = None,
         *,
-        timeout: float = 1.0,
-        retries: int = 3,
-        policy: RetryPolicy | None = None,
+        policy: RetryPolicy,
     ) -> PendingCall:
         """At-least-once invocation over lossy or failing links.
 
         Re-sends the same call (same call id, so a late original response
         still completes it) when no response arrives in time.  Pacing
-        comes from a :class:`~repro.faults.retry.RetryPolicy` — pass one
-        for exponential backoff with seeded jitter and a deadline; the
-        default reproduces the legacy shape (``retries`` re-sends every
-        ``timeout`` seconds).  A transmission that fails outright (link
+        comes from ``policy``, a :class:`~repro.faults.retry.RetryPolicy`
+        (constant interval, or exponential backoff with seeded jitter
+        and a deadline).  A transmission that fails outright (link
         down, partition) is treated like a lost frame and retried on the
         same schedule, which is what lets callers ride out a fault window.
         The remote method may execute more than once — callers pick this
@@ -595,8 +592,6 @@ class PlainRpcEndpoint:
         breaker = self._breaker_for(remote_node)
         if breaker is not None and not breaker.allow():
             return self._short_circuit(remote_node, method, breaker)
-        if policy is None:
-            policy = RetryPolicy.fixed(timeout, retries)
         schedule = policy.schedule()
         # Non-reusable id: retransmission means the remote may answer more
         # than once, and a late duplicate must never complete a newer call

@@ -209,26 +209,6 @@ class TestNodeCrashHonestHeal:
         # Honest data loss: no replica existed, so nothing survives.
         assert repo.find_by_subject(cred.subject) == []
 
-    def test_lossless_legacy_mode_restores_volatile_state(self, world, engine):
-        from repro.drbac.repository import DistributedRepository
-
-        net, scheduler, monitor = world
-        repo = DistributedRepository(replicated=False)
-        cred = engine.delegate("OrgA", "Alice", "OrgA.Reader", publish=False)
-        repo.publish(cred)
-        injector = FaultInjector(
-            scheduler, monitor, repository=repo,
-            shard_map={"b1": ["Alice"]}, lossless=True,
-        )
-        injector.arm(FaultPlan([
-            FaultEvent(at=1.0, kind=FaultKind.NODE_CRASH, duration=2.0,
-                       params={"node": "b1"}),
-        ]))
-        _run(scheduler)
-        assert [d.credential_id for d in repo.find_by_subject(cred.subject)] == [
-            cred.credential_id
-        ]
-
 
 class TestNodeCrashRestart:
     def test_requires_registered_durable_node(self, world):

@@ -82,13 +82,3 @@ class TestCli:
         report = json.loads(outputs[0])
         assert report["schema"] == SCHEMA
         assert report["invariants"]["ok"]
-
-    def test_cli_rejects_unknown_arguments(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "bench-overload", "--bogus"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 2
-        assert "usage" in result.stderr

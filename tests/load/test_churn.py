@@ -50,7 +50,3 @@ class TestCli:
         assert "speedup" in text
         assert "full" in text and "incremental" in text
         assert "transcripts match: yes" in text
-
-    def test_bench_churn_rejects_unknown_argument(self, capsys):
-        assert main(["bench-churn", "--bogus"]) == 2
-        assert "usage" in capsys.readouterr().err

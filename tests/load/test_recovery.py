@@ -97,7 +97,3 @@ class TestCli:
         assert main(["bench-recovery", "--seed", "7", "--ops", "120",
                      "--crashes", "2", "--mutate", "skip-catchup"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
-
-    def test_bench_recovery_rejects_unknown_argument(self, capsys):
-        assert main(["bench-recovery", "--bogus"]) == 2
-        assert "usage" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import RetryPolicy
 from repro.net import EventScheduler, Network, Transport
 from repro.switchboard import PlainRpcEndpoint, RemoteError
 
@@ -75,13 +76,13 @@ class TestRetries:
     def test_retry_recovers_from_loss(self):
         net, scheduler, transport, client, service = make_world(0.5, seed=3)
         pending = client.call_with_retry(
-            "b", "svc", "ping", timeout=0.1, retries=10
+            "b", "svc", "ping", policy=RetryPolicy.fixed(0.1, 10)
         )
         assert pending.wait() == "pong"
 
     def test_retries_exhausted_fails(self):
         net, scheduler, transport, client, _ = make_world(1.0)
-        pending = client.call_with_retry("b", "svc", "ping", timeout=0.1, retries=2)
+        pending = client.call_with_retry("b", "svc", "ping", policy=RetryPolicy.fixed(0.1, 2))
         scheduler.run()
         assert pending.done
         with pytest.raises(RemoteError, match="after 3 attempts"):
@@ -91,14 +92,14 @@ class TestRetries:
         """The documented semantics: a lost *response* triggers a resend,
         so the remote method can run more than once."""
         net, scheduler, transport, client, service = make_world(0.35, seed=11)
-        pending = client.call_with_retry("b", "svc", "bump", timeout=0.1, retries=20)
+        pending = client.call_with_retry("b", "svc", "bump", policy=RetryPolicy.fixed(0.1, 20))
         value = pending.wait()
         assert value >= 1
         assert service.calls >= 1  # executed at least once; maybe more
 
     def test_no_retry_needed_on_clean_link(self):
         net, scheduler, transport, client, service = make_world(0.0)
-        pending = client.call_with_retry("b", "svc", "bump", timeout=0.1, retries=3)
+        pending = client.call_with_retry("b", "svc", "bump", policy=RetryPolicy.fixed(0.1, 3))
         assert pending.wait() == 1
         scheduler.run()  # drain the armed timeout check
         assert service.calls == 1  # exactly one execution, no spurious resend

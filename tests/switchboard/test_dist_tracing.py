@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.errors import RpcTimeoutError
+from repro.faults import RetryPolicy
 from repro.net import EventScheduler, Network, Transport
 from repro.switchboard.rpc import PlainRpcEndpoint, decode_frame
 
@@ -159,7 +160,7 @@ class TestErrorTagging:
         with obs.scoped(enabled=True, dist=True):
             obs.set_tracer_clock(scheduler)
             pending = client.call_with_retry(
-                "server", "echo", "ping", [1], timeout=0.1, retries=2
+                "server", "echo", "ping", [1], policy=RetryPolicy.fixed(0.1, 2)
             )
             pending.wait_done()
             tracer = obs.get_tracer()

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 from repro import obs
-from repro.__main__ import exercise_scenario, run_selfcheck, run_stats
+from repro.__main__ import exercise_scenario, main, run_selfcheck
 from repro.obs import names as metric_names
 from repro.obs.names import CATALOGUE, catalogue_by_name
 
@@ -171,14 +171,14 @@ class TestMetricCatalogue:
 
 class TestStatsCommand:
     def test_run_stats_in_process(self, capsys):
-        assert run_stats([]) == 0
+        assert main(["stats"]) == 0
         out = capsys.readouterr().out
         assert "== counters ==" in out
         assert metric_names.PROOF_SEARCHES in out
         assert metric_names.DEPLOY_DEPLOYMENTS in out
 
     def test_run_stats_json(self, capsys):
-        assert run_stats(["--json"]) == 0
+        assert main(["stats", "--json"]) == 0
         snap = json.loads(capsys.readouterr().out)
         assert snap["counters"][metric_names.PROOF_SEARCHES] > 0
         assert snap["counters"][metric_names.SWB_RPC_CALLS] > 0

@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from repro.__main__ import main, run_simtest, run_trace
+from repro.__main__ import main
 
 
 class TestTraceCommand:
     def test_stdout_is_the_trace_json(self, capsys):
-        assert run_trace(["--seed", "3"]) == 0
+        assert main(["trace", "--seed", "3"]) == 0
         trace = json.loads(capsys.readouterr().out)
         assert trace["otherData"]["schema"] == "repro-trace/v1"
         assert trace["otherData"]["seed"] == 3
@@ -19,7 +19,7 @@ class TestTraceCommand:
 
     def test_out_writes_file_and_prints_summary(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        assert run_trace(["--seed", "3", "--chaos", "--out", str(out)]) == 0
+        assert main(["trace", "--seed", "3", "--chaos", "--out", str(out)]) == 0
         trace = json.loads(out.read_text())
         assert trace["otherData"]["chaos"] is True
         summary = capsys.readouterr().out
@@ -29,18 +29,13 @@ class TestTraceCommand:
         assert main(["trace", "--seed", "3"]) == 0
         json.loads(capsys.readouterr().out)
 
-    def test_bad_arguments(self, capsys):
-        assert run_trace(["--seed"]) == 2
-        assert run_trace(["--seed", "x"]) == 2
-        assert run_trace(["--frobnicate"]) == 2
-
 
 @pytest.mark.slow
 class TestSimtestFlightDump:
     def test_divergence_writes_flight_beside_the_repro(self, tmp_path, capsys):
         out = tmp_path / "repro.json"
-        code = run_simtest([
-            "--seed", "7", "--steps", "300",
+        code = main([
+            "simtest", "--seed", "7", "--steps", "300",
             "--mutate", "ignore-revoke", "--out", str(out),
         ])
         assert code == 1
