@@ -443,9 +443,7 @@ class CachedAuthorizer:
                     continue
                 entry.result.monitor.close()
                 entry.result.monitor = ProofMonitor(
-                    entry.result.proof.all_delegations(),
-                    engine.revocations,
-                    hub=engine.monitor_hub,
+                    entry.result.proof.all_delegations(), engine.monitor_hub
                 )
                 self._watch(shard, key, entry)
                 kept += 1

@@ -183,6 +183,24 @@ class DrbacEngine:
         finally:
             self.search_work += searcher.edges_visited
 
+    def find_proof_presenting(
+        self,
+        subject: Subject,
+        role: Role,
+        presented: Iterable[Delegation],
+        *,
+        required_attributes: Attributes | None = None,
+    ) -> Optional[Proof]:
+        """Full search over the repository's harvest overlaid, by
+        credential id, with what the subject ``presented``: the partner
+        supplies its leaf credentials, the repository holds the
+        cross-domain mapping delegations they chain through."""
+        pool = {c.credential_id: c for c in self.repository.collect(subject, role)}
+        pool.update((c.credential_id, c) for c in presented)
+        return self.find_proof(
+            subject, role, list(pool.values()), required_attributes=required_attributes
+        )
+
     def prove(
         self,
         subject: Subject | str,
@@ -240,9 +258,7 @@ class DrbacEngine:
                 )
             )
         obs.counter(metric_names.AUTHORIZE_GRANTED).inc()
-        monitor = ProofMonitor(
-            proof.all_delegations(), self.revocations, hub=self.monitor_hub
-        )
+        monitor = ProofMonitor(proof.all_delegations(), self.monitor_hub)
         return AuthorizationResult(proof=proof, monitor=monitor)
 
     def evaluator(self) -> ConstraintEvaluator:

@@ -193,7 +193,6 @@ class ValidityMonitor:
 
     delegation: Delegation
     _unsubscribe: Callable[[], None] = field(repr=False, default=lambda: None)
-    revoked: bool = False
 
     def close(self) -> None:
         self._unsubscribe()
@@ -205,30 +204,19 @@ class ProofMonitor:
     The monitor is *valid* until any watched credential is revoked; at that
     moment every registered callback fires exactly once with the offending
     credential id.  Expiry is checked on demand via :meth:`check_expiry`
-    because expiry is a function of the clock, not an event.
+    because expiry is a function of the clock, not an event.  Every
+    subscription goes through the :class:`MonitorHub`, so any number of
+    monitors cost each home authority one callback per credential.
     """
 
-    def __init__(
-        self,
-        delegations: list[Delegation],
-        directory: RevocationDirectory,
-        *,
-        hub: MonitorHub | None = None,
-    ) -> None:
+    def __init__(self, delegations: list[Delegation], hub: MonitorHub) -> None:
         self._delegations = list(delegations)
         self._callbacks: list[RevocationCallback] = []
         self._invalidated_by: str | None = None
-        self._monitors: list[ValidityMonitor] = []
-        for delegation in self._delegations:
-            monitor = ValidityMonitor(delegation)
-            if hub is not None:
-                monitor._unsubscribe = hub.attach(delegation, self._on_revoked)
-            else:
-                authority = directory.authority(delegation.home_entity)
-                monitor._unsubscribe = authority.subscribe(
-                    delegation.credential_id, self._on_revoked
-                )
-            self._monitors.append(monitor)
+        self._monitors = [
+            ValidityMonitor(delegation, hub.attach(delegation, self._on_revoked))
+            for delegation in self._delegations
+        ]
 
     @property
     def valid(self) -> bool:

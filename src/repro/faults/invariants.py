@@ -61,39 +61,18 @@ class InvariantSuite:
 # -- prebuilt end-of-run checks ---------------------------------------------
 
 
-def pending_calls_settled(rpc_endpoints: Iterable[Any]) -> Callable[[], list[str]]:
-    """No plain-RPC future may still be undone once the queue drains."""
-    endpoints = list(rpc_endpoints)
+def calls_settled(endpoints: Iterable[Any]) -> Callable[[], list[str]]:
+    """No RPC future — plain or on a live channel — may still be undone
+    once the queue drains.  Reads each endpoint's ``call_tables()``."""
+    endpoints = list(endpoints)
 
     def check() -> list[str]:
-        out: list[str] = []
-        for endpoint in endpoints:
-            for call in endpoint._pending.values():
-                if not call.done:
-                    out.append(
-                        f"{endpoint.node_name}: call #{call.call_id} "
-                        f"{call.method!r} still pending"
-                    )
-        return out
-
-    return check
-
-
-def channels_settled(switchboard_endpoints: Iterable[Any]) -> Callable[[], list[str]]:
-    """No channel-RPC future may still be undone on any live connection."""
-    endpoints = list(switchboard_endpoints)
-
-    def check() -> list[str]:
-        out: list[str] = []
-        for endpoint in endpoints:
-            for connection in endpoint.connections():
-                for call in connection._pending.values():
-                    if not call.done:
-                        out.append(
-                            f"{endpoint.node_name}/{connection.conn_id}: call "
-                            f"#{call.call_id} {call.method!r} still pending"
-                        )
-        return out
+        return [
+            f"{label}: call #{call.call_id} {call.method!r} still pending"
+            for endpoint in endpoints
+            for label, table in endpoint.call_tables()
+            for call in table.undone()
+        ]
 
     return check
 

@@ -42,8 +42,7 @@ from .chaos import generate_chaos_plan
 from .injector import FaultInjector
 from .invariants import (
     InvariantSuite,
-    channels_settled,
-    pending_calls_settled,
+    calls_settled,
     sessions_on_live_nodes,
     views_coherent,
 )
@@ -350,11 +349,11 @@ class ChaosRunner:
         runtimes = psf.deployer._node_runtimes
         suite.add_check(
             "pending-calls-settled",
-            pending_calls_settled(rt.rpc for rt in runtimes.values()),
+            calls_settled(rt.rpc for rt in runtimes.values()),
         )
         suite.add_check(
             "channels-settled",
-            channels_settled(rt.switchboard for rt in runtimes.values()),
+            calls_settled(rt.switchboard for rt in runtimes.values()),
         )
         suite.add_check(
             "sessions-on-live-nodes",

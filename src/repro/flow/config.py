@@ -9,8 +9,7 @@ so a harness can describe its overload posture in one literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from ..errors import FaultError
 
@@ -22,8 +21,11 @@ PRIO_AUTH = 1
 PRIO_READ = 2
 PRIO_BULK = 3
 
-#: Default WFQ weights for the four classes above.
+#: WFQ weights for the four classes above.
 DEFAULT_WEIGHTS = (8.0, 4.0, 2.0, 1.0)
+
+#: Classes <= this are never shed (and bypass the token bucket).
+EXEMPT_CLASS = PRIO_MONITOR
 
 _MONITOR_TARGETS = frozenset({"Monitor", "RevocationMonitor", "TrustMonitor"})
 _MONITOR_PREFIXES = ("monitor", "revoke", "revalidate", "heartbeat", "invalidate")
@@ -36,9 +38,7 @@ def classify_priority(target: str, method: str) -> int:
 
     The heuristic mirrors the serving path's traffic mix: revocation and
     monitor control traffic first, authorization checks next, view/state
-    reads after that, and bulk mutations last.  Harnesses with exotic
-    method names pass an explicit classifier via
-    :attr:`FlowConfig.classify`.
+    reads after that, and bulk mutations last.
     """
     name = method.lower()
     if target in _MONITOR_TARGETS or name.startswith(_MONITOR_PREFIXES):
@@ -70,7 +70,7 @@ class FlowConfig:
     """Virtual seconds one worker spends per admitted request (0 =
     dispatch immediately, the legacy behaviour)."""
     workers: int = 4
-    """Concurrent service slots when ``adaptive`` is off."""
+    """Concurrent service slots."""
 
     # -- per-principal token bucket -----------------------------------------
     bucket_rate: float = 100.0
@@ -78,32 +78,18 @@ class FlowConfig:
     bucket_enabled: bool = True
 
     # -- weighted fair queue -------------------------------------------------
-    weights: tuple[float, ...] = DEFAULT_WEIGHTS
     max_backlog: int = 64
-    """Total queued requests before arrivals above ``exempt_class``
+    """Total queued requests before arrivals above :data:`EXEMPT_CLASS`
     are shed (class 0 is admitted regardless)."""
 
-    # -- adaptive server concurrency (AIMD) ----------------------------------
-    adaptive: bool = False
-    target_latency_s: float = 0.1
-    min_workers: int = 1
-    max_workers: int = 32
-
     # -- client-side circuit breaker -----------------------------------------
-    breaker_enabled: bool = True
     breaker_failures: int = 5
-    breaker_window_s: float = 1.0
     breaker_open_s: float = 1.0
-    breaker_probes: int = 1
 
     # -- shedding -------------------------------------------------------------
     retry_after_s: float = 0.05
     """Base retry-after hint for backlog sheds (bucket sheds hint the
     exact refill time instead)."""
-    exempt_class: int = PRIO_MONITOR
-    """Classes <= this are never shed (and bypass the token bucket)."""
-
-    classify: Callable[[str, str], int] = field(default=classify_priority)
 
     def __post_init__(self) -> None:
         if self.service_time_s < 0:
@@ -112,9 +98,5 @@ class FlowConfig:
             raise FaultError("workers must be >= 1")
         if self.max_backlog < 1:
             raise FaultError("max_backlog must be >= 1")
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise FaultError("weights must be positive and non-empty")
-        if not 0 <= self.exempt_class < len(self.weights):
-            raise FaultError("exempt_class must index a weight")
         if self.retry_after_s < 0:
             raise FaultError("retry_after_s must be >= 0")

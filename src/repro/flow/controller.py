@@ -10,7 +10,7 @@ arriving call frame when the endpoint was built with a
 2. **rate-checked** against the caller's per-principal
    :class:`~repro.flow.bucket.TokenBucket` and the global backlog cap —
    refusals return a :class:`Shed` carrying an honest retry-after hint,
-   and classes at or below ``exempt_class`` are never refused;
+   and classes at or below ``EXEMPT_CLASS`` are never refused;
 3. **queued** in a :class:`~repro.flow.wfq.WeightedFairQueue` so a flood
    of bulk writes cannot starve higher classes (nor vice versa — WFQ
    gives the lowest class its weighted share, not zero);
@@ -33,8 +33,7 @@ from .. import obs
 from ..net.events import EventScheduler
 from ..obs import names as metric_names
 from .bucket import TokenBucket
-from .config import FlowConfig
-from .limiter import AimdLimiter
+from .config import DEFAULT_WEIGHTS, EXEMPT_CLASS, FlowConfig, classify_priority
 from .wfq import WeightedFairQueue
 
 
@@ -64,25 +63,12 @@ class FlowController:
         self.config = config
         self.scheduler = scheduler
         self.name = name
-        self.queue = WeightedFairQueue(config.weights)
-        self.limiter: AimdLimiter | None = None
-        if config.adaptive:
-            self.limiter = AimdLimiter(
-                scheduler,
-                initial=config.workers,
-                min_limit=config.min_workers,
-                max_limit=config.max_workers,
-                target_latency_s=config.target_latency_s,
-            )
+        self.queue = WeightedFairQueue(DEFAULT_WEIGHTS)
         self.busy = 0
-        self.admitted_by_class = [0] * len(config.weights)
-        self.shed_by_class = [0] * len(config.weights)
-        self.completed_by_class = [0] * len(config.weights)
+        self.admitted_by_class = [0] * len(DEFAULT_WEIGHTS)
+        self.shed_by_class = [0] * len(DEFAULT_WEIGHTS)
+        self.completed_by_class = [0] * len(DEFAULT_WEIGHTS)
         self._buckets: dict[str, TokenBucket] = {}
-
-    @property
-    def worker_limit(self) -> int:
-        return self.limiter.limit if self.limiter is not None else self.config.workers
 
     @property
     def admitted(self) -> int:
@@ -118,8 +104,8 @@ class FlowController:
         """
         config = self.config
         now = self.scheduler.now()
-        cls = config.classify(target, method)
-        if config.enabled and cls > config.exempt_class:
+        cls = classify_priority(target, method)
+        if config.enabled and cls > EXEMPT_CLASS:
             if config.bucket_enabled:
                 bucket = self.bucket_for(principal)
                 if not bucket.try_acquire(now):
@@ -167,7 +153,7 @@ class FlowController:
     # -- service -------------------------------------------------------------
 
     def _drain(self) -> None:
-        while len(self.queue) and self.busy < self.worker_limit:
+        while len(self.queue) and self.busy < self.config.workers:
             cls, item = self.queue.pop()
             now = self.scheduler.now()
             obs.histogram(metric_names.FLOW_QUEUE_WAIT).observe(now - item.arrived)
@@ -191,6 +177,4 @@ class FlowController:
             self.busy -= 1
             self.completed_by_class[item.cls] += 1
             obs.gauge(metric_names.FLOW_SERVICE_BUSY).set(self.busy)
-            if self.limiter is not None:
-                self.limiter.observe(self.scheduler.now() - item.arrived)
             self._drain()

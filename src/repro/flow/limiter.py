@@ -12,11 +12,8 @@ Backoffs are rate-limited by ``cooldown_s`` of virtual time so one burst
 of queued failures (all symptoms of the same congestion instant)
 collapses the window once, not once per failure.
 
-Used in two places: :class:`~repro.switchboard.rpc.RpcPipeline` accepts
-a limiter and clamps its issue window to ``limiter.limit`` (client-side
-backpressure), and :class:`~repro.flow.controller.FlowController` can
-use one to modulate server worker concurrency when
-``FlowConfig.adaptive`` is set.
+:class:`~repro.switchboard.rpc.RpcPipeline` accepts a limiter and
+clamps its issue window to ``limiter.limit`` (client-side backpressure).
 """
 
 from __future__ import annotations

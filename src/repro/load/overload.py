@@ -34,7 +34,13 @@ from typing import Any
 
 from .. import obs
 from ..errors import RpcShedError
-from ..flow import PRIO_BULK, PRIO_MONITOR, FlowConfig, classify_priority
+from ..flow import (
+    DEFAULT_WEIGHTS,
+    PRIO_BULK,
+    PRIO_MONITOR,
+    FlowConfig,
+    classify_priority,
+)
 from ..hermetic import harness_world
 from ..switchboard.rpc import PlainRpcEndpoint
 from .generator import _percentile
@@ -175,7 +181,7 @@ class OverloadBench:
             ):
                 server.exporter.export(target_name, service)
 
-            classes = len(self._flow(enabled).weights)
+            classes = len(DEFAULT_WEIGHTS)
             good = [0] * classes
             late = [0] * classes
             shed = [0] * classes

@@ -46,15 +46,15 @@ from .metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from .trace import NULL_TRACER, NullTracer, PerfClock, Span, Tracer
+from .trace import NULL_SPAN, NULL_TRACER, NullTracer, PerfClock, Span, Tracer
 from . import flight as _flight
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
-    "Span", "Tracer", "NullTracer", "PerfClock",
+    "Span", "Tracer", "NullTracer", "PerfClock", "NULL_SPAN",
     "Event", "EventLog", "NullEventLog",
     "COUNT_BUCKETS", "DEFAULT_BUCKETS",
-    "counter", "gauge", "histogram", "span", "event",
+    "counter", "gauge", "histogram", "span", "activate", "event",
     "get_registry", "get_tracer", "get_event_log", "set_tracer_clock",
     "enable", "disable", "is_enabled", "dist_enabled", "reset", "scoped",
     "flight_snapshot",
@@ -106,6 +106,14 @@ def histogram(name: str, buckets: Sequence[float] | None = None) -> Histogram:
 
 def span(name: str, **attributes: Any) -> Span:
     return _state.tracer.span(name, **attributes)
+
+
+def activate(span: Span):
+    """``with obs.activate(span):`` nests the block's spans under ``span``
+    (see :meth:`Tracer.activate`).  :data:`NULL_SPAN` is handed straight
+    back as its own no-op context manager, so an untraced call site pays
+    one function call and allocates nothing."""
+    return span if span is NULL_SPAN else _state.tracer.activate(span)
 
 
 def event(kind: str, /, **fields: Any) -> Event:

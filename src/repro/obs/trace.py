@@ -188,8 +188,11 @@ class Tracer:
         ``remote`` continues a trace propagated from another node — the
         span becomes a local root carrying the remote ``parent_id``.
         With neither, the span roots a fresh trace.  The span is *not*
-        pushed on the stack; use :meth:`activate` for that.
+        pushed on the stack; use :meth:`activate` for that.  A child of
+        the untraced :data:`NULL_SPAN` is untraced too.
         """
+        if parent is NULL_SPAN:
+            return parent
         span = Span(self, name, attributes)
         span.start = self.clock.now()
         self._assign_ids(span, parent=parent, remote=remote)

@@ -114,26 +114,17 @@ class RoleAuthorizer(Authorizer):
     def authorize(
         self, partner: PublicIdentity, credentials: list[Delegation]
     ) -> AuthorizationMonitor:
-        # Presented credentials are combined with repository-resident ones:
-        # the partner supplies its leaf credentials, the repository holds
-        # the cross-domain mapping delegations.
-        harvested = self.engine.repository.collect(
-            EntityRef(partner.name), self.required_role
-        )
-        pool = {c.credential_id: c for c in harvested}
-        for credential in credentials:
-            pool[credential.credential_id] = credential
-        proof = self.engine.find_proof(
+        proof = self.engine.find_proof_presenting(
             EntityRef(partner.name),
             self.required_role,
-            list(pool.values()),
+            credentials,
             required_attributes=self.required_attributes,
         )
         if proof is None:
             raise HandshakeError(
                 f"partner {partner.name!r} failed to prove {self.required_role}"
             )
-        proof_monitor = ProofMonitor(proof.all_delegations(), self.engine.revocations)
+        proof_monitor = ProofMonitor(proof.all_delegations(), self.engine.monitor_hub)
         return AuthorizationMonitor(proof=proof, proof_monitor=proof_monitor)
 
 

@@ -54,15 +54,20 @@ from ..faults.retry import RetryPolicy
 from ..net.transport import Transport
 from .authorizer import AuthorizationMonitor, AuthorizationSuite
 from .rpc import (
-    CallIdPool,
+    CallTable,
     ObjectExporter,
     PendingCall,
     RpcPipeline,
     decode_frame,
     encode_frame,
+    serve,
+    with_trace_context,
 )
 
 SWITCHBOARD_SERVICE = "switchboard"
+
+REVALIDATE = "<revalidate>"
+"""Method name of the call-table entry a pending revalidation holds."""
 
 _conn_ids = itertools.count(1)
 
@@ -75,6 +80,11 @@ class ChannelState(enum.Enum):
     REVOKED = "revoked"
     DEAD = "dead"
     CLOSED = "closed"
+
+
+class ChannelRevoked(SwitchboardError):
+    """A call arrived on a channel awaiting revalidation; crosses the wire
+    as the text ``ChannelRevoked: revalidation required``."""
 
 
 def _handshake_bytes(conn_id: str, role: str, dh_public: int, nonces: list[str]) -> bytes:
@@ -124,8 +134,7 @@ class SwitchboardConnection:
         self.missed_heartbeats = 0
         self._send_seq = 0
         self._recv_seq = -1
-        self._pending: dict[int, PendingCall] = {}
-        self._ids = CallIdPool()
+        self.calls = CallTable(endpoint.transport.scheduler)
         self._trust_callbacks: list[Callable[[str], None]] = []
         self._heartbeat_cancel: Callable[[], None] = lambda: None
         self._expiry_cancel: Callable[[], None] = lambda: None
@@ -148,36 +157,20 @@ class SwitchboardConnection:
         channel raise :class:`ChannelClosedError`.
         """
         self._require_open()
-        call_id = self._ids.acquire()
-        scheduler = self.endpoint.transport.scheduler
-        pending = PendingCall(
-            call_id=call_id,
-            method=method,
-            started_at=scheduler.now(),
-            _scheduler=scheduler,
+        pending = self.calls.open(
+            method, node=self.endpoint.node_name, channel=self.conn_id, target=target
         )
-        self._pending[call_id] = pending
+        pending.started_at = self.endpoint.transport.scheduler.now()
         obs.counter(metric_names.SWB_RPC_CALLS).inc()
         inner = {
             "kind": "call",
-            "call_id": call_id,
+            "call_id": pending.call_id,
             "target": target,
             "method": method,
             "args": args or [],
         }
-        if obs.dist_enabled():
-            tracer = obs.get_tracer()
-            span = tracer.start(
-                "rpc.client", parent=tracer.current,
-                node=self.endpoint.node_name, channel=self.conn_id,
-                target=target, method=method, call_id=call_id,
-            )
-            pending.span = span
-            inner["tc"] = [span.trace_id, span.span_id]
-            with tracer.activate(span):
-                self._send(inner)
-        else:
-            self._send(inner)
+        with obs.activate(pending.span):
+            self._send(with_trace_context(inner, pending.span))
         return pending
 
     def call_sync(self, target: str, method: str, args: list | None = None) -> Any:
@@ -237,8 +230,7 @@ class SwitchboardConnection:
 
         def check() -> None:
             if self.state is not ChannelState.OPEN:
-                self._expiry_cancel()
-                self._expiry_cancel = lambda: None
+                self.stop_expiry_watch()
                 return
             self.monitor.check_expiry(scheduler.now())
 
@@ -263,17 +255,11 @@ class SwitchboardConnection:
         """
         if self.state not in (ChannelState.REVOKED, ChannelState.OPEN):
             raise ChannelClosedError(f"cannot revalidate from state {self.state}")
-        call_id = self._ids.acquire()
-        pending = PendingCall(
-            call_id=call_id,
-            method="<revalidate>",
-            _scheduler=self.endpoint.transport.scheduler,
-        )
-        self._pending[call_id] = pending
+        pending = self.calls.open(REVALIDATE)
         self._send(
             {
                 "kind": "revalidate",
-                "call_id": call_id,
+                "call_id": pending.call_id,
                 "credentials": [delegation_to_wire(c) for c in credentials],
             },
             allow_when_revoked=True,
@@ -389,57 +375,26 @@ class SwitchboardConnection:
             raise SwitchboardError(f"unknown channel frame kind {kind!r}")
 
     def _serve_call(self, inner: dict) -> None:
-        tc = inner.get("tc")
-        span = None
-        if tc is not None and obs.is_enabled():
-            span = obs.get_tracer().start(
-                "rpc.server", remote=(tc[0], tc[1]),
-                node=self.endpoint.node_name, channel=self.conn_id,
-                target=inner.get("target", ""), method=inner.get("method", ""),
-                call_id=inner["call_id"],
-            )
+        response = {"kind": "result", "call_id": inner["call_id"]}
+        serve(
+            self._dispatch, inner, response, self._reply,
+            node=self.endpoint.node_name, channel=self.conn_id,
+        )
+
+    def _dispatch(self, target: str, method: str, args: list) -> Any:
         if self.state is not ChannelState.OPEN:
             # Paper: monitors "can ... requir[e] a component to revalidate
             # itself prior to approving future requests".
-            if span is not None:
-                span.set_error("ChannelRevoked")
-                span.finish()
-            self._send(
-                {
-                    "kind": "result",
-                    "call_id": inner["call_id"],
-                    "error": "ChannelRevoked: revalidation required",
-                },
-                allow_when_revoked=True,
-            )
-            return
-        response: dict[str, Any] = {"kind": "result", "call_id": inner["call_id"]}
-        try:
-            if span is not None:
-                with obs.get_tracer().activate(span):
-                    response["value"] = self.exporter.dispatch(
-                        inner["target"], inner["method"], inner.get("args", [])
-                    )
-            else:
-                response["value"] = self.exporter.dispatch(
-                    inner["target"], inner["method"], inner.get("args", [])
-                )
-        except Exception as exc:  # noqa: BLE001 - errors cross the wire as text
-            if span is not None:
-                span.set_error(type(exc).__name__)
-            response["error"] = f"{type(exc).__name__}: {exc}"
-        if span is not None:
-            with obs.get_tracer().activate(span):
-                self._send(response, allow_when_revoked=True)
-            span.finish()
-        else:
-            self._send(response, allow_when_revoked=True)
+            raise ChannelRevoked("revalidation required")
+        return self.exporter.dispatch(target, method, args)
+
+    def _reply(self, inner: dict, response: dict) -> None:
+        self._send(response, allow_when_revoked=True)
 
     def _complete_call(self, inner: dict) -> None:
-        pending = self._pending.pop(inner["call_id"], None)
+        pending = self.calls.settle(inner["call_id"])
         if pending is None:
             return
-        self._ids.release(inner["call_id"])
         if pending.started_at is not None:
             obs.histogram(metric_names.SWB_RPC_LATENCY).observe(
                 self.endpoint.transport.scheduler.now() - pending.started_at
@@ -458,25 +413,26 @@ class SwitchboardConnection:
             new_monitor = suite.authorizer.authorize(self.peer_identity, credentials)
         except HandshakeError as exc:
             response["error"] = str(exc)
-            self._send(response, allow_when_revoked=True)
-            return
-        self.monitor.close()
-        self.monitor = new_monitor
-        new_monitor.on_change(self._on_trust_change)
-        self.state = ChannelState.OPEN
-        response["ok"] = True
-        self._send(response, allow_when_revoked=True)
+        else:
+            self.monitor.close()
+            self.monitor = new_monitor
+            new_monitor.on_change(self._on_trust_change)
+            self.state = ChannelState.OPEN
+            response["ok"] = True
+        self._reply(inner, response)
 
     def _complete_revalidate(self, inner: dict) -> None:
-        pending = self._pending.pop(inner["call_id"], None)
-        if "error" not in inner:
-            self.state = ChannelState.OPEN
-        if pending is None:
+        # Only the end holding an open revalidation may act on the frame:
+        # an unsolicited ``revalidated`` from a revoked peer must not
+        # reopen this end behind its (still invalid) monitor.
+        pending = self.calls.get(inner["call_id"])
+        if pending is None or pending.method != REVALIDATE:
             return
-        self._ids.release(inner["call_id"])
+        self.calls.settle(pending.call_id)
         if "error" in inner:
             pending.fail(inner["error"])
         else:
+            self.state = ChannelState.OPEN
             pending.resolve(True)
 
     def _on_trust_change(self, credential_id: str) -> None:
@@ -500,47 +456,41 @@ class SwitchboardConnection:
         elif state is ChannelState.DEAD:
             obs.counter(metric_names.SWB_CHANNELS_DEAD).inc()
         if state in (ChannelState.DEAD, ChannelState.CLOSED):
-            self.stop_heartbeats()
-            self._mark_down()
-            self._abort_pending(state.value)
+            self._go_down()
         if state is not ChannelState.OPEN:
             self.streams.abort_all()
         for callback in list(self._trust_callbacks):
             callback(reason)
 
     def _teardown(self, state: ChannelState) -> None:
-        self.stop_heartbeats()
         self.stop_expiry_watch()
         self.monitor.close()
         self.state = state
         obs.counter(metric_names.SWB_CHANNELS_CLOSED).inc()
-        self._mark_down()
-        self._abort_pending(state.value)
+        self._go_down()
         self.endpoint._forget(self.conn_id)
 
-    def _mark_down(self) -> None:
-        """Decrement the live-channel gauge exactly once per connection."""
+    def _go_down(self) -> None:
+        """The one way a channel stops carrying calls.
+
+        Heartbeats stop, the live-channel gauge drops exactly once per
+        connection, and every in-flight call fails with a typed
+        :class:`~repro.errors.RpcAbortedError` (counted as an RPC
+        failure) — a channel torn down mid-RPC must not leave callers
+        blocked on a future that can never complete.
+        """
+        self.stop_heartbeats()
         if self._live_counted:
             self._live_counted = False
             obs.gauge(metric_names.SWB_CHANNELS_LIVE).dec()
-
-    def _abort_pending(self, reason: str) -> None:
-        """Fail every in-flight call with a typed error.
-
-        A channel torn down mid-RPC must not leave callers blocked on a
-        future that can never complete; each pending call raises
-        :class:`~repro.errors.RpcAbortedError` and counts as an RPC
-        failure.
-        """
-        pending_calls, self._pending = list(self._pending.values()), {}
-        for pending in pending_calls:
-            obs.counter(metric_names.SWB_RPC_FAILURES).inc()
-            pending.abort(
-                RpcAbortedError(
-                    f"channel {self.conn_id} {reason} before call "
-                    f"{pending.method!r} completed"
-                )
+        aborted = self.calls.abort_all(
+            lambda call: RpcAbortedError(
+                f"channel {self.conn_id} {self.state.value} before call "
+                f"{call.method!r} completed"
             )
+        )
+        if aborted:
+            obs.counter(metric_names.SWB_RPC_FAILURES).inc(aborted)
 
 
 class SwitchboardEndpoint:
@@ -585,27 +535,8 @@ class SwitchboardEndpoint:
         dial = _Dial(conn_id=conn_id, suite=suite, dh=dh, nonce=nonce)
         self._dials[conn_id] = dial
         self._conn_suites[conn_id] = suite
-        signature = suite.identity.sign(
-            _handshake_bytes(conn_id, "initiator", dh.public_value, [nonce])
-        )
-        self.transport.send(
-            self.node_name,
-            remote_node,
-            SWITCHBOARD_SERVICE,
-            encode_frame(
-                {
-                    "type": "hello",
-                    "conn_id": conn_id,
-                    "service": remote_service,
-                    "reply_to": self.node_name,
-                    "identity": public_identity_to_wire(suite.identity.public),
-                    "dh": f"{dh.public_value:x}",
-                    "nonce": nonce,
-                    "credentials": [delegation_to_wire(c) for c in suite.credentials],
-                    "sig": signature.hex(),
-                }
-            ),
-        )
+        head = {"type": "hello", "conn_id": conn_id, "service": remote_service}
+        self._greet(remote_node, head, {}, "initiator", suite, dh, [nonce])
         return PendingConnection(dial, self.transport.scheduler)
 
     # -- shared ---------------------------------------------------------------------
@@ -623,15 +554,63 @@ class SwitchboardEndpoint:
         self._connections.pop(conn_id, None)
         self._conn_suites.pop(conn_id, None)
 
-    def _check_binding(self, claimed: PublicIdentity) -> None:
-        """Reject identities whose key contradicts the PKI directory."""
-        if self.directory is None:
-            return
-        expected = self.directory(claimed.name)
-        if expected is not None and expected.public_key != claimed.public_key:
-            raise HandshakeError(
-                f"identity binding mismatch for {claimed.name!r}"
-            )
+    def call_tables(self) -> list[tuple[str, CallTable]]:
+        """``(label, table)`` for every live connection's call table."""
+        return [
+            (f"{self.node_name}/{conn.conn_id}", conn.calls)
+            for conn in self._connections.values()
+        ]
+
+    # -- handshake, the half both directions share ---------------------------------
+
+    def _greet(
+        self,
+        dest: str,
+        head: dict,
+        echo: dict,
+        role: str,
+        suite: AuthorizationSuite,
+        dh: DiffieHellman,
+        nonces: list[str],
+    ) -> None:
+        """Send a signed HELLO/WELCOME: ``head``, who we are, our DH value,
+        ``echo``, our nonce (the last of the transcript's ``nonces``), the
+        credentials we present, and a signature binding all of it."""
+        signature = suite.identity.sign(
+            _handshake_bytes(head["conn_id"], role, dh.public_value, nonces)
+        )
+        greeting = {
+            **head,
+            "reply_to": self.node_name,
+            "identity": public_identity_to_wire(suite.identity.public),
+            "dh": f"{dh.public_value:x}",
+            **echo,
+            "nonce": nonces[-1],
+            "credentials": [delegation_to_wire(c) for c in suite.credentials],
+            "sig": signature.hex(),
+        }
+        self.transport.send(
+            self.node_name, dest, SWITCHBOARD_SERVICE, encode_frame(greeting)
+        )
+
+    def _verify_peer(
+        self, outer: dict, role: str, nonces: list[str], suite: AuthorizationSuite
+    ) -> tuple[PublicIdentity, int, AuthorizationMonitor]:
+        """Check a greeting sent in ``role``: the claimed identity against
+        the PKI directory, the signature over the transcript (proof of key
+        possession), then the presented credentials against our
+        authorizer.  Raises on any failure; returns the peer's identity,
+        DH value and the monitor now watching its proof."""
+        identity = public_identity_from_wire(outer["identity"])
+        expected = None if self.directory is None else self.directory(identity.name)
+        if expected is not None and expected.public_key != identity.public_key:
+            raise HandshakeError(f"identity binding mismatch for {identity.name!r}")
+        peer_dh = int(outer["dh"], 16)
+        transcript = _handshake_bytes(outer["conn_id"], role, peer_dh, nonces)
+        if not identity.verify(transcript, bytes.fromhex(outer["sig"])):
+            raise HandshakeError(f"{role} signature invalid")
+        credentials = [delegation_from_wire(c) for c in outer["credentials"]]
+        return identity, peer_dh, suite.authorizer.authorize(identity, credentials)
 
     # -- frame handling -----------------------------------------------------------
 
@@ -673,14 +652,9 @@ class SwitchboardEndpoint:
             reject(f"no such service {outer.get('service')!r}")
             return
         try:
-            peer_identity = public_identity_from_wire(outer["identity"])
-            self._check_binding(peer_identity)
-            peer_dh = int(outer["dh"], 16)
-            expected = _handshake_bytes(conn_id, "initiator", peer_dh, [outer["nonce"]])
-            if not peer_identity.verify(expected, bytes.fromhex(outer["sig"])):
-                raise HandshakeError("initiator signature invalid")
-            credentials = [delegation_from_wire(c) for c in outer["credentials"]]
-            monitor = suite.authorizer.authorize(peer_identity, credentials)
+            peer_identity, peer_dh, monitor = self._verify_peer(
+                outer, "initiator", [outer["nonce"]], suite
+            )
         except (SwitchboardError, ValueError, KeyError) as exc:
             reject(str(exc))
             return
@@ -701,31 +675,12 @@ class SwitchboardEndpoint:
         self._connections[conn_id] = connection
         self._conn_suites[conn_id] = suite
         obs.counter(metric_names.SWB_HANDSHAKES_ACCEPTED).inc()
-        signature = suite.identity.sign(
-            _handshake_bytes(
-                conn_id, "responder", dh.public_value, [outer["nonce"], nonce]
-            )
-        )
+        head = {"type": "welcome", "conn_id": conn_id}
+        echo = {"client_nonce": outer["nonce"]}
         try:
-            self.transport.send(
-                self.node_name,
-                outer["reply_to"],
-                SWITCHBOARD_SERVICE,
-                encode_frame(
-                    {
-                        "type": "welcome",
-                        "conn_id": conn_id,
-                        "reply_to": self.node_name,
-                        "identity": public_identity_to_wire(suite.identity.public),
-                        "dh": f"{dh.public_value:x}",
-                        "client_nonce": outer["nonce"],
-                        "nonce": nonce,
-                        "credentials": [
-                            delegation_to_wire(c) for c in suite.credentials
-                        ],
-                        "sig": signature.hex(),
-                    }
-                ),
+            self._greet(
+                outer["reply_to"], head, echo, "responder", suite, dh,
+                [outer["nonce"], nonce],
             )
         except NetworkError:
             # The initiator became unreachable mid-handshake; discard the
@@ -737,18 +692,11 @@ class SwitchboardEndpoint:
         if dial is None:
             return
         try:
-            peer_identity = public_identity_from_wire(outer["identity"])
-            self._check_binding(peer_identity)
-            peer_dh = int(outer["dh"], 16)
             if outer.get("client_nonce") != dial.nonce:
                 raise HandshakeError("responder echoed wrong nonce")
-            expected = _handshake_bytes(
-                outer["conn_id"], "responder", peer_dh, [dial.nonce, outer["nonce"]]
+            peer_identity, peer_dh, monitor = self._verify_peer(
+                outer, "responder", [dial.nonce, outer["nonce"]], dial.suite
             )
-            if not peer_identity.verify(expected, bytes.fromhex(outer["sig"])):
-                raise HandshakeError("responder signature invalid")
-            credentials = [delegation_from_wire(c) for c in outer["credentials"]]
-            monitor = dial.suite.authorizer.authorize(peer_identity, credentials)
             session_key = dial.dh.compute_shared(peer_dh)
         except (SwitchboardError, ValueError, KeyError) as exc:
             dial.fail(str(exc))

@@ -6,9 +6,16 @@ Two transport personalities share this module:
   plaintext JSON; anyone observing an insecure link reads arguments and
   results verbatim.  Views whose interfaces are typed ``rmi`` route
   through this.
-* :class:`~repro.switchboard.channel.SwitchboardConnection` — reuses
-  :class:`PendingCall` and the dispatch helpers but encrypts and
-  sequence-protects every frame.
+* :class:`~repro.switchboard.channel.SwitchboardConnection` — the same
+  calls, but every frame is encrypted and sequence-protected.
+
+The two differ only in what seals the frame, so each step of a call is
+written once here and used by both: :class:`CallTable` pairs correlation
+ids with futures (and mints the ``rpc.client`` span),
+:func:`with_trace_context` stamps a frame, and :func:`serve` is the
+server half.  Frame vocabularies stay separate (``type``/``reply_to``
+here, ``kind`` on a channel) because frame bytes set the simulated
+transfer delays.
 
 The simulation is single-threaded over virtual time, so remote calls
 return :class:`PendingCall` futures; :meth:`PendingCall.wait` pumps the
@@ -91,9 +98,10 @@ class PendingCall:
     started_at: Optional[float] = None
     """Scheduler time the call was sent; lets the channel layer record
     completion latency in virtual time."""
-    span: Optional[obs.Span] = field(default=None, repr=False)
-    """Client-side span covering issue → completion (dist tracing only);
-    the completion paths below finish it and tag failures ``error=<type>``."""
+    span: obs.Span = field(default=obs.NULL_SPAN, repr=False)
+    """Client-side span covering issue → completion (the shared no-op
+    span unless dist tracing is on); settling finishes it and tags
+    failures ``error=<type>``."""
     on_shed: Optional[Callable[[float, dict], None]] = field(
         default=None, repr=False
     )
@@ -120,36 +128,29 @@ class PendingCall:
         else:
             self._callbacks.append(fn)
 
-    def _fire_callbacks(self) -> None:
+    def _settle(self, error: str | None) -> None:
+        """Every completion ends here: mark done, close the span (keeping
+        an error tag a failing send already set), wake the waiters."""
+        self.done = True
+        if error is not None and self.span.ok:
+            self.span.set_error(error)
+        self.span.finish()
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
 
     def resolve(self, value: Any) -> None:
-        self.done = True
         self._value = value
-        if self.span is not None:
-            self.span.finish()
-        self._fire_callbacks()
+        self._settle(None)
 
     def fail(self, message: str) -> None:
-        self.done = True
         self._error = message
-        if self.span is not None:
-            if self.span.ok:
-                self.span.set_error("RemoteError")
-            self.span.finish()
-        self._fire_callbacks()
+        self._settle("RemoteError")
 
     def abort(self, exc: Exception) -> None:
         """Fail the call with a typed local exception (channel teardown)."""
-        self.done = True
         self._exception = exc
-        if self.span is not None:
-            if self.span.ok:
-                self.span.set_error(type(exc).__name__)
-            self.span.finish()
-        self._fire_callbacks()
+        self._settle(type(exc).__name__)
 
     @property
     def value(self) -> Any:
@@ -189,7 +190,7 @@ class PendingCall:
         while not self.done:
             if deadline is not None and self._scheduler.now() >= deadline:
                 obs.counter(metric_names.RPC_WAIT_TIMEOUTS).inc()
-                if self.span is not None and self.span.ok:
+                if self.span.ok:
                     # Not finished: a late response may still complete the
                     # call, but the caller observed a timeout.
                     self.span.set_error("RpcTimeoutError")
@@ -205,6 +206,124 @@ class PendingCall:
                 raise SwitchboardError(
                     f"call {self.method!r} did not complete within {max_events} events"
                 )
+
+
+class CallTable:
+    """One endpoint's (or channel's) in-flight calls: ids and futures.
+
+    The only code that pairs "forget the future" with "hand the id back",
+    so no completion path can leak an id or recycle one that is still
+    registered.
+    """
+
+    def __init__(self, scheduler: EventScheduler) -> None:
+        self._scheduler = scheduler
+        self._ids = CallIdPool()
+        self._pending: dict[int, PendingCall] = {}
+
+    def open(
+        self, method: str, *, reusable: bool = True, **where: Any
+    ) -> PendingCall:
+        """Register a new call under a fresh correlation id.
+
+        ``where`` (node, peer or channel, target) asks for the call's
+        ``rpc.client`` span, minted only while wire tracing is on.
+        Otherwise the future keeps the shared no-op span, so every later
+        ``set_error`` / ``activate`` / ``finish`` is one statement in both
+        modes and the untraced path allocates nothing.
+        """
+        call_id = self._ids.acquire(reusable=reusable)
+        pending = PendingCall(
+            call_id=call_id, method=method, _scheduler=self._scheduler
+        )
+        self._pending[call_id] = pending
+        if where and obs.dist_enabled():
+            tracer = obs.get_tracer()
+            pending.span = tracer.start(
+                "rpc.client", parent=tracer.current, **where,
+                method=method, call_id=call_id,
+            )
+        return pending
+
+    def get(self, call_id: int) -> PendingCall | None:
+        """The registered call, left in place (a shed a retry loop owns)."""
+        return self._pending.get(call_id)
+
+    def settle(self, call_id: int) -> PendingCall | None:
+        """Forget the call and release its id; the caller completes the
+        returned future.  ``None`` for a forgotten (or duplicate) id."""
+        pending = self._pending.pop(call_id, None)
+        if pending is not None:
+            self._ids.release(call_id)
+        return pending
+
+    def abort_all(self, error: Callable[[PendingCall], Exception]) -> int:
+        """Abort every registered call with ``error(call)``; returns how
+        many, so teardown can count them as failures."""
+        calls = list(self._pending.values())
+        for pending in calls:
+            self.settle(pending.call_id)
+            pending.abort(error(pending))
+        return len(calls)
+
+    def undone(self) -> list[PendingCall]:
+        """Registered calls nobody has completed (the chaos invariant)."""
+        return [call for call in self._pending.values() if not call.done]
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    @property
+    def high_water(self) -> int:
+        """Largest id ever issued (see :attr:`CallIdPool.high_water`)."""
+        return self._ids.high_water
+
+
+def with_trace_context(frame: dict, span: obs.Span) -> dict:
+    """``frame`` carrying ``span``'s wire context as its last key ``tc``;
+    unchanged when untraced — the key changes frame bytes, hence virtual
+    transfer timings, which is why ``dist`` is a gate at all."""
+    if span is obs.NULL_SPAN:
+        return frame
+    return {**frame, "tc": list(span.context())}
+
+
+def serve(
+    dispatch: Callable[[str, str, list], Any],
+    frame: dict,
+    response: dict,
+    reply: Callable[[dict, dict], None],
+    **where: Any,
+) -> None:
+    """The server half of a call: dispatch, error-to-text, reply.
+
+    ``response`` arrives holding the caller's own envelope keys and
+    leaves as ``reply(frame, response)`` with ``value`` or ``error``
+    added.  A frame carrying ``tc`` continues the propagated trace: the
+    ``rpc.server`` span is a local root remote-parented to the client (or
+    attempt) span that sent it, so exports stitch both sides by shared
+    trace id, and dispatch and reply run under it so work done on the
+    call's behalf (proof search, view resolution, the reply's transmit)
+    nests there.
+    """
+    tc = frame.get("tc")
+    span = obs.NULL_SPAN if tc is None else obs.get_tracer().start(
+        "rpc.server", remote=(tc[0], tc[1]), **where,
+        target=frame.get("target", ""), method=frame.get("method", ""),
+        call_id=frame["call_id"],
+    )
+    try:
+        with obs.activate(span):
+            try:
+                response["value"] = dispatch(
+                    frame["target"], frame["method"], frame.get("args", [])
+                )
+            except Exception as exc:  # noqa: BLE001 - errors cross the wire as text
+                span.set_error(type(exc).__name__)
+                response["error"] = f"{type(exc).__name__}: {exc}"
+            reply(frame, response)
+    finally:
+        span.finish()
 
 
 class RpcPipeline:
@@ -415,24 +534,25 @@ class PlainRpcEndpoint:
             else None
         )
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._pending: dict[int, PendingCall] = {}
-        self._ids = CallIdPool()
+        self.calls = CallTable(transport.scheduler)
         transport.network.node(node_name).bind(PLAIN_RPC_SERVICE, self._on_frame)
+
+    def call_tables(self) -> list[tuple[str, CallTable]]:
+        """``(label, table)`` for every call table this endpoint owns."""
+        return [(self.node_name, self.calls)]
 
     # -- flow control ---------------------------------------------------------
 
     def _breaker_for(self, remote_node: str) -> CircuitBreaker | None:
         cfg = self.flow
-        if cfg is None or not (cfg.enabled and cfg.breaker_enabled):
+        if cfg is None or not cfg.enabled:
             return None
         breaker = self._breakers.get(remote_node)
         if breaker is None:
             breaker = CircuitBreaker(
                 self.transport.scheduler,
                 failure_threshold=cfg.breaker_failures,
-                window_s=cfg.breaker_window_s,
                 open_s=cfg.breaker_open_s,
-                half_open_probes=cfg.breaker_probes,
                 name=f"{self.node_name}->{remote_node}",
             )
             self._breakers[remote_node] = breaker
@@ -458,68 +578,71 @@ class PlainRpcEndpoint:
 
     # -- client side --------------------------------------------------------
 
-    def call(
-        self, remote_node: str, target: str, method: str, args: list | None = None
-    ) -> PendingCall:
+    def _open(
+        self,
+        remote_node: str,
+        target: str,
+        method: str,
+        args: list | None,
+        *,
+        retrying: bool = False,
+    ) -> tuple[PendingCall, dict | None, CircuitBreaker | None]:
+        """The client-open step under :meth:`call` and
+        :meth:`call_with_retry`: breaker gate, call-table entry, base
+        frame, ``rpc.client`` span.  The frame is ``None`` when the
+        breaker refused the call locally (the future is already aborted).
+
+        A retried call takes a non-reusable id: the remote may answer
+        more than once, and a late duplicate must never complete a newer
+        call that recycled it.
+        """
         breaker = self._breaker_for(remote_node)
         if breaker is not None and not breaker.allow():
-            return self._short_circuit(remote_node, method, breaker)
-        call_id = self._ids.acquire()
-        pending = PendingCall(
-            call_id=call_id, method=method, _scheduler=self.transport.scheduler
+            return self._short_circuit(remote_node, method, breaker), None, breaker
+        tags = {"retrying": True} if retrying else {}
+        pending = self.calls.open(
+            method, reusable=not retrying,
+            node=self.node_name, peer=remote_node, target=target, **tags,
         )
-        self._pending[call_id] = pending
         frame = {
             "type": "call",
-            "call_id": call_id,
+            "call_id": pending.call_id,
             "reply_to": self.node_name,
             "target": target,
             "method": method,
             "args": args or [],
         }
-        span = None
-        if obs.dist_enabled():
-            tracer = obs.get_tracer()
-            span = tracer.start(
-                "rpc.client", parent=tracer.current, node=self.node_name,
-                peer=remote_node, target=target, method=method, call_id=call_id,
-            )
-            pending.span = span
-            frame["tc"] = [span.trace_id, span.span_id]
+        return pending, frame, breaker
+
+    def call(
+        self, remote_node: str, target: str, method: str, args: list | None = None
+    ) -> PendingCall:
+        pending, frame, breaker = self._open(remote_node, target, method, args)
+        if frame is None:
+            return pending
+        span = pending.span
 
         def dropped(exc: Exception) -> None:
             # Fail fast: a request that died in flight (link down, node
             # crashed) can never produce a response; unblock the caller.
             if not pending.done:
-                self._pending.pop(call_id, None)
-                self._ids.release(call_id)
+                self.calls.settle(pending.call_id)
                 pending.abort(exc)
 
         try:
-            if span is not None:
-                # Activate so the transport's transmit/batch spans nest
-                # under this call instead of floating as roots.
-                with obs.get_tracer().activate(span):
-                    self.transport.send(
-                        self.node_name,
-                        remote_node,
-                        PLAIN_RPC_SERVICE,
-                        encode_frame(frame),
-                        on_dropped=dropped,
-                    )
-            else:
+            # Activated so the transport's transmit/batch spans nest
+            # under this call instead of floating as roots.
+            with obs.activate(span):
                 self.transport.send(
                     self.node_name,
                     remote_node,
                     PLAIN_RPC_SERVICE,
-                    encode_frame(frame),
+                    encode_frame(with_trace_context(frame, span)),
                     on_dropped=dropped,
                 )
         except NetworkError as exc:
-            del self._pending[call_id]
-            self._ids.release(call_id)
-            if span is not None:
-                span.set_error("NetworkError")
+            self.calls.settle(pending.call_id)
+            span.set_error("NetworkError")
             if breaker is not None:
                 breaker.on_failure()
             pending.fail(str(exc))
@@ -589,38 +712,14 @@ class PlainRpcEndpoint:
         schedule), and an open circuit breaker refuses the call locally
         before anything touches the wire.
         """
-        breaker = self._breaker_for(remote_node)
-        if breaker is not None and not breaker.allow():
-            return self._short_circuit(remote_node, method, breaker)
-        schedule = policy.schedule()
-        # Non-reusable id: retransmission means the remote may answer more
-        # than once, and a late duplicate must never complete a newer call
-        # that recycled the id.
-        call_id = self._ids.acquire(reusable=False)
-        pending = PendingCall(
-            call_id=call_id, method=method, _scheduler=self.transport.scheduler
+        pending, frame, breaker = self._open(
+            remote_node, target, method, args, retrying=True
         )
-        self._pending[call_id] = pending
-        base_frame = {
-            "type": "call",
-            "call_id": call_id,
-            "reply_to": self.node_name,
-            "target": target,
-            "method": method,
-            "args": args or [],
-        }
-        frame = encode_frame(base_frame)
-        span = None
+        if frame is None:
+            return pending
+        call_id, span = pending.call_id, pending.span
+        schedule = policy.schedule()
         attempts = 0
-        if obs.dist_enabled():
-            tracer = obs.get_tracer()
-            span = tracer.start(
-                "rpc.client", parent=tracer.current, node=self.node_name,
-                peer=remote_node, target=target, method=method,
-                call_id=call_id, retrying=True,
-            )
-            pending.span = span
-
         earliest = 0.0  # virtual time before which retransmission must wait
         last_shed: Optional[float] = None
         gave_up = False
@@ -651,16 +750,17 @@ class PlainRpcEndpoint:
 
         def give_up() -> None:
             nonlocal gave_up
+            if pending.done:
+                return
             gave_up = True
-            self._pending.pop(call_id, None)
+            self.calls.settle(call_id)
             obs.counter(metric_names.RPC_RETRIES_EXHAUSTED).inc()
             obs.event(
                 "rpc.exhausted", node=self.node_name, peer=remote_node,
                 target=target, method=method, call_id=call_id,
                 attempts=schedule.attempts_made,
             )
-            if span is not None:
-                span.set_error("RetriesExhausted")
+            span.set_error("RetriesExhausted")
             if breaker is not None:
                 breaker.on_failure()
             if last_shed is not None:
@@ -690,45 +790,33 @@ class PlainRpcEndpoint:
                     target=target, method=method, call_id=call_id,
                     attempt=attempts,
                 )
-            payload = frame
-            attempt_span = None
-            if span is not None:
-                # Each attempt is its own child span carrying the shared
-                # correlation id; the wire frame carries the *attempt's*
-                # context, so the server span stitches to the exact
-                # transmission that reached it.
-                attempt_span = obs.get_tracer().start(
-                    "rpc.attempt", parent=span, node=self.node_name,
-                    call_id=call_id, attempt=attempts, retry=is_retry,
-                )
-                payload = encode_frame(
-                    {**base_frame, "tc": list(attempt_span.context())}
-                )
+            # Each attempt is its own child span carrying the shared
+            # correlation id; the wire frame carries the *attempt's*
+            # context, so the server span stitches to the exact
+            # transmission that reached it.
+            attempt = obs.get_tracer().start(
+                "rpc.attempt", parent=span, node=self.node_name,
+                call_id=call_id, attempt=attempts, retry=is_retry,
+            )
             try:
-                if attempt_span is not None:
-                    with obs.get_tracer().activate(attempt_span):
-                        self.transport.send(
-                            self.node_name, remote_node, PLAIN_RPC_SERVICE, payload
-                        )
-                else:
+                with obs.activate(attempt):
                     self.transport.send(
-                        self.node_name, remote_node, PLAIN_RPC_SERVICE, payload
+                        self.node_name, remote_node, PLAIN_RPC_SERVICE,
+                        encode_frame(with_trace_context(frame, attempt)),
                     )
             except NetworkError:
                 # No route right now; keep the schedule ticking — the
                 # fault may heal before the attempts run out.
                 if breaker is not None:
                     breaker.on_failure()
-                if attempt_span is not None:
-                    attempt_span.set_error("NetworkError")
+                attempt.set_error("NetworkError")
             finally:
-                if attempt_span is not None:
-                    attempt_span.finish()
+                attempt.finish()
             wait = schedule.next_delay()
             if wait is None:
                 # That was the final attempt: give its response one more
                 # interval to land, then give up.
-                self.transport.scheduler.schedule(policy.max_delay, finalize)
+                self.transport.scheduler.schedule(policy.max_delay, give_up)
             else:
                 self.transport.scheduler.schedule(wait, check)
 
@@ -742,10 +830,6 @@ class PlainRpcEndpoint:
                 self.transport.scheduler.schedule(earliest - now, check)
                 return
             transmit(is_retry=True)
-
-        def finalize() -> None:
-            if not pending.done:
-                give_up()
 
         transmit(is_retry=False)
         return pending
@@ -775,6 +859,18 @@ class PlainRpcEndpoint:
             return
         self._execute(frame)
 
+    def _reply(self, frame: dict, response: dict) -> None:
+        try:
+            self.transport.send(
+                self.node_name, frame["reply_to"], PLAIN_RPC_SERVICE,
+                encode_frame(response),
+            )
+        except NetworkError:
+            # The caller's route died while we serviced (or refused) the
+            # request; an unroutable response is indistinguishable from a
+            # lost frame, and the caller's retry machinery owns recovery.
+            pass
+
     def _send_shed(self, frame: dict, shed: Shed) -> None:
         """Refuse a call: a small result frame carrying the retry hint,
         so the caller backs off instead of timing out and retrying into
@@ -790,83 +886,31 @@ class PlainRpcEndpoint:
         }
         if frame.get("tc") is not None:
             response["tc"] = frame["tc"]
-        try:
-            self.transport.send(
-                self.node_name, frame["reply_to"], PLAIN_RPC_SERVICE,
-                encode_frame(response),
-            )
-        except NetworkError:
-            # An unroutable refusal is just a lost frame to the caller.
-            pass
+        self._reply(frame, response)
 
     def _execute(self, frame: dict) -> None:
-        tc = frame.get("tc")
-        span = None
-        if tc is not None and obs.is_enabled():
-            # Continue the propagated trace: this span is a local root
-            # remote-parented to the client (or attempt) span that sent
-            # the frame, so exports stitch both sides by shared trace id.
-            span = obs.get_tracer().start(
-                "rpc.server", remote=(tc[0], tc[1]), node=self.node_name,
-                target=frame["target"], method=frame["method"],
-                call_id=frame["call_id"],
-            )
         response: dict[str, Any] = {"type": "result", "call_id": frame["call_id"]}
-        if tc is not None:
-            response["tc"] = tc
-        try:
-            if span is not None:
-                # Dispatch under the server span so work done on the
-                # call's behalf (proof search, view resolution) nests.
-                with obs.get_tracer().activate(span):
-                    response["value"] = self.exporter.dispatch(
-                        frame["target"], frame["method"], frame.get("args", [])
-                    )
-            else:
-                response["value"] = self.exporter.dispatch(
-                    frame["target"], frame["method"], frame.get("args", [])
-                )
-        except Exception as exc:  # noqa: BLE001 - errors cross the wire as text
-            if span is not None:
-                span.set_error(type(exc).__name__)
-            response["error"] = f"{type(exc).__name__}: {exc}"
-        try:
-            if span is not None:
-                with obs.get_tracer().activate(span):
-                    self.transport.send(
-                        self.node_name, frame["reply_to"], PLAIN_RPC_SERVICE,
-                        encode_frame(response),
-                    )
-            else:
-                self.transport.send(
-                    self.node_name, frame["reply_to"], PLAIN_RPC_SERVICE,
-                    encode_frame(response),
-                )
-        except NetworkError:
-            # The caller's route died while we serviced the request; an
-            # unroutable response is indistinguishable from a lost frame,
-            # and the caller's retry machinery owns the recovery.
-            pass
-        finally:
-            if span is not None:
-                span.finish()
+        if frame.get("tc") is not None:
+            response["tc"] = frame["tc"]
+        serve(
+            self.exporter.dispatch, frame, response, self._reply, node=self.node_name
+        )
 
     def _complete(self, frame: dict) -> None:
         shed = frame.get("shed")
         if shed is not None:
             self._complete_shed(frame, shed)
             return
-        pending = self._pending.pop(frame["call_id"], None)
+        pending = self.calls.settle(frame["call_id"])
         if pending is None:
             return  # response for a forgotten call
-        self._ids.release(frame["call_id"])
         if "error" in frame:
             pending.fail(frame["error"])
         else:
             pending.resolve(frame.get("value"))
 
     def _complete_shed(self, frame: dict, shed: dict) -> None:
-        pending = self._pending.get(frame["call_id"])
+        pending = self.calls.get(frame["call_id"])
         if pending is None or pending.done:
             return  # refusal for a forgotten (or already-failed) call
         retry_after = float(shed.get("retry_after", 0.0))
@@ -876,8 +920,7 @@ class PlainRpcEndpoint:
             # hand the hint over.
             pending.on_shed(retry_after, shed)
             return
-        self._pending.pop(frame["call_id"], None)
-        self._ids.release(frame["call_id"])
+        self.calls.settle(frame["call_id"])
         pending.abort(
             RpcShedError(
                 f"call {pending.method!r} shed by remote "

@@ -119,16 +119,10 @@ class ViewAccessPolicy:
                         required_attributes=rule.required_attributes or None,
                     )
                 else:
-                    # Merge presented credentials with repository mappings so
-                    # leaf credentials can chain through cross-domain links.
-                    harvested = engine.repository.collect(EntityRef(client), rule.role)
-                    merged = {c.credential_id: c for c in harvested}
-                    for cred in presented:
-                        merged[cred.credential_id] = cred
-                    proof = engine.find_proof(
+                    proof = engine.find_proof_presenting(
                         EntityRef(client),
                         rule.role,
-                        list(merged.values()),
+                        presented,
                         required_attributes=rule.required_attributes or None,
                     )
                 if proof is not None:

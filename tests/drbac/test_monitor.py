@@ -9,6 +9,7 @@ from repro.crypto import KeyStore
 from repro.drbac.delegation import issue
 from repro.drbac.model import EntityRef, Role
 from repro.drbac.monitor import (
+    MonitorHub,
     ProofMonitor,
     RevocationAuthority,
     RevocationDirectory,
@@ -86,7 +87,7 @@ class TestProofMonitor:
     def test_valid_until_revocation(self, store):
         directory = RevocationDirectory()
         c = cred(store)
-        monitor = ProofMonitor([c], directory)
+        monitor = ProofMonitor([c], MonitorHub(directory))
         assert monitor.valid
         directory.revoke(c)
         assert not monitor.valid
@@ -95,7 +96,7 @@ class TestProofMonitor:
     def test_callback_fires_once(self, store):
         directory = RevocationDirectory()
         c1, c2 = cred(store), cred(store)
-        monitor = ProofMonitor([c1, c2], directory)
+        monitor = ProofMonitor([c1, c2], MonitorHub(directory))
         fired = []
         monitor.on_invalidated(fired.append)
         directory.revoke(c1)
@@ -105,7 +106,7 @@ class TestProofMonitor:
     def test_late_callback_gets_invalidation(self, store):
         directory = RevocationDirectory()
         c = cred(store)
-        monitor = ProofMonitor([c], directory)
+        monitor = ProofMonitor([c], MonitorHub(directory))
         directory.revoke(c)
         fired = []
         monitor.on_invalidated(fired.append)
@@ -114,14 +115,14 @@ class TestProofMonitor:
     def test_any_credential_in_proof_invalidates(self, store):
         directory = RevocationDirectory()
         creds = [cred(store, issuer=f"I{i}") for i in range(4)]
-        monitor = ProofMonitor(creds, directory)
+        monitor = ProofMonitor(creds, MonitorHub(directory))
         directory.revoke(creds[2])
         assert not monitor.valid
 
     def test_expiry_check(self, store):
         directory = RevocationDirectory()
         c = cred(store, expires_at=10.0)
-        monitor = ProofMonitor([c], directory)
+        monitor = ProofMonitor([c], MonitorHub(directory))
         assert monitor.check_expiry(5.0)
         assert not monitor.check_expiry(11.0)
         assert not monitor.valid
@@ -129,7 +130,7 @@ class TestProofMonitor:
     def test_closed_monitor_ignores_revocation(self, store):
         directory = RevocationDirectory()
         c = cred(store)
-        monitor = ProofMonitor([c], directory)
+        monitor = ProofMonitor([c], MonitorHub(directory))
         monitor.close()
         directory.revoke(c)
         assert monitor.valid  # detached before the event
@@ -137,5 +138,5 @@ class TestProofMonitor:
     def test_watched_credentials(self, store):
         directory = RevocationDirectory()
         creds = [cred(store), cred(store)]
-        monitor = ProofMonitor(creds, directory)
+        monitor = ProofMonitor(creds, MonitorHub(directory))
         assert monitor.watched_credentials == [c.credential_id for c in creds]

@@ -6,15 +6,21 @@ from types import SimpleNamespace
 
 from repro.faults import InvariantSuite
 from repro.faults.invariants import (
-    channels_settled,
-    pending_calls_settled,
+    calls_settled,
     sessions_on_live_nodes,
     views_coherent,
 )
+from repro.net import EventScheduler
+from repro.switchboard.rpc import CallTable
 
 
-def _call(done, call_id=1, method="m"):
-    return SimpleNamespace(done=done, call_id=call_id, method=method)
+def _endpoint(label, *, settle):
+    """An endpoint owning one real call table with one call in it."""
+    table = CallTable(EventScheduler())
+    call = table.open("fetch")
+    if settle:
+        table.settle(call.call_id).resolve(None)
+    return SimpleNamespace(call_tables=lambda: [(label, table)])
 
 
 class TestSuite:
@@ -38,27 +44,16 @@ class TestSuite:
 
 class TestPendingCalls:
     def test_settled_world_passes(self):
-        endpoint = SimpleNamespace(node_name="n1", _pending={1: _call(done=True)})
-        assert pending_calls_settled([endpoint])() == []
+        assert calls_settled([_endpoint("n1", settle=True)])() == []
 
     def test_hanging_call_reported(self):
-        endpoint = SimpleNamespace(
-            node_name="n1", _pending={7: _call(done=False, call_id=7, method="fetch")}
-        )
-        details = pending_calls_settled([endpoint])()
-        assert len(details) == 1
-        assert "fetch" in details[0] and "n1" in details[0]
+        details = calls_settled([_endpoint("n1", settle=False)])()
+        assert details == ["n1: call #1 'fetch' still pending"]
 
 
 class TestChannels:
     def test_hanging_channel_call_reported(self):
-        connection = SimpleNamespace(
-            conn_id="c-1", _pending={3: _call(done=False, call_id=3)}
-        )
-        endpoint = SimpleNamespace(
-            node_name="n2", connections=lambda: [connection]
-        )
-        details = channels_settled([endpoint])()
+        details = calls_settled([_endpoint("n2/c-1", settle=False)])()
         assert len(details) == 1
         assert "c-1" in details[0]
 

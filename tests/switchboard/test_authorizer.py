@@ -67,6 +67,20 @@ class TestRoleAuthorizer:
         monitor.on_change(fired.append)
         assert fired == [cred.credential_id]
 
+    def test_monitors_share_one_authority_subscription(self, engine):
+        cred = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member")
+        authorizer = RoleAuthorizer(engine, "Comp.NY.Member")
+        alice = engine.public_identity("Alice")
+        hub = engine.monitor_hub
+        before = hub.listener_count(cred.credential_id)
+        monitors = [authorizer.authorize(alice, []) for _ in range(3)]
+        authority = engine.revocations.authority(cred.home_entity)
+        assert hub.listener_count(cred.credential_id) == before + 3
+        assert len(authority._subscribers[cred.credential_id]) == 1
+        for monitor in monitors:
+            monitor.close()
+        assert hub.listener_count(cred.credential_id) == before
+
     def test_required_attributes(self, engine):
         from repro.drbac.model import AttrSet
 

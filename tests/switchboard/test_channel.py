@@ -263,3 +263,24 @@ class TestContinuousAuthorization:
         with pytest.raises(Exception, match="failed to prove"):
             pending.wait()
         assert conn.state is ChannelState.REVOKED
+
+    def test_forged_revalidated_frame_cannot_reopen_a_revoked_end(self, world):
+        engine, transport, client_ep, server_ep, service = world
+        conn, cred = _open_channel(engine, client_ep, server_ep)
+        server_conn = server_ep.connections()[0]
+        engine.revoke(cred)
+        transport.scheduler.run()
+        assert server_conn.state is ChannelState.REVOKED
+        # The revoked client answers a revalidation the server never asked
+        # for, then tries to be served again.
+        conn._send({"kind": "revalidated", "call_id": 1}, allow_when_revoked=True)
+        conn._send(
+            {"kind": "call", "call_id": 9, "target": "mail", "method": "note",
+             "args": ["smuggled"]},
+            allow_when_revoked=True,
+        )
+        transport.scheduler.run()
+        assert server_conn.state is ChannelState.REVOKED
+        assert not server_conn.monitor.valid
+        assert service.notes == []
+

@@ -58,6 +58,20 @@ class TestDistGate:
         assert seen
         assert all("tc" not in frame for frame in seen)
 
+    def test_untraced_calls_allocate_no_span_and_no_activation(self):
+        _, scheduler, _, client = _world()
+        with obs.scoped(enabled=True, dist=False):
+            obs.set_tracer_clock(scheduler)
+            tracer = obs.get_tracer()
+            pending = client.call("server", "echo", "ping", [1])
+            pending.wait()
+            # One shared no-op span, and activating it is the span itself:
+            # no Span and no context-manager generator per call.
+            assert pending.span is obs.NULL_SPAN
+            assert obs.activate(pending.span) is obs.NULL_SPAN
+            assert tracer.start("child", parent=pending.span) is obs.NULL_SPAN
+            assert tracer.find("rpc.client") == tracer.find("rpc.server") == []
+
     def test_dist_requires_enabled(self):
         with obs.scoped(enabled=False, dist=True):
             assert not obs.dist_enabled()

@@ -65,7 +65,7 @@ class TestCallIdPool:
             client.call_sync("server", "echo", "echo", ["x"])
         # Every call completed before the next was issued, so one id
         # serves the whole sequence.
-        assert client._ids.high_water == 1
+        assert client.calls.high_water == 1
 
 
 class TestPipeline:
@@ -159,7 +159,7 @@ class TestPipeline:
             pipe.call("echo", [index])
         pipe.drain()
         # Ids cycle within (roughly) the window, not one per call.
-        assert client._ids.high_water <= 8
+        assert client.calls.high_water <= 8
 
     def test_rejects_bad_depth(self, world):
         _, _, client = world

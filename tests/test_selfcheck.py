@@ -4,9 +4,13 @@ plus the metric-name self-check that keeps instrumentation and the
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from repro import obs
 from repro.__main__ import exercise_scenario, main, run_selfcheck
@@ -167,6 +171,31 @@ class TestMetricCatalogue:
             ):
                 assert registry.counter_value(counter) > 0, counter
             assert registry.histogram(metric_names.SWB_RPC_LATENCY).count > 0
+
+
+def _bench_layers():
+    """``bench/layers.py``, imported read-only from its file (``bench/`` is
+    not a package and must not be edited by PRs that guard performance)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchBoundaries:
+    """The wall-clock benchmark's smoke test tolerates a boundary that no
+    longer resolves (``LAYER-COVERAGE-LOST``, a null layer metric); tier-1
+    does not, so a rename cannot pass CI as lost coverage."""
+
+    layers = _bench_layers()
+
+    @pytest.mark.parametrize(
+        "module,attribute",
+        [(module, attribute) for module, attribute, _layer in layers.BOUNDARIES],
+    )
+    def test_every_boundary_resolves(self, module, attribute):
+        assert self.layers._resolve(module, attribute)
 
 
 class TestStatsCommand:
