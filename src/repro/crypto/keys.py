@@ -71,6 +71,16 @@ class KeyStore:
     def public(self, name: str) -> PublicIdentity:
         return self.identity(name).public
 
+    def get(self, name: str) -> PublicIdentity | None:
+        """The public identity of a known entity; never creates one.
+
+        The dict-shaped lookup signature verifiers need, so a store can
+        stand in for an identity directory.  Spelled with ``in`` and
+        :meth:`public` so a store that overrides where identities live
+        inherits a correct ``get``.
+        """
+        return self.public(name) if name in self else None
+
     def known_names(self) -> list[str]:
         with self._lock:
             return sorted(self._identities)

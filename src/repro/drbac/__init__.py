@@ -37,7 +37,7 @@ from .monitor import (
     ValidityMonitor,
 )
 from .proof import Proof, ProofEngine
-from .query import Constraint, ConstraintEvaluator
+from .query import Constraint
 from .translate import (
     AclGroupPolicy,
     CapabilityPolicy,
@@ -65,7 +65,6 @@ __all__ = [
     "AuthorizationResult",
     "BOTH_TAGS",
     "Constraint",
-    "ConstraintEvaluator",
     "CacheStats",
     "CachedAuthorizer",
     "CapabilityPolicy",

@@ -26,10 +26,10 @@ from ..errors import AuthorizationError
 from ..obs import names as metric_names
 from .delegation import Delegation, issue
 from .incremental import IncrementalProofEngine
-from .model import Attributes, EntityRef, Role, Subject
+from .model import Attributes, Role, Subject, parse_subject
 from .monitor import MonitorHub, ProofMonitor, RevocationDirectory
 from .proof import Proof, ProofEngine, SearchDirection
-from .query import Constraint, ConstraintEvaluator
+from .query import Constraint
 from .repository import DistributedRepository
 
 
@@ -92,12 +92,6 @@ class DrbacEngine:
     def public_identity(self, name: str) -> PublicIdentity:
         return self.key_store.public(name)
 
-    def _identity_directory(self) -> dict[str, PublicIdentity]:
-        return {
-            name: self.key_store.public(name)
-            for name in self.key_store.known_names()
-        }
-
     # -- credential issuing -------------------------------------------------
 
     def delegate(
@@ -112,16 +106,9 @@ class DrbacEngine:
         requires_monitoring: bool = False,
         publish: bool = True,
     ) -> Delegation:
-        """Issue (and by default publish) a signed delegation.
-
-        String arguments are parsed: a ``subject`` string naming a known
-        entity becomes an :class:`EntityRef`; otherwise dotted strings are
-        roles.  ``role`` strings always parse as roles.
-        """
-        if isinstance(role, str):
-            role = Role.parse(role)
-        if isinstance(subject, str):
-            subject = self._parse_subject(subject)
+        """Issue (and by default publish) a signed delegation; string
+        arguments are parsed as :meth:`_parse` describes."""
+        subject, role = self._parse(subject, role)
         delegation = issue(
             self.identity(issuer),
             subject,
@@ -135,10 +122,17 @@ class DrbacEngine:
             self.repository.publish(delegation)
         return delegation
 
-    def _parse_subject(self, text: str) -> Subject:
-        if text in self.key_store or "." not in text:
-            return EntityRef(text)
-        return Role.parse(text)
+    def _parse(
+        self, subject: Subject | str, role: Role | str
+    ) -> tuple[Subject, Role]:
+        """Parse string arguments: a ``subject`` string naming a known
+        entity becomes an :class:`EntityRef`; otherwise dotted strings are
+        roles.  ``role`` strings always parse as roles."""
+        if isinstance(role, str):
+            role = Role.parse(role)
+        if isinstance(subject, str):
+            subject = parse_subject(subject, known_entities=self.key_store)
+        return subject, role
 
     def revoke(self, delegation: Delegation) -> None:
         """Revoke a credential at its home; live monitors fire."""
@@ -148,7 +142,7 @@ class DrbacEngine:
 
     def proof_engine(self) -> ProofEngine:
         return ProofEngine(
-            self._identity_directory(),
+            self.key_store,
             self.revocations,
             now=self.clock.now(),
             verify_signatures=self._verify_signatures,
@@ -165,10 +159,7 @@ class DrbacEngine:
     ) -> Optional[Proof]:
         """Search for a proof; harvests from the repository when no
         explicit credential set is presented."""
-        if isinstance(role, str):
-            role = Role.parse(role)
-        if isinstance(subject, str):
-            subject = self._parse_subject(subject)
+        subject, role = self._parse(subject, role)
         if credentials is None:
             credentials = self.repository.collect(subject, role)
         searcher = self.proof_engine()
@@ -216,10 +207,7 @@ class DrbacEngine:
         ``incremental=False`` all take the identical full-search path
         (harvest + regression), which therefore remains the oracle.
         """
-        if isinstance(role, str):
-            role = Role.parse(role)
-        if isinstance(subject, str):
-            subject = self._parse_subject(subject)
+        subject, role = self._parse(subject, role)
         if self.incremental is not None:
             handled, proof = self.incremental.try_prove(
                 subject, role, required_attributes
@@ -261,20 +249,20 @@ class DrbacEngine:
         monitor = ProofMonitor(proof.all_delegations(), self.monitor_hub)
         return AuthorizationResult(proof=proof, monitor=monitor)
 
-    def evaluator(self) -> ConstraintEvaluator:
-        return ConstraintEvaluator(self.proof_engine())
-
     def is_a(
         self,
         subject: Subject | str,
         constraint: Constraint | str,
         credentials: Iterable[Delegation] | None = None,
     ) -> Optional[Proof]:
-        """The paper's "is X a Y?" query form."""
+        """The paper's "is X a Y?" query form (§3.2): the proof that
+        ``subject`` holds the constraint's role with attributes covering
+        its requirement, or ``None``."""
         if isinstance(constraint, str):
             constraint = Constraint.parse(constraint)
-        if isinstance(subject, str):
-            subject = self._parse_subject(subject)
-        if credentials is None:
-            credentials = self.repository.collect(subject, constraint.role)
-        return self.evaluator().is_a(subject, constraint, credentials)
+        return self.find_proof(
+            subject,
+            constraint.role,
+            credentials,
+            required_attributes=constraint.required_attributes or None,
+        )

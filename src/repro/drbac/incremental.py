@@ -25,8 +25,10 @@ workloads and the simulation tester's generator).  On such graphs the
 regression search's verdict coincides with plain reachability, which is
 exactly what the maintained reach sets encode.  The first published
 assignment, third-party, or attributed credential flips the engine to
-the full-search path permanently — regression search is order-dependent
-on attributed multi-path graphs, so verdict identity is only provable
+the full-search path permanently — the reach sets keep one witness chain
+per role, while on attributed multi-path graphs the verdict depends on
+*which* chains exist (a right is held iff some chain's attributes combine
+and cover the requirement), so they can only stand in for the full search
 attribute-free.  ``required_attributes`` queries always fall back.
 
 ``mutation`` deliberately breaks one delta rule (documented hooks, used
@@ -226,8 +228,10 @@ class IncrementalProofEngine:
         cred_id = delegation.credential_id
         if cred_id in self._all_creds:
             return  # republish of an already-indexed credential: no new edge
-        if not self._usable(delegation):
-            return  # the full path can never use it either
+        if not self._engine.proof_engine().usable(delegation):
+            # Authenticity is settled once at publish instead of on every
+            # search: the full path can never use this credential either.
+            return
         obs.counter(metric_names.INCR_PUBLISHES).inc()
         if self._simple and not self._is_simple(delegation):
             # Leaving the regime: every maintained answer is suspect from
@@ -368,22 +372,6 @@ class IncrementalProofEngine:
         return (
             delegation.delegation_type is DelegationType.SELF_CERTIFYING
             and not delegation.attributes
-        )
-
-    def _usable(self, delegation: Delegation) -> bool:
-        """Authenticity gate, mirrored from the full path's ``_usable``:
-        unknown issuers and bad signatures are rejected once at publish
-        instead of on every search."""
-        if self._engine.revocations.is_revoked(delegation):
-            return False
-        if delegation.is_expired(self._engine.clock.now()):
-            return False
-        if not self._engine._verify_signatures:
-            return True
-        if delegation.issuer not in self._engine.key_store:
-            return False
-        return delegation.verify_signature(
-            self._engine.public_identity(delegation.issuer)
         )
 
     def _emit(self, delta: Delta) -> None:

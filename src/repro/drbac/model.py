@@ -17,7 +17,7 @@ Terminology follows Section 3 of the paper and the underlying dRBAC paper
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Container, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,14 +70,16 @@ def subject_key(subject: Subject) -> str:
     return str(subject)
 
 
-def parse_subject(text: str, *, known_entities: set[str] | None = None) -> Subject:
+def parse_subject(
+    text: str, *, known_entities: Container[str] | None = None
+) -> Subject:
     """Parse a subject string, preferring an entity match when known.
 
     ``"Bob"`` (no dot) is always an entity.  ``"Comp.SD.Member"`` is a role
     unless ``known_entities`` says the whole string names an entity (e.g.
     ``"Comp.SD"`` appearing as a subject in an assignment delegation).
     """
-    if known_entities and text in known_entities:
+    if known_entities is not None and text in known_entities:
         return EntityRef(text)
     if "." not in text:
         return EntityRef(text)

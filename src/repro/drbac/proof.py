@@ -18,20 +18,30 @@ Semantics implemented here:
 * **Attenuation.** Valued attributes meet (intersect / min) along the
   membership chain; a chain whose attributes become empty is unusable.
 
+A right is held iff *some* valid chain exists, so the search is one lazy
+enumeration: :meth:`ProofEngine._chains` yields every acyclic membership
+chain, goal-directed, and the proof is the first one whose attributes
+combine and cover the requirement.  Finding the first chain and finding
+them all are the same walk, stopped at different points.
+
 Two search strategies are provided (mirroring Sekitei's regression and
 progression, and ablated by ``benchmarks/bench_proof_search.py``):
-*regression* walks backward from the goal role; *progression* walks forward
-from the subject.  Both return identical authorization decisions.
+*regression* consumes the enumeration, walking backward from the goal role;
+*progression* first tries the chain a forward breadth-first walk from the
+subject reaches, and falls back to the enumeration when that chain's
+attributes do not serve.  Both return identical authorization decisions
+(they may choose different chains).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Iterator, Literal, Mapping, Optional
 
 from .. import obs
-from ..crypto.keys import PublicIdentity
+from ..crypto.keys import KeyStore, PublicIdentity
 from ..obs import names as metric_names
 from .delegation import Delegation, DelegationType
 from .model import (
@@ -83,15 +93,17 @@ class ProofEngine:
 
     Args:
         identities: directory resolving entity names to public identities
-            for signature verification.  Credentials from unknown issuers
-            are unusable (their authenticity cannot be established).
+            for signature verification — anything with a non-creating
+            ``get(name)``: a plain dict or a :class:`KeyStore`.  Credentials
+            from unknown issuers are unusable (their authenticity cannot be
+            established).
         revocations: revocation state; revoked credentials are unusable.
         now: evaluation time for expiry checks.
     """
 
     def __init__(
         self,
-        identities: dict[str, PublicIdentity],
+        identities: Mapping[str, PublicIdentity] | KeyStore,
         revocations: RevocationDirectory | None = None,
         *,
         now: float = 0.0,
@@ -161,77 +173,39 @@ class ProofEngine:
         required_attributes: Attributes | None,
         direction: SearchDirection,
     ) -> Optional[Proof]:
-        valid = [c for c in credentials if self._usable(c)]
-        index = _CredentialIndex(valid)
+        index = _CredentialIndex([c for c in credentials if self.usable(c)])
         self.edges_visited = 0
-        if direction == "regression":
-            chain = self._regress(subject, role, index, stack=set())
-        elif direction == "progression":
-            chain = self._progress(subject, role, index)
-        else:  # pragma: no cover - guarded by Literal type
+        chains = self._chains(subject, role, index, set())
+        if direction == "progression":
+            reached = self._progress(subject, role, index)
+            if reached is None:
+                return None
+            # The breadth-first walk ignores attributes; when its chain
+            # does not serve, the enumeration is the fallback.
+            chains = itertools.chain([reached], chains)
+        elif direction != "regression":  # pragma: no cover - guarded by Literal type
             raise ValueError(f"unknown search direction: {direction}")
-        if chain is None:
-            return None
-        try:
-            attributes = _chain_attributes(chain)
-        except IncompatibleAttributes:
-            # Progression ignores attributes while searching; fall back to
-            # an exhaustive pass for a chain whose attributes combine.
-            chain = None
-            for candidate in self._regress_all(subject, role, index, stack=set()):
-                try:
-                    attributes = _chain_attributes(candidate)
-                except IncompatibleAttributes:
-                    continue
-                chain = candidate
-                break
-            if chain is None:
-                return None
-        if required_attributes and not attributes_satisfy(attributes, required_attributes):
-            # Attribute-constrained retry: enumerate chains exhaustively
-            # until one's attenuated attributes cover the requirement.
-            # (Attributes only attenuate, so prefixes cannot be pruned —
-            # a weak-looking prefix may still beat a strong-looking one.)
-            chain = None
-            for candidate in self._regress_all(subject, role, index, stack=set()):
-                try:
-                    candidate_attributes = _chain_attributes(candidate)
-                except IncompatibleAttributes:
-                    continue
-                if attributes_satisfy(candidate_attributes, required_attributes):
-                    chain = candidate
-                    attributes = candidate_attributes
-                    break
-            if chain is None:
-                return None
-        support = self._collect_support(chain, index)
-        return Proof(
-            subject=subject,
-            role=role,
-            chain=chain,
-            support=support,
-            attributes=attributes,
-            edges_visited=self.edges_visited,
-        )
-
-    def holds_role(
-        self,
-        subject: Subject,
-        role: Role,
-        credentials: Iterable[Delegation],
-        *,
-        required_attributes: Attributes | None = None,
-    ) -> bool:
-        return (
-            self.find_proof(
-                subject, role, credentials, required_attributes=required_attributes
+        # Attributes only attenuate, so prefixes cannot be pruned — a
+        # weak-looking prefix may still beat a strong-looking one.
+        for chain, attributes in _combining(chains):
+            if required_attributes and not attributes_satisfy(
+                attributes, required_attributes
+            ):
+                continue
+            support = self._collect_support(chain, index)
+            return Proof(
+                subject=subject,
+                role=role,
+                chain=chain,
+                support=support,
+                attributes=attributes,
+                edges_visited=self.edges_visited,
             )
-            is not None
-        )
+        return None
 
     # -- validity --------------------------------------------------------
 
-    def _usable(self, delegation: Delegation) -> bool:
+    def usable(self, delegation: Delegation) -> bool:
         """Authentic, unexpired, unrevoked — the per-credential gate."""
         if delegation.is_expired(self._now):
             return False
@@ -280,71 +254,41 @@ class ProofEngine:
             if subject_key(delegation.subject) == subject_key(holder):
                 return [delegation]
             if isinstance(delegation.subject, Role):
-                membership = self._regress(holder, delegation.subject, index, stack)
+                membership, _ = next(
+                    _combining(self._chains(holder, delegation.subject, index, stack)),
+                    (None, None),
+                )
                 if membership is not None:
                     return membership + [delegation]
         return None
 
     # -- regression (backward from the goal role) -------------------------
 
-    def _regress(
+    def _chains(
         self,
         subject: Subject,
         role: Role,
         index: "_CredentialIndex",
         stack: set[tuple[str, str, str]],
-    ) -> Optional[list[Delegation]]:
-        """First valid chain, goal-directed (the satisficing fast path)."""
-        goal = (subject_key(subject), str(role), "member")
-        if goal in stack:
-            return None
-        stack = stack | {goal}
-        for delegation in index.granting(role):
-            self.edges_visited += 1
-            if delegation.grants_assignment_right:
-                continue  # assignment credentials do not convey membership
-            if not self._issuer_authorized(delegation, index, stack):
-                continue
-            if subject_key(delegation.subject) == subject_key(subject):
-                chain = [delegation]
-            elif isinstance(delegation.subject, Role):
-                prefix = self._regress(subject, delegation.subject, index, stack)
-                if prefix is None:
-                    continue
-                chain = prefix + [delegation]
-            else:
-                continue
-            try:
-                _chain_attributes(chain)
-            except IncompatibleAttributes:
-                continue
-            return chain
-        return None
+    ) -> Iterator[list[Delegation]]:
+        """Yield every acyclic membership chain from ``subject`` to ``role``.
 
-    def _regress_all(
-        self,
-        subject: Subject,
-        role: Role,
-        index: "_CredentialIndex",
-        stack: set[tuple[str, str, str]],
-    ):
-        """Yield every acyclic membership chain from ``subject`` to ``role``."""
+        Lazy and goal-directed: the walk advances only as far as the
+        consumer pulls, so taking the first chain costs the edges a
+        first-chain search would visit.
+        """
         goal = (subject_key(subject), str(role), "member")
         if goal in stack:
             return
         stack = stack | {goal}
         for delegation in index.granting(role):
             self.edges_visited += 1
-            if delegation.grants_assignment_right:
-                continue
             if not self._issuer_authorized(delegation, index, stack):
                 continue
             if subject_key(delegation.subject) == subject_key(subject):
                 yield [delegation]
             elif isinstance(delegation.subject, Role):
-                for prefix in self._regress_all(
-                    subject, delegation.subject, index, stack
-                ):
+                for prefix in self._chains(subject, delegation.subject, index, stack):
                     yield prefix + [delegation]
 
     # -- progression (forward from the subject) ---------------------------
@@ -408,11 +352,19 @@ def _walk_back(
     return chain
 
 
-def _chain_attributes(chain: list[Delegation]) -> Attributes:
-    attributes: Attributes = {}
-    for delegation in chain:
-        attributes = meet_attributes(attributes, delegation.attributes)
-    return attributes
+def _combining(
+    chains: Iterable[list[Delegation]],
+) -> Iterator[tuple[list[Delegation], Attributes]]:
+    """The usable chains, each with its attenuated attributes: those whose
+    attributes meet to something non-empty along the whole chain."""
+    for chain in chains:
+        attributes: Attributes = {}
+        try:
+            for delegation in chain:
+                attributes = meet_attributes(attributes, delegation.attributes)
+        except IncompatibleAttributes:
+            continue
+        yield chain, attributes
 
 
 class _CredentialIndex:
@@ -431,6 +383,8 @@ class _CredentialIndex:
             self._from_subject[subject_key(delegation.subject)].append(delegation)
 
     def granting(self, role: Role) -> list[Delegation]:
+        """Membership credentials only: assignment credentials do not
+        convey membership and are indexed apart."""
         return self._granting.get(str(role), [])
 
     def assignments_for(self, role: Role) -> list[Delegation]:

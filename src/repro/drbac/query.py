@@ -14,11 +14,8 @@ This is the mechanism PSF uses to translate *network-level* properties
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
-from .delegation import Delegation
-from .model import Attributes, Role, Subject, parse_attribute
-from .proof import Proof, ProofEngine
+from .model import Attributes, Role, parse_attribute
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,41 +50,3 @@ class Constraint:
                 f"{k}={v}" for k, v in sorted(self.required_attributes.items())
             )
         return f"{self.role}{attrs}"
-
-
-class ConstraintEvaluator:
-    """Answers "is X a Y?" over a credential set via the proof engine."""
-
-    def __init__(self, engine: ProofEngine) -> None:
-        self._engine = engine
-
-    def is_a(
-        self,
-        subject: Subject,
-        constraint: Constraint,
-        credentials: Iterable[Delegation],
-    ) -> Optional[Proof]:
-        """Return the proof that ``subject`` satisfies ``constraint``.
-
-        None means the constraint cannot be satisfied with the presented
-        credentials (either no role chain exists or the attenuated
-        attributes are too weak).
-        """
-        return self._engine.find_proof(
-            subject,
-            constraint.role,
-            credentials,
-            required_attributes=constraint.required_attributes or None,
-        )
-
-    def satisfies_all(
-        self,
-        subject: Subject,
-        constraints: list[Constraint],
-        credentials: Iterable[Delegation],
-    ) -> bool:
-        credentials = list(credentials)
-        return all(
-            self.is_a(subject, constraint, credentials) is not None
-            for constraint in constraints
-        )

@@ -21,9 +21,9 @@ must verify, and every mutation of a valid proof must fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
-from ..crypto.keys import PublicIdentity
+from ..crypto.keys import KeyStore, PublicIdentity
 from .delegation import Delegation, DelegationType
 from .model import (
     Attributes,
@@ -53,7 +53,7 @@ class ProofVerifier:
 
     def __init__(
         self,
-        identities: dict[str, PublicIdentity],
+        identities: Mapping[str, PublicIdentity] | KeyStore,
         revocations: RevocationDirectory | None = None,
         *,
         now: float = 0.0,

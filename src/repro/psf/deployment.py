@@ -20,7 +20,7 @@ views."  Concretely, the deployer:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .. import obs
 from ..drbac.delegation import Delegation
@@ -53,14 +53,35 @@ class NodeRuntime:
         engine: DrbacEngine,
     ) -> None:
         self.node_name = node_name
+        self._engine = engine
         self.rpc = PlainRpcEndpoint(transport, node_name)
         self.switchboard = SwitchboardEndpoint(
-            transport,
-            node_name,
-            directory=lambda name: (
-                engine.public_identity(name) if name in engine.key_store else None
+            transport, node_name, directory=engine.key_store.get
+        )
+
+    def publish(
+        self, name: str, obj: Any, credentials: Iterable[Delegation] = ()
+    ) -> None:
+        """Make ``obj`` callable over both endpoints as ``name``, with its
+        :class:`ImageService` beside it so remote views can synchronize.
+        Channels to it are accepted under the name's own identity."""
+        image = ImageService(obj)
+        for target, exported in ((name, obj), (f"{name}#image", image)):
+            self.rpc.exporter.export(target, exported)
+            self.switchboard.export(target, exported)
+        self.switchboard.listen(
+            name,
+            AuthorizationSuite(
+                identity=self._engine.identity(name),
+                credentials=list(credentials),
+                authorizer=AcceptAllAuthorizer(),
             ),
         )
+
+    def unpublish(self, name: str) -> None:
+        for target in (name, f"{name}#image"):
+            self.rpc.exporter.unexport(target)
+            self.switchboard.exporter.unexport(target)
 
 
 @dataclass
@@ -127,8 +148,19 @@ class Deployment:
             return existing
         raise DeploymentError(f"unknown provider {provider!r}")
 
-    def access_provider(self, link: PlannedLink, *, from_node: str) -> Any:
-        """Materialize the consumer-side handle for one planned link."""
+    def access_provider(
+        self,
+        link: PlannedLink,
+        *,
+        from_node: str,
+        suite: AuthorizationSuite | None = None,
+    ) -> Any:
+        """Materialize the consumer-side handle for one planned link.
+
+        A Switchboard link authenticates as ``suite``; by default as its
+        consumer — the requesting client on the entry link, the consuming
+        instance everywhere else.
+        """
         node, obj = self.provider_location(link.provider)
         if link.mode == "local":
             if node != from_node:
@@ -141,7 +173,12 @@ class Deployment:
         if link.mode == "rmi":
             return RmiStub(runtime.rpc, address)
         if link.mode == "switchboard":
-            suite = self.deployer.instance_suite(link.consumer)
+            if suite is None:
+                if link.consumer == "client":
+                    client = self.deployer.engine.identity(self.plan.request.client)
+                    suite = AuthorizationSuite(identity=client)
+                else:
+                    suite = self.deployer.instance_suite(link.consumer)
             pending = runtime.switchboard.connect(node, link.provider, suite)
             return SwitchboardStub(pending.wait(), link.provider)
         raise DeploymentError(f"unknown link mode {link.mode!r}")
@@ -166,10 +203,7 @@ class Deployment:
         for instance_id in evicted:
             del self.instances[instance_id]
             if runtime is not None:
-                runtime.rpc.exporter.unexport(instance_id)
-                runtime.rpc.exporter.unexport(f"{instance_id}#image")
-                runtime.switchboard.exporter.unexport(instance_id)
-                runtime.switchboard.exporter.unexport(f"{instance_id}#image")
+                runtime.unpublish(instance_id)
         return evicted
 
     # -- client side -----------------------------------------------------------
@@ -181,20 +215,12 @@ class Deployment:
         raise DeploymentError("plan has no client entry link")
 
     def client_access(self, suite: AuthorizationSuite | None = None) -> Any:
-        """The handle the requesting client uses to reach the service."""
-        link = self.entry_link()
-        node, obj = self.provider_location(link.provider)
-        if link.mode == "local":
-            return obj
-        runtime = self.deployer.node_runtime(self.plan.request.client_node)
-        address = ServiceAddress(node=node, service=link.provider, target=link.provider)
-        if link.mode == "rmi":
-            return RmiStub(runtime.rpc, address)
-        if suite is None:
-            client_identity = self.deployer.engine.identity(self.plan.request.client)
-            suite = AuthorizationSuite(identity=client_identity)
-        pending = runtime.switchboard.connect(node, link.provider, suite)
-        return SwitchboardStub(pending.wait(), link.provider)
+        """The handle the requesting client uses to reach the service:
+        the entry link's, authenticated as the client unless a ``suite``
+        is presented."""
+        return self.access_provider(
+            self.entry_link(), from_node=self.plan.request.client_node, suite=suite
+        )
 
 
 class Deployer:
@@ -244,19 +270,7 @@ class Deployer:
     def register_existing(self, name: str, node: str, obj: Any) -> None:
         """Make a running service linkable and remotely callable."""
         self.existing_objects[name] = (node, obj)
-        runtime = self.node_runtime(node)
-        runtime.rpc.exporter.export(name, obj)
-        runtime.switchboard.export(name, obj)
-        runtime.switchboard.listen(
-            name,
-            AuthorizationSuite(
-                identity=self.engine.identity(name),
-                authorizer=AcceptAllAuthorizer(),
-            ),
-        )
-        image = ImageService(obj)
-        runtime.rpc.exporter.export(f"{name}#image", image)
-        runtime.switchboard.export(f"{name}#image", image)
+        self.node_runtime(node).publish(name, obj)
 
     # -- execution ------------------------------------------------------------------
 
@@ -269,7 +283,9 @@ class Deployer:
             for planned in reversed(plan.components):
                 instance = self._instantiate(planned, deployment)
                 deployment.instances[planned.instance_id] = instance
-                self._export(instance, deployment)
+                self.node_runtime(planned.node).publish(
+                    planned.instance_id, instance.obj, instance.credentials
+                )
             self.deploy_count += 1
         if obs.is_enabled():
             obs.counter(metric_names.DEPLOY_DEPLOYMENTS).inc()
@@ -378,19 +394,3 @@ class Deployer:
                 f"(represents {represents!r}); register it with the registrar"
             )
         return cls
-
-    def _export(self, instance: DeployedInstance, deployment: Deployment) -> None:
-        runtime = self.node_runtime(instance.node)
-        runtime.rpc.exporter.export(instance.instance_id, instance.obj)
-        runtime.switchboard.export(instance.instance_id, instance.obj)
-        runtime.switchboard.listen(
-            instance.instance_id,
-            AuthorizationSuite(
-                identity=self.engine.identity(instance.instance_id),
-                credentials=instance.credentials,
-                authorizer=AcceptAllAuthorizer(),
-            ),
-        )
-        image = ImageService(instance.obj)
-        runtime.rpc.exporter.export(f"{instance.instance_id}#image", image)
-        runtime.switchboard.export(f"{instance.instance_id}#image", image)

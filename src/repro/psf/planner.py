@@ -6,7 +6,11 @@ requested for the deployment while factoring in application and
 network-level constraints. ... Our current planner, Sekitei, combines
 regression and progression techniques from classical AI planning."
 
-This planner performs regression search from the client's goal interface:
+This planner performs regression search from the client's goal interface.
+The search is one lazy enumeration of the option space
+(:meth:`Planner._completions`): the first feasible plan is its first
+element and the cost-optimal plan is the cheapest of its first ``limit``
+elements, so the two are prefixes of the same walk.
 
 * **Type compatibility** drives linkage — a provider is any existing
   instance or deployable component whose implemented port satisfies the
@@ -32,13 +36,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional
 
 from .. import obs
-from ..errors import PlanningError
+from ..errors import NetworkError, PlanningError
 from ..net.simnet import Network
-from ..errors import NetworkError
 from ..obs import names as metric_names
 from .component import ComponentType, Port
 from .guard import Guard
@@ -147,27 +150,18 @@ class DeploymentPlan:
 
 
 @dataclass(slots=True)
-class _EnumCounter:
-    """Bounds the work of exhaustive plan enumeration."""
+class _Work:
+    """Search effort of one request, counted where the option space is
+    walked."""
 
-    limit: int
-    produced: int = 0
-
-    def tick(self) -> None:
-        self.produced += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.produced >= self.limit * 8
-
-
-@dataclass(slots=True)
-class _SearchState:
-    components: list[PlannedComponent] = field(default_factory=list)
-    links: list[PlannedLink] = field(default_factory=list)
     goals_expanded: int = 0
     candidates_examined: int = 0
     backtracks: int = 0
+
+
+_Completion = tuple[tuple[PlannedComponent, ...], tuple[PlannedLink, ...]]
+"""The whole sub-tree that satisfies one goal, ready to be concatenated
+by the consumer; the first link is always the consumer's own edge."""
 
 
 class Planner:
@@ -197,63 +191,27 @@ class Planner:
     ) -> DeploymentPlan:
         """Find a feasible deployment or raise :class:`PlanningError`.
 
-        With ``optimize=True`` the planner enumerates feasible
-        configurations (bounded by ``enumerate_plans``'s limit) and picks
-        the cheapest by :meth:`plan_cost` instead of returning the first
-        feasible one — the Sekitei-flavoured quality/speed trade-off
+        By default that is the first plan :meth:`enumerate_plans` yields.
+        With ``optimize=True`` it is the cheapest by :meth:`plan_cost` of
+        the first ``limit`` — the Sekitei-flavoured quality/speed trade-off
         ablated by ``benchmarks/bench_planner_quality.py``.
         """
         obs.counter(metric_names.PLAN_ATTEMPTS).inc()
         with obs.span(
             "psf.plan", interface=request.interface, optimize=optimize
         ):
-            try:
-                found = self._plan(request, optimize=optimize)
-            except PlanningError:
+            if optimize:
+                plans = self.enumerate_plans(request)
+            else:
+                plans = self.enumerate_plans(request, limit=1)
+            if not plans:
                 obs.counter(metric_names.PLAN_FAILURES).inc()
-                raise
-        obs.counter(metric_names.PLAN_SUCCESS).inc()
-        return found
-
-    def _plan(
-        self, request: ServiceRequest, *, optimize: bool
-    ) -> DeploymentPlan:
-        if optimize:
-            candidates = self.enumerate_plans(request)
-            if not candidates:
                 raise PlanningError(
                     f"no deployment delivers {request.interface} at "
                     f"{request.client_node} under {request.qos}"
                 )
-            return min(candidates, key=self.plan_cost)
-        state = _SearchState()
-        entry = self._solve(
-            interface=request.interface,
-            required_props=request.props_dict(),
-            edge=request.qos,
-            consumer="client",
-            consumer_node=request.client_node,
-            state=state,
-            depth=0,
-            stack=frozenset(),
-        )
-        if obs.is_enabled():
-            obs.histogram(metric_names.PLAN_GOALS_EXPANDED).observe(state.goals_expanded)
-            obs.histogram(metric_names.PLAN_CANDIDATES).observe(state.candidates_examined)
-            obs.histogram(metric_names.PLAN_BACKTRACKS).observe(state.backtracks)
-        if entry is None:
-            raise PlanningError(
-                f"no deployment delivers {request.interface} at "
-                f"{request.client_node} under {request.qos}"
-            )
-        return DeploymentPlan(
-            request=request,
-            components=state.components,
-            links=state.links,
-            entry_instance=entry,
-            goals_expanded=state.goals_expanded,
-            candidates_examined=state.candidates_examined,
-        )
+        obs.counter(metric_names.PLAN_SUCCESS).inc()
+        return min(plans, key=self.plan_cost) if optimize else plans[0]
 
     def can_plan(self, request: ServiceRequest) -> bool:
         try:
@@ -276,161 +234,46 @@ class Planner:
     def enumerate_plans(
         self, request: ServiceRequest, *, limit: int = 64
     ) -> list[DeploymentPlan]:
-        """Enumerate up to ``limit`` feasible deployments for a request.
+        """The first ``limit`` feasible deployments for a request, in
+        search order (see the module docstring for the ordering).
 
-        Exhaustive over the same option space :meth:`plan` searches, but
-        collecting every completion instead of stopping at the first.
-        Completion counts are bounded, so the enumeration stays tractable
-        at scenario scales; the limit guards pathological fan-outs.
+        Each plan records the search effort spent up to the moment it was
+        found, so the first one's counters are the cost of first-feasible
+        planning.
         """
-        plans: list[DeploymentPlan] = []
-        counter = _EnumCounter(limit=limit)
-        for components, links, _entry in self._solve_all(
-            interface=request.interface,
-            required_props=request.props_dict(),
-            edge=request.qos,
-            consumer="client",
-            consumer_node=request.client_node,
-            depth=0,
-            stack=frozenset(),
-            counter=counter,
-        ):
-            plans.append(
-                DeploymentPlan(
-                    request=request,
-                    components=list(components),
-                    links=list(links),
-                    entry_instance=links[0].provider if links else "",
-                )
+        work = _Work()
+        plans = [
+            DeploymentPlan(
+                request=request,
+                components=list(components),
+                links=list(links),
+                entry_instance=links[0].provider,
+                goals_expanded=work.goals_expanded,
+                candidates_examined=work.candidates_examined,
             )
-            if len(plans) >= limit:
-                break
+            for components, links in itertools.islice(
+                self._completions(
+                    interface=request.interface,
+                    required_props=request.props_dict(),
+                    edge=request.qos,
+                    consumer="client",
+                    consumer_node=request.client_node,
+                    depth=0,
+                    stack=frozenset(),
+                    work=work,
+                ),
+                limit,
+            )
+        ]
+        if obs.is_enabled():
+            obs.histogram(metric_names.PLAN_GOALS_EXPANDED).observe(work.goals_expanded)
+            obs.histogram(metric_names.PLAN_CANDIDATES).observe(work.candidates_examined)
+            obs.histogram(metric_names.PLAN_BACKTRACKS).observe(work.backtracks)
         return plans
-
-    def _solve_all(
-        self,
-        *,
-        interface: str,
-        required_props: dict,
-        edge: EdgeRequirement,
-        consumer: str,
-        consumer_node: str,
-        depth: int,
-        stack: frozenset,
-        counter: "_EnumCounter",
-    ):
-        """Yield every (components, links, provider) completion of a goal.
-
-        The yielded component/link lists are immutable tuples representing
-        the whole sub-tree for this goal, ready to be concatenated by the
-        caller.  The first link in ``links`` is always the consumer's edge.
-        """
-        if depth > self.max_depth or counter.exhausted:
-            return
-        goal_key = (interface, consumer_node, edge.key())
-        if goal_key in stack:
-            return
-        stack = stack | {goal_key}
-
-        for instance in self._existing_by_proximity(consumer_node):
-            if edge.view_origin and instance.component.name != edge.view_origin:
-                continue
-            port = instance.component.implemented_port(interface)
-            if port is None or not port.satisfies(required_props):
-                continue
-            mode = self._admissible_mode(consumer_node, instance.node, port, edge)
-            if mode is None:
-                continue
-            link = PlannedLink(
-                consumer=consumer,
-                provider=instance.name,
-                interface=interface,
-                path=tuple(self._path(consumer_node, instance.node)),
-                mode=mode,
-            )
-            counter.tick()
-            yield (), (link,), instance.name
-
-        for component in self._deployable_providers(interface, required_props):
-            if edge.view_origin and component.name != edge.view_origin:
-                continue
-            port = component.implemented_port(interface)
-            assert port is not None
-            for node in self._candidate_nodes(consumer_node, component):
-                if counter.exhausted:
-                    return
-                mode = self._admissible_mode(consumer_node, node, port, edge)
-                if mode is None:
-                    continue
-                if not self._node_authorizes(component, node):
-                    continue
-                instance_id = f"p{next(_instance_counter)}"
-                placed = PlannedComponent(
-                    instance_id=instance_id, component=component, node=node
-                )
-                entry_link = PlannedLink(
-                    consumer=consumer,
-                    provider=instance_id,
-                    interface=interface,
-                    path=tuple(self._path(consumer_node, node)),
-                    mode=mode,
-                )
-                sub_edges = []
-                for requirement in component.requires:
-                    sub_edge = EdgeRequirement.from_port(requirement)
-                    if component.properties.get("bandwidth_transparent"):
-                        sub_edge = EdgeRequirement(
-                            privacy=sub_edge.privacy,
-                            min_bandwidth_bps=max(
-                                sub_edge.min_bandwidth_bps, edge.min_bandwidth_bps
-                            ),
-                            max_latency_s=sub_edge.max_latency_s,
-                            channel=sub_edge.channel,
-                            view_origin=sub_edge.view_origin,
-                        )
-                    sub_edges.append((requirement, sub_edge))
-                for sub_components, sub_links in self._satisfy_all(
-                    sub_edges, instance_id, node, depth, stack, counter
-                ):
-                    counter.tick()
-                    yield (
-                        (placed,) + sub_components,
-                        (entry_link,) + sub_links,
-                        instance_id,
-                    )
-
-    def _satisfy_all(
-        self,
-        requirements: list,
-        instance_id: str,
-        node: str,
-        depth: int,
-        stack: frozenset,
-        counter: "_EnumCounter",
-    ):
-        """Cartesian product of completions across required ports."""
-        if not requirements:
-            yield (), ()
-            return
-        (requirement, sub_edge), rest = requirements[0], requirements[1:]
-        for components, links, _provider in self._solve_all(
-            interface=requirement.interface,
-            required_props={},
-            edge=sub_edge,
-            consumer=instance_id,
-            consumer_node=node,
-            depth=depth + 1,
-            stack=stack,
-            counter=counter,
-        ):
-            for rest_components, rest_links in self._satisfy_all(
-                rest, instance_id, node, depth, stack, counter
-            ):
-                yield components + rest_components, links + rest_links
 
     # -- goal solving -----------------------------------------------------------
 
-    def _solve(
+    def _completions(
         self,
         *,
         interface: str,
@@ -438,19 +281,31 @@ class Planner:
         edge: EdgeRequirement,
         consumer: str,
         consumer_node: str,
-        state: _SearchState,
         depth: int,
         stack: frozenset,
-    ) -> Optional[str]:
-        """Satisfy one goal; returns the provider instance id, extending
-        ``state`` in place, or None when infeasible."""
+        work: _Work,
+    ) -> Iterator[_Completion]:
+        """Yield every completion of one goal, lazily.
+
+        The walk advances only as far as the consumer pulls, so taking
+        the first completion costs what a first-feasible search would.
+        """
         if depth > self.max_depth:
-            return None
+            return
         goal_key = (interface, consumer_node, edge.key())
         if goal_key in stack:
-            return None  # would recurse through the same goal
+            return  # would recurse through the same goal
         stack = stack | {goal_key}
-        state.goals_expanded += 1
+        work.goals_expanded += 1
+
+        def link_to(provider: str, provider_node: str, mode: str) -> PlannedLink:
+            return PlannedLink(
+                consumer=consumer,
+                provider=provider,
+                interface=interface,
+                path=tuple(self._path(consumer_node, provider_node)),
+                mode=mode,
+            )
 
         # Option A (progression flavour): link to an existing instance.
         for instance in self._existing_by_proximity(consumer_node):
@@ -459,20 +314,10 @@ class Planner:
             port = instance.component.implemented_port(interface)
             if port is None or not port.satisfies(required_props):
                 continue
-            state.candidates_examined += 1
+            work.candidates_examined += 1
             mode = self._admissible_mode(consumer_node, instance.node, port, edge)
-            if mode is None:
-                continue
-            state.links.append(
-                PlannedLink(
-                    consumer=consumer,
-                    provider=instance.name,
-                    interface=interface,
-                    path=tuple(self._path(consumer_node, instance.node)),
-                    mode=mode,
-                )
-            )
-            return instance.name
+            if mode is not None:
+                yield (), (link_to(instance.name, instance.node, mode),)
 
         # Option B (regression): deploy a component that implements the goal.
         for component in self._deployable_providers(interface, required_props):
@@ -480,67 +325,81 @@ class Planner:
                 continue
             port = component.implemented_port(interface)
             assert port is not None
+            # Bandwidth-transparent relays (encryptor/decryptor) pass the
+            # full data stream through: their upstream edges inherit the
+            # consumer's bandwidth demand.  Caches absorb it (they serve
+            # from local state).
+            inherited_bps = (
+                edge.min_bandwidth_bps
+                if component.properties.get("bandwidth_transparent")
+                else 0.0
+            )
+            sub_goals = []
+            for requirement in component.requires:
+                sub_edge = EdgeRequirement.from_port(requirement)
+                demand = max(sub_edge.min_bandwidth_bps, inherited_bps)
+                sub_goals.append(
+                    (requirement.interface, replace(sub_edge, min_bandwidth_bps=demand))
+                )
             for node in self._candidate_nodes(consumer_node, component):
-                state.candidates_examined += 1
+                work.candidates_examined += 1
                 mode = self._admissible_mode(consumer_node, node, port, edge)
-                if mode is None:
-                    continue
-                if not self._node_authorizes(component, node):
+                if mode is None or not self._node_authorizes(component, node):
                     continue
                 # Tentatively place the component, then regress its needs.
-                checkpoint_c = len(state.components)
-                checkpoint_l = len(state.links)
                 instance_id = f"p{next(_instance_counter)}"
-                state.components.append(
-                    PlannedComponent(
-                        instance_id=instance_id, component=component, node=node
-                    )
+                placed = PlannedComponent(
+                    instance_id=instance_id, component=component, node=node
                 )
-                state.links.append(
-                    PlannedLink(
-                        consumer=consumer,
-                        provider=instance_id,
-                        interface=interface,
-                        path=tuple(self._path(consumer_node, node)),
-                        mode=mode,
-                    )
-                )
-                satisfied = True
-                for requirement in component.requires:
-                    sub_edge = EdgeRequirement.from_port(requirement)
-                    # Bandwidth-transparent relays (encryptor/decryptor)
-                    # pass the full data stream through: their upstream
-                    # edge inherits the consumer's bandwidth demand.
-                    # Caches absorb it (they serve from local state).
-                    if component.properties.get("bandwidth_transparent"):
-                        sub_edge = EdgeRequirement(
-                            privacy=sub_edge.privacy,
-                            min_bandwidth_bps=max(
-                                sub_edge.min_bandwidth_bps, edge.min_bandwidth_bps
-                            ),
-                            max_latency_s=sub_edge.max_latency_s,
-                            channel=sub_edge.channel,
-                            view_origin=sub_edge.view_origin,
-                        )
-                    provider = self._solve(
-                        interface=requirement.interface,
-                        required_props={},
-                        edge=sub_edge,
-                        consumer=instance_id,
-                        consumer_node=node,
-                        state=state,
-                        depth=depth + 1,
-                        stack=stack,
-                    )
-                    if provider is None:
-                        satisfied = False
-                        break
-                if satisfied:
-                    return instance_id
-                state.backtracks += 1
-                del state.components[checkpoint_c:]
-                del state.links[checkpoint_l:]
-        return None
+                entry_link = link_to(instance_id, node, mode)
+                completed = False
+                for sub_components, sub_links in self._satisfy_all(
+                    sub_goals, instance_id, node, depth + 1, stack, work
+                ):
+                    completed = True
+                    yield (placed,) + sub_components, (entry_link,) + sub_links
+                if not completed:
+                    work.backtracks += 1
+
+    def _satisfy_all(
+        self,
+        sub_goals: list[tuple[str, EdgeRequirement]],
+        instance_id: str,
+        node: str,
+        depth: int,
+        stack: frozenset,
+        work: _Work,
+    ) -> Iterator[_Completion]:
+        """Completions of every required port of one placed component: the
+        lazy Cartesian product of each port's completions.
+
+        Sibling sub-goals share no state, so what the remaining ports
+        yield does not depend on which completion of the first is taken:
+        when they yield nothing for one, they yield nothing for any, and
+        retrying the alternatives would only repeat the failure.
+        """
+        if not sub_goals:
+            yield (), ()
+            return
+        (interface, sub_edge), rest = sub_goals[0], sub_goals[1:]
+        for components, links in self._completions(
+            interface=interface,
+            required_props={},
+            edge=sub_edge,
+            consumer=instance_id,
+            consumer_node=node,
+            depth=depth,
+            stack=stack,
+            work=work,
+        ):
+            satisfiable = False
+            for rest_components, rest_links in self._satisfy_all(
+                rest, instance_id, node, depth, stack, work
+            ):
+                satisfiable = True
+                yield components + rest_components, links + rest_links
+            if not satisfiable:
+                return
 
     # -- candidate enumeration ------------------------------------------------------
 
@@ -557,18 +416,11 @@ class Planner:
         return providers
 
     def _existing_by_proximity(self, consumer_node: str) -> list[ExistingInstance]:
-        def distance(instance: ExistingInstance) -> float:
-            try:
-                path = self.network.shortest_path(consumer_node, instance.node)
-            except NetworkError:
-                return math.inf
-            return self.network.path_delay(path, 1024)
-
         # An instance stranded on a crashed host is not reusable — without
         # this filter the "local" fast path could bind a consumer to a dead
         # co-resident provider.
         alive = [i for i in self.existing if self.network.node(i.node).up]
-        return sorted(alive, key=distance)
+        return sorted(alive, key=lambda i: self._delay(consumer_node, i.node))
 
     def _candidate_nodes(
         self, consumer_node: str, component: ComponentType | None = None
@@ -585,17 +437,10 @@ class Planner:
                 if any(inst.component.implemented_port(i) for i in wanted)
             ]
 
-        def pair_delay(a: str, b: str) -> float:
-            try:
-                path = self.network.shortest_path(a, b)
-            except NetworkError:
-                return math.inf
-            return self.network.path_delay(path, 1024)
-
         def key(name: str) -> tuple[float, float]:
-            to_consumer = pair_delay(consumer_node, name)
+            to_consumer = self._delay(consumer_node, name)
             to_upstream = min(
-                (pair_delay(name, up) for up in upstream_nodes), default=0.0
+                (self._delay(name, up) for up in upstream_nodes), default=0.0
             )
             return (to_consumer + to_upstream, to_consumer)
 
@@ -611,6 +456,13 @@ class Planner:
             return [a]
         return self.network.shortest_path(a, b)
 
+    def _delay(self, a: str, b: str) -> float:
+        """Proximity: the route's delay, infinite when unroutable."""
+        try:
+            return self.network.path_delay(self._path(a, b), 1024)
+        except NetworkError:
+            return math.inf
+
     # -- admissibility -----------------------------------------------------------------
 
     def _admissible_mode(
@@ -620,7 +472,7 @@ class Planner:
         if consumer_node == provider_node:
             return "local"
         try:
-            path = self.network.shortest_path(consumer_node, provider_node)
+            path = self._path(consumer_node, provider_node)
         except NetworkError:
             return None
         if self.network.min_bandwidth(path) < edge.min_bandwidth_bps:

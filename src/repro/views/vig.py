@@ -378,11 +378,6 @@ class Vig:
     # (3) fields ---------------------------------------------------------------
 
     def _process_fields(self, gen: _Generation) -> None:
-        for fld in gen.spec.added_fields:
-            if fld.name in gen.rep_fields and fld.name not in gen.replicated:
-                # An added field shadowing a represented field is a replica
-                # by intent (Table 3b's accountCopy pattern keeps both).
-                continue
         overlap = {f.name for f in gen.spec.added_fields} & set(gen.replicated)
         if overlap:
             raise ViewGenerationError(

@@ -35,6 +35,13 @@ class TestKeyStore:
         assert "X" in store
         assert len(store) == 1
 
+    def test_get_never_creates(self):
+        store = KeyStore(key_bits=512)
+        assert store.get("X") is None
+        assert "X" not in store
+        store.identity("X")
+        assert store.get("X") == store.public("X")
+
     def test_known_names_sorted(self):
         store = KeyStore(key_bits=512)
         store.identity("b")

@@ -15,6 +15,13 @@ test's runtime.
 Alongside the decisions themselves, the observability layer must agree:
 running the same query set under each strategy in its own scoped metrics
 registry must record the same number of successful proofs.
+
+A second, *dense* family of graphs adds a third arm.  There every edge is
+attributed and issued twice, so most queries have several chains and
+whether a chain's attributes combine depends on which one is taken; a
+brute-force walk over all simple membership paths is the reference both
+strategies must match: a right is held iff *some* chain's attributes meet
+non-empty and cover the requirement.
 """
 
 from __future__ import annotations
@@ -147,3 +154,89 @@ def test_proof_contents_agree_on_found_chains():
                     assert nxt.subject == prev.role
                 checked += 1
     assert checked > 0
+
+
+DENSE_GRAPHS = 300
+DENSE_ROLES = [Role("Org", f"R{i}") for i in range(4)]
+DENSE_ENTITIES = [EntityRef("u0"), EntityRef("u1")]
+DENSE_VALUES = (1, 2, 3)
+
+
+def _dense_graph(rng: random.Random, graph_id: int) -> list[Delegation]:
+    """Self-certifying edges that all restrict the one attribute ``X`` to
+    a small set (so neighbours can be disjoint), each issued twice with
+    independently drawn sets (forced parallel edges)."""
+    edges = []
+    for _ in range(rng.randint(3, 6)):
+        role = rng.choice(DENSE_ROLES)
+        subject = rng.choice(DENSE_ENTITIES + [r for r in DENSE_ROLES if r != role])
+        edges += [(subject, role)] * 2
+    return [
+        Delegation(
+            subject=subject,
+            role=role,
+            issuer="Org",
+            delegation_type=classify(subject, role, "Org", assignment=False),
+            attributes={"X": AttrSet(rng.sample(DENSE_VALUES, k=rng.randint(1, 2)))},
+            credential_id=f"d{graph_id}-c{i}",
+        )
+        for i, (subject, role) in enumerate(edges)
+    ]
+
+
+def _simple_paths(credentials, at, goal, seen=()):
+    """Every membership path from ``at`` to ``goal`` repeating no role."""
+    for credential in credentials:
+        if credential.subject != at or credential.role in seen:
+            continue
+        if credential.role == goal:
+            yield [credential]
+            continue
+        onward = _simple_paths(credentials, credential.role, goal, seen + (credential.role,))
+        for rest in onward:
+            yield [credential] + rest
+
+
+def _path_serves(path, required: int | None) -> bool:
+    allowed = set(DENSE_VALUES).intersection(
+        *(credential.attributes["X"].values for credential in path)
+    )
+    return bool(allowed) and (required is None or required in allowed)
+
+
+def test_dense_attributed_graphs_match_brute_force():
+    rng = random.Random(2003)
+    engine = ProofEngine(identities={}, verify_signatures=False)
+    granted = denied = rescued = 0
+    for g in range(DENSE_GRAPHS):
+        credentials = _dense_graph(rng, g)
+        for subject in DENSE_ENTITIES:
+            for role in DENSE_ROLES:
+                required = rng.choice((None, *DENSE_VALUES))
+                served = [
+                    _path_serves(path, required)
+                    for path in _simple_paths(credentials, subject, role)
+                ]
+                expected = any(served)
+                for direction in ("regression", "progression"):
+                    proof = engine.find_proof(
+                        subject,
+                        role,
+                        credentials,
+                        required_attributes=(
+                            None if required is None else {"X": AttrSet([required])}
+                        ),
+                        direction=direction,
+                    )
+                    assert (proof is not None) == expected, (
+                        f"graph {g}: {direction} says {proof is not None}, brute "
+                        f"force says {expected} for {subject} -> {role} "
+                        f"requiring X={required}"
+                    )
+                granted += expected
+                denied += not expected
+                rescued += expected and not served[0]
+    # The family must exercise what it is for: grants, denials, and
+    # grants that exist only because a later chain serves where the
+    # first one does not.
+    assert granted and denied and rescued

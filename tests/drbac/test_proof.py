@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import KeyStore
+from repro.drbac.cache import CachedAuthorizer
 from repro.drbac.delegation import issue
 from repro.drbac.model import AttrRange, AttrScalar, AttrSet, EntityRef, Role
 from repro.drbac.monitor import RevocationDirectory
@@ -389,3 +390,17 @@ class TestIncompatibleAttributeChains:
                 )
                 is None
             )
+
+    def test_later_prefix_rescues_the_chain(self, engine):
+        """A right is held iff *some* chain's attributes combine.  The
+        first prefix found for ``Org.A`` (X=1) is compatible on its own
+        but not with the ``Org.A -> Org.B`` link (X=2); the second is."""
+        engine.delegate("Org", "u", "Org.A", attributes={"X": AttrSet([1])})
+        via = engine.delegate("Org", "u", "Org.A", attributes={"X": AttrSet([2])})
+        engine.delegate("Org", "Org.A", "Org.B", attributes={"X": AttrSet([2])})
+        for direction in ("regression", "progression"):
+            proof = engine.find_proof("u", "Org.B", direction=direction)
+            assert proof is not None, direction
+            assert proof.chain[0].credential_id == via.credential_id
+            assert proof.attributes == {"X": AttrSet([2])}
+        assert CachedAuthorizer(engine).is_authorized("u", "Org.B")

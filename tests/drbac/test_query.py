@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.drbac.model import AttrRange, AttrScalar, AttrSet, Role
+from repro.drbac.model import AttrRange, AttrScalar, AttrSet, EntityRef, Role
 from repro.drbac.query import Constraint
 
 
@@ -41,17 +41,21 @@ class TestEvaluation:
             "Mail", "node9", "Mail.Node",
             attributes={"Secure": AttrSet([True]), "Trust": AttrRange(0, 10)},
         )
-        evaluator = engine.evaluator()
-        creds = engine.repository.collect(
-            __import__("repro.drbac.model", fromlist=["EntityRef"]).EntityRef("node9"),
-            Role("Mail", "Node"),
-        )
+        creds = engine.repository.collect(EntityRef("node9"), Role("Mail", "Node"))
         constraints = [
             Constraint.parse("Mail.Node with Secure={true}"),
             Constraint.parse("Mail.Node with Trust=(2,8)"),
         ]
-        assert evaluator.satisfies_all(
-            __import__("repro.drbac.model", fromlist=["EntityRef"]).EntityRef("node9"),
-            constraints,
-            creds,
+        assert all(
+            engine.is_a(EntityRef("node9"), constraint, creds)
+            for constraint in constraints
         )
+        assert engine.is_a("node9", "Mail.Node with Trust=(11,12)", creds) is None
+
+    def test_is_a_is_a_metered_search(self, engine):
+        """Constraint queries take the same path as every other search,
+        so their work shows up in the engine's meter."""
+        engine.delegate("Mail", "node9", "Mail.Node")
+        before = engine.search_work
+        assert engine.is_a("node9", "Mail.Node") is not None
+        assert engine.search_work > before
