@@ -1,10 +1,15 @@
 """Authenticated symmetric encryption for Switchboard payloads.
 
-Encrypt-then-MAC over a SHA-256 keystream in counter mode:
+Encrypt-then-MAC over a SHAKE-256 keystream; a frame of any length is
+sealed or opened in a constant number of C calls:
 
-* keystream block ``i`` = SHA-256(enc_key || nonce || counter_i)
-* ciphertext = plaintext XOR keystream
-* tag = HMAC-SHA256(mac_key, nonce || ciphertext)
+* keystream = SHAKE-256(enc_key || nonce) squeezed to the plaintext length
+* ciphertext = plaintext XOR keystream (one big-integer XOR)
+* tag = HMAC-SHA256(mac_key, len(ad) as 8 bytes || ad || nonce || ciphertext)
+* frame = nonce(16) || ciphertext || tag(32)
+
+The length prefix fixes the boundary between associated data and
+ciphertext, so bytes cannot be moved from one to the other under a tag.
 
 Key separation: the 32-byte session key from the DH exchange is split into
 independent encryption and MAC keys via domain-separated hashing.
@@ -21,7 +26,6 @@ from ..errors import CipherError
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
-_BLOCK = 32  # SHA-256 output size
 
 
 def _derive_keys(session_key: bytes) -> tuple[bytes, bytes]:
@@ -32,15 +36,35 @@ def _derive_keys(session_key: bytes) -> tuple[bytes, bytes]:
     return enc, mac
 
 
-def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hashlib.sha256(
-                enc_key + nonce + counter.to_bytes(8, "big")
-            ).digest()
-        )
-    return b"".join(blocks)[:length]
+def _xor_stream(enc_key: bytes, nonce: bytes, data: bytes) -> bytes:
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(data))
+    # to_bytes with the explicit length keeps leading zero bytes.
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+        len(data), "big"
+    )
+
+
+def _tag(mac_key: bytes, ad: bytes, nonce_and_ciphertext: bytes | memoryview) -> bytes:
+    mac = hmac.new(mac_key, len(ad).to_bytes(8, "big"), hashlib.sha256)
+    mac.update(ad)
+    mac.update(nonce_and_ciphertext)
+    return mac.digest()
+
+
+def _seal(enc_key: bytes, mac_key: bytes, nonce: bytes, plaintext: bytes, ad: bytes) -> bytes:
+    """Pure: ``nonce || ciphertext || tag`` for the given nonce."""
+    body = nonce + _xor_stream(enc_key, nonce, plaintext)
+    return body + _tag(mac_key, ad, body)
+
+
+def _open(enc_key: bytes, mac_key: bytes, frame: bytes, ad: bytes) -> bytes:
+    """Pure inverse of :func:`_seal`; checks the tag before any keystream."""
+    if len(frame) < _NONCE_LEN + _TAG_LEN:
+        raise CipherError("frame too short")
+    view = memoryview(frame)
+    if not hmac.compare_digest(view[-_TAG_LEN:], _tag(mac_key, ad, view[:-_TAG_LEN])):
+        raise CipherError("authentication tag mismatch")
+    return _xor_stream(enc_key, frame[:_NONCE_LEN], frame[_NONCE_LEN:-_TAG_LEN])
 
 
 @dataclass(slots=True)
@@ -60,12 +84,7 @@ class AuthenticatedCipher:
         sequence numbers so replayed frames fail the tag check).
         """
         nonce = secrets.token_bytes(_NONCE_LEN)
-        stream = _keystream(self._enc_key, nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac.new(
-            self._mac_key, nonce + associated_data + ciphertext, hashlib.sha256
-        ).digest()
-        return nonce + ciphertext + tag
+        return _seal(self._enc_key, self._mac_key, nonce, plaintext, associated_data)
 
     def decrypt(self, frame: bytes, associated_data: bytes = b"") -> bytes:
         """Verify and decrypt a frame produced by :meth:`encrypt`.
@@ -73,15 +92,4 @@ class AuthenticatedCipher:
         Raises:
             CipherError: on truncation, tampering, or wrong associated data.
         """
-        if len(frame) < _NONCE_LEN + _TAG_LEN:
-            raise CipherError("frame too short")
-        nonce = frame[:_NONCE_LEN]
-        tag = frame[-_TAG_LEN:]
-        ciphertext = frame[_NONCE_LEN:-_TAG_LEN]
-        expected = hmac.new(
-            self._mac_key, nonce + associated_data + ciphertext, hashlib.sha256
-        ).digest()
-        if not hmac.compare_digest(tag, expected):
-            raise CipherError("authentication tag mismatch")
-        stream = _keystream(self._enc_key, nonce, len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return _open(self._enc_key, self._mac_key, frame, associated_data)

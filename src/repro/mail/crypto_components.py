@@ -35,6 +35,16 @@ def derive_pair_key(secret: str) -> bytes:
     return hashlib.sha256(b"mail-pair|" + secret.encode()).digest()
 
 
+def _seal(cipher: AuthenticatedCipher, value: Any) -> str:
+    """JSON value -> sealed frame as hex (the ``SecMailI`` blob format)."""
+    plaintext = json.dumps(value, separators=(",", ":")).encode()
+    return cipher.encrypt(plaintext).hex()
+
+
+def _open(cipher: AuthenticatedCipher, blob: str) -> Any:
+    return json.loads(cipher.decrypt(bytes.fromhex(blob)).decode())
+
+
 class Encryptor:
     """Server-side half: wraps a MailI provider behind SecMailI."""
 
@@ -46,23 +56,14 @@ class Encryptor:
 
     def fetchMailEnc(self, user: str) -> str:
         messages = self._upstream.fetchMail(user)
-        return self._seal(messages)
+        return _seal(self._cipher, messages)
 
     def sendMailEnc(self, blob: str) -> bool:
-        mes = self._open(blob)
+        mes = _open(self._cipher, blob)
         return bool(self._upstream.sendMail(mes))
 
     def listAccountsEnc(self) -> str:
-        return self._seal(self._upstream.listAccounts())
-
-    # -- framing --------------------------------------------------------------
-
-    def _seal(self, value: Any) -> str:
-        plaintext = json.dumps(value, separators=(",", ":")).encode()
-        return self._cipher.encrypt(plaintext).hex()
-
-    def _open(self, blob: str) -> Any:
-        return json.loads(self._cipher.decrypt(bytes.fromhex(blob)).decode())
+        return _seal(self._cipher, self._upstream.listAccounts())
 
 
 class Decryptor:
@@ -75,19 +76,10 @@ class Decryptor:
     # -- MailI -------------------------------------------------------------
 
     def fetchMail(self, user: str) -> list[dict]:
-        return self._open(self._upstream.fetchMailEnc(user))
+        return _open(self._cipher, self._upstream.fetchMailEnc(user))
 
     def sendMail(self, mes: dict) -> bool:
-        return bool(self._upstream.sendMailEnc(self._seal(mes)))
+        return bool(self._upstream.sendMailEnc(_seal(self._cipher, mes)))
 
     def listAccounts(self) -> list[str]:
-        return self._open(self._upstream.listAccountsEnc())
-
-    # -- framing ---------------------------------------------------------------
-
-    def _seal(self, value: Any) -> str:
-        plaintext = json.dumps(value, separators=(",", ":")).encode()
-        return self._cipher.encrypt(plaintext).hex()
-
-    def _open(self, blob: str) -> Any:
-        return json.loads(self._cipher.decrypt(bytes.fromhex(blob)).decode())
+        return _open(self._cipher, self._upstream.listAccountsEnc())

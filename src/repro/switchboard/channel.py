@@ -333,8 +333,8 @@ class SwitchboardConnection:
         ad = self._associated_data(
             sender_is_initiator=bool(outer["from_initiator"]), seq=seq
         )
-        ciphertext = bytes.fromhex(outer["frame"])
         try:
+            ciphertext = bytes.fromhex(outer["frame"])
             plaintext = self.cipher.decrypt(ciphertext, ad)
         except (CipherError, ValueError):
             self.stats.tamper_rejected += 1

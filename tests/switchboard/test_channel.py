@@ -198,6 +198,26 @@ class TestReplayAndTamper:
         transport.scheduler.run()
         assert server_conn.stats.tamper_rejected == before + 1
 
+    def test_non_hex_frame_field_counts_as_tamper(self, world):
+        engine, transport, client_ep, server_ep, service = world
+        frames = self._capture_data_frames(transport)
+        conn, _ = _open_channel(engine, client_ep, server_ep)
+        conn.call_sync("mail", "note", ["real"])
+        outer = json.loads(
+            [p for (p, s, d) in frames if s == "cnode"][-1].decode()
+        )
+        assert outer["type"] == "data"
+        outer["seq"] += 1
+        outer["frame"] = "zz"
+        server_conn = server_ep.connections()[0]
+        transport.send(
+            "cnode", "snode", "switchboard", json.dumps(outer).encode()
+        )
+        transport.scheduler.run()  # must not raise out of _on_frame
+        assert server_conn.stats.tamper_rejected == 1
+        assert server_conn.state is ChannelState.OPEN
+        assert conn.call_sync("mail", "note", ["again"]) == 2
+
 
 class TestHeartbeats:
     def test_rtt_measured(self, world):
