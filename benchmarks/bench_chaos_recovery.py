@@ -1,51 +1,16 @@
-"""E-CHAOS — fault injection & recovery under a seeded storm.
+"""E-CHAOS — fault injection & recovery under a wilder seeded storm.
 
-Runs the deterministic chaos harness (``repro.faults.ChaosRunner``) end
-to end and reports, per fault class, how many faults were injected and
-recovered plus the measured recovery latencies.  The same seed always
-produces the same storm, so these numbers are stable run to run.
+The seed-7, 5 s storm is the ``chaos`` row of ``python -m repro verify``,
+which gates no violations, one recovery per injected fault class and a
+byte-identical report from a fresh interpreter.  This file keeps what
+that row does not cover: the same harness at 1.5x intensity over 10 s.
 """
 
 from __future__ import annotations
 
-from repro.faults import ChaosRunner, FaultKind
-
-from conftest import print_table
+from repro.faults import ChaosRunner
 
 SEED = 7
-DURATION = 5.0
-
-
-def test_chaos_recovery(benchmark, key_store):
-    def storm():
-        runner = ChaosRunner(seed=SEED, duration=DURATION, key_store=key_store)
-        return runner.run()
-
-    report = benchmark(storm)
-    # The runner meters itself inside obs.scoped(), so the ambient
-    # registry the conftest snapshot reads stays empty; attach the
-    # run-scoped metrics the report carries instead.
-    benchmark.extra_info["obs"] = report.metrics
-
-    injected = {}
-    for entry in report.injections:
-        if entry["phase"] == "inject":
-            cls = FaultKind(entry["kind"]).fault_class
-            injected[cls] = injected.get(cls, 0) + 1
-    rows = [
-        [cls, injected[cls], report.recoveries.get(cls, 0)]
-        for cls in sorted(injected)
-    ]
-    print_table(
-        f"E-CHAOS: seed={SEED} duration={DURATION}s "
-        f"({len(report.probes)} probes, {len(report.violations)} violations)",
-        ["fault class", "injected", "recovered"],
-        rows,
-    )
-
-    assert report.violations == []
-    for cls, count in injected.items():
-        assert report.recoveries.get(cls, 0) >= 1, f"no recovery for {cls}"
 
 
 def test_chaos_scales_with_intensity(benchmark, key_store):

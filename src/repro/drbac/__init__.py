@@ -30,12 +30,7 @@ from .model import (
     parse_subject,
     subject_key,
 )
-from .monitor import (
-    ProofMonitor,
-    RevocationAuthority,
-    RevocationDirectory,
-    ValidityMonitor,
-)
+from .monitor import ProofMonitor, RevocationDirectory
 from .proof import Proof, ProofEngine
 from .query import Constraint
 from .translate import (
@@ -82,14 +77,12 @@ __all__ = [
     "ProofEngine",
     "ProofMonitor",
     "RepositoryShard",
-    "RevocationAuthority",
     "RevocationDirectory",
     "SyncReport",
     "TranslationRule",
     "VerificationResult",
     "Role",
     "Subject",
-    "ValidityMonitor",
     "Wallet",
     "attributes_satisfy",
     "classify",

@@ -29,11 +29,11 @@ falls back to version keying — valid exactly while the repository's
 publish version is unchanged.
 
 **Precise invalidation**: every positive entry records the credential ids
-its proof traversed, registered in a per-credential watch table backed by
-the engine's :class:`~repro.drbac.monitor.MonitorHub` — so the cache holds
-exactly *one* revocation subscription per distinct credential no matter
-how many entries share it, and a revocation (or an expiry delta) evicts
-only the dependent entries instead of sweeping the cache.
+its proof traversed, indexed in a per-credential watch table — the cache
+attaches *one* listener per distinct credential to the engine's
+:class:`~repro.drbac.monitor.RevocationDirectory` no matter how many
+entries share it, and a revocation (or an expiry delta) evicts only the
+dependent entries instead of sweeping the cache.
 
 This is the middle ground between the paper's two poles (per-call proof
 search vs authorize-once views); ``benchmarks/bench_sso_overhead.py``
@@ -92,7 +92,7 @@ class _Entry:
 
 
 class _Watch:
-    """Per-credential watch: one hub attachment, many dependent entries."""
+    """Per-credential watch: one revocation listener, many dependents."""
 
     __slots__ = ("entries", "detach")
 
@@ -338,13 +338,12 @@ class CachedAuthorizer:
     def _watch(self, shard: _Shard, key: tuple, entry: _Entry) -> None:
         """Register the entry under each credential its proof traversed.
 
-        One :class:`_Watch` (and thus one hub attachment, and one
-        authority subscription) exists per distinct credential id however
-        many entries depend on it.  Storm-safe like the old per-entry
-        callbacks: a revocation fires synchronously and evicts exactly
-        the dependent entries — the entries gauge tracks reality *during*
-        the storm, and no stale grant can be observed even before its
-        next lookup.
+        One :class:`_Watch` (and thus one revocation listener) exists per
+        distinct credential id however many entries depend on it.
+        Storm-safe like the old per-entry callbacks: a revocation fires
+        synchronously and evicts exactly the dependent entries — the
+        entries gauge tracks reality *during* the storm, and no stale
+        grant can be observed even before its next lookup.
         """
         assert entry.result is not None
         for delegation in entry.result.proof.all_delegations():
@@ -352,7 +351,7 @@ class CachedAuthorizer:
             watch = self._watches.get(cred_id)
             if watch is None:
                 watch = _Watch()
-                watch.detach = self.engine.monitor_hub.attach(
+                watch.detach = self.engine.revocations.attach(
                     delegation,
                     self._on_credential_dead,
                 )
@@ -374,7 +373,7 @@ class CachedAuthorizer:
         denial just became stale; the conservative form (``principals is
         None``, emitted when the graph leaves the simple regime) drops
         every delta-keyed denial at once.  Expiry deltas evict dependent
-        grants eagerly — revocations already did, via the hub watch.
+        grants eagerly — revocations already did, via the watch's listener.
         """
         if delta.kind == "publish":
             if delta.principals is None:
@@ -410,7 +409,7 @@ class CachedAuthorizer:
         """Scrub the cache against recovered durable state.
 
         Called by :class:`~repro.durable.node.DurableNode` *after* the
-        engine's hub/directory/repository/incremental state has been
+        engine's revocation/repository/incremental state has been
         rebuilt.  The rule is conservative: keep a positive entry only if
         every credential its proof traversed is provable from durable
         state — present in ``published``, unrevoked, and unexpired — and
@@ -419,12 +418,13 @@ class CachedAuthorizer:
         delta stream that kept delta-keyed denials sound is gone).
 
         Surviving entries get fresh :class:`ProofMonitor`s and watch-table
-        rows: their pre-crash subscriptions died with the hub, so without
-        re-watching, a post-recovery revocation would never evict them.
+        rows: the directory's reset dropped their pre-crash listeners, so
+        without re-watching, a post-recovery revocation would never evict
+        them.
         Returns ``(evicted, kept)``.
         """
         for watch in self._watches.values():
-            watch.detach()  # no-op for pre-crash hub channels; exact otherwise
+            watch.detach()  # no-op for pre-crash listeners; exact otherwise
         self._watches.clear()
         engine = self.engine
         now = engine.clock.now()
@@ -443,7 +443,7 @@ class CachedAuthorizer:
                     continue
                 entry.result.monitor.close()
                 entry.result.monitor = ProofMonitor(
-                    entry.result.proof.all_delegations(), engine.monitor_hub
+                    entry.result.proof.all_delegations(), engine.revocations
                 )
                 self._watch(shard, key, entry)
                 kept += 1

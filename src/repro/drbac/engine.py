@@ -27,7 +27,7 @@ from ..obs import names as metric_names
 from .delegation import Delegation, issue
 from .incremental import IncrementalProofEngine
 from .model import Attributes, Role, Subject, parse_subject
-from .monitor import MonitorHub, ProofMonitor, RevocationDirectory
+from .monitor import ProofMonitor, RevocationDirectory
 from .proof import Proof, ProofEngine, SearchDirection
 from .query import Constraint
 from .repository import DistributedRepository
@@ -74,7 +74,6 @@ class DrbacEngine:
         self.repository = DistributedRepository()
         self.revocations = RevocationDirectory()
         self._verify_signatures = verify_signatures
-        self.monitor_hub = MonitorHub(self.revocations)
         self.search_work = 0
         """Deterministic cost counter: credential edges inspected by full
         proof searches issued through this engine (the full arm's
@@ -246,7 +245,7 @@ class DrbacEngine:
                 )
             )
         obs.counter(metric_names.AUTHORIZE_GRANTED).inc()
-        monitor = ProofMonitor(proof.all_delegations(), self.monitor_hub)
+        monitor = ProofMonitor(proof.all_delegations(), self.revocations)
         return AuthorizationResult(proof=proof, monitor=monitor)
 
     def is_a(

@@ -94,8 +94,8 @@ class IncrementalProofEngine:
     """Maintains reachability under deltas; answers simple-regime queries.
 
     Owned by a :class:`~repro.drbac.engine.DrbacEngine`; subscribes to
-    the repository's publish stream and (per indexed credential) to the
-    revocation authorities via the engine's :class:`MonitorHub`.  Expiry
+    the repository's publish stream and attaches a listener per indexed
+    credential to the engine's :class:`RevocationDirectory`.  Expiry
     is a function of the clock, not an event, so an expiry min-heap is
     drained against ``clock.now()`` at every query (:meth:`refresh`).
     """
@@ -192,8 +192,8 @@ class IncrementalProofEngine:
         """Drop every index and reach set (crash recovery).
 
         The durable layer republishes the recovered credential set
-        afterwards, which rebuilds the adjacency, expiry heap, hub
-        subscriptions, reachability, and dependents index from scratch —
+        afterwards, which rebuilds the adjacency, expiry heap, revocation
+        listeners, reachability, and dependents index from scratch —
         including re-entering the simple regime, which is decided by the
         *recovered* graph rather than remembered from the dead one.
         Delta listeners stay registered; ``work`` keeps accumulating so
@@ -251,7 +251,7 @@ class IncrementalProofEngine:
         self._out.setdefault(subject_key(delegation.subject), []).append(cred_id)
         if delegation.expires_at is not None:
             heapq.heappush(self._expiry, (delegation.expires_at, cred_id))
-        self._detach[cred_id] = self._engine.monitor_hub.attach(
+        self._detach[cred_id] = self._engine.revocations.attach(
             delegation, self._on_revoked
         )
         changed = self._expand(delegation)

@@ -11,12 +11,12 @@ makes node restart a real, lossy event:
 * :meth:`crash` stops applying updates and drops every volatile
   structure's claim to truth — the in-memory repository shards, the
   incremental engine's reachability and dependents indexes, the
-  ``MonitorHub`` subscription table, and the authorization cache are all
-  treated as lost;
+  revocation directory's revoked sets and listener table, and the
+  authorization cache are all treated as lost;
 * :meth:`restart` runs the recovery protocol: replay snapshot+WAL (a
   torn tail shortens the replay to a valid prefix), rebuild the
   incremental indexes by republishing the recovered credential set,
-  re-subscribe monitor callbacks, pull exactly the missed gap
+  re-attach revocation listeners, pull exactly the missed gap
   ``(last_durable_seqno, peer_seqno]`` from the feed, and conservatively
   evict every cache entry not provable from the recovered state.
 
@@ -200,7 +200,7 @@ class DurableNode:
                 _tags_from_wire(payload["tags"]),
             )
         elif kind == "revoke":
-            self.engine.revocations.authority(payload["home"]).revoke(payload["id"])
+            self.engine.revocations.revoke_id(payload["home"], payload["id"])
 
     def _snapshot_payload(self) -> dict:
         return {
@@ -256,7 +256,6 @@ class DurableNode:
 
         # Scrub every volatile structure in place (object identity is
         # shared with guards and views, so we reset rather than rebuild).
-        engine.monitor_hub.reset()
         engine.revocations.reset()
         engine.repository.reset_state()
         if incr is not None:
@@ -265,7 +264,7 @@ class DurableNode:
         # Revocations first: the incremental engine's publish gate then
         # skips dead credentials instead of folding and re-killing them.
         for home, cred_id in self._revoked:
-            engine.revocations.authority(home).revoke(cred_id)
+            engine.revocations.revoke_id(home, cred_id)
         for payload in self._creds.values():
             self._apply("publish", payload)
         obs.counter(metric_names.RECOVER_REPLAYED).inc(len(records))

@@ -5,7 +5,7 @@ delegation publishes, revocations, clock advances, and authorizations
 through **two arms** that share a single :class:`~repro.durable.node.UpdateFeed`
 and differ only in fate: the *crashy* arm's :class:`~repro.durable.node.DurableNode`
 is crashed several times mid-run — losing its repository shards,
-incremental indexes, monitor subscriptions, and cache to volatility —
+incremental indexes, revocation listeners, and cache to volatility —
 while the *control* arm never goes down.  While the crashy arm is dead,
 delegations keep publishing and revocations keep landing on the feed;
 each restart tears a seeded number of bytes off the WAL tail before the

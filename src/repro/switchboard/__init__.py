@@ -7,7 +7,6 @@ the contrast that motivates Switchboard.
 
 from .authorizer import (
     AcceptAllAuthorizer,
-    AuthorizationMonitor,
     AuthorizationSuite,
     Authorizer,
     RoleAuthorizer,
@@ -39,7 +38,6 @@ from .rpc import (
 
 __all__ = [
     "AcceptAllAuthorizer",
-    "AuthorizationMonitor",
     "AuthorizationSuite",
     "Authorizer",
     "ChannelState",

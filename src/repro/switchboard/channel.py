@@ -9,7 +9,8 @@ from abstractions like SSL/TLS".  The implementation:
   the sender's RSA key.  Each end checks the signature (proof of key
   possession), checks the name→key binding against its PKI directory, and
   runs its :class:`~repro.switchboard.authorizer.Authorizer` on the
-  partner's credentials, producing an ``AuthorizationMonitor``.
+  partner's credentials, producing a
+  :class:`~repro.drbac.monitor.ProofMonitor` over the partner's proof.
 * **Frames** — after the handshake every frame is encrypted and MACed with
   the DH session key; the per-direction sequence number rides as
   associated data, so replayed or reordered frames fail authentication or
@@ -35,6 +36,7 @@ from ..crypto.cipher import AuthenticatedCipher
 from ..crypto.dh import DiffieHellman
 from ..crypto.keys import PublicIdentity
 from ..drbac.delegation import Delegation
+from ..drbac.monitor import ProofMonitor
 from ..obs import names as metric_names
 from ..drbac.wire import (
     delegation_from_wire,
@@ -52,7 +54,7 @@ from ..errors import (
 )
 from ..faults.retry import RetryPolicy
 from ..net.transport import Transport
-from .authorizer import AuthorizationMonitor, AuthorizationSuite
+from .authorizer import AuthorizationSuite
 from .rpc import (
     CallTable,
     ObjectExporter,
@@ -115,7 +117,7 @@ class SwitchboardConnection:
         peer_node: str,
         peer_identity: PublicIdentity,
         cipher: AuthenticatedCipher,
-        monitor: AuthorizationMonitor,
+        monitor: ProofMonitor,
         exporter: ObjectExporter,
         *,
         is_initiator: bool,
@@ -145,7 +147,7 @@ class SwitchboardConnection:
         self._live_counted = True
         obs.counter(metric_names.SWB_CHANNELS_OPENED).inc()
         obs.gauge(metric_names.SWB_CHANNELS_LIVE).inc()
-        monitor.on_change(self._on_trust_change)
+        monitor.on_invalidated(self._on_trust_change)
 
     # -- calls -------------------------------------------------------------
 
@@ -416,7 +418,7 @@ class SwitchboardConnection:
         else:
             self.monitor.close()
             self.monitor = new_monitor
-            new_monitor.on_change(self._on_trust_change)
+            new_monitor.on_invalidated(self._on_trust_change)
             self.state = ChannelState.OPEN
             response["ok"] = True
         self._reply(inner, response)
@@ -595,7 +597,7 @@ class SwitchboardEndpoint:
 
     def _verify_peer(
         self, outer: dict, role: str, nonces: list[str], suite: AuthorizationSuite
-    ) -> tuple[PublicIdentity, int, AuthorizationMonitor]:
+    ) -> tuple[PublicIdentity, int, ProofMonitor]:
         """Check a greeting sent in ``role``: the claimed identity against
         the PKI directory, the signature over the transcript (proof of key
         possession), then the presented credentials against our

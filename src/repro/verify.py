@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from .faults.plan import FaultKind
+
 Gate = tuple[str, Callable[[Any], bool]]
 """(what must hold, predicate over a parsed JSON document)."""
 
@@ -62,10 +64,24 @@ def _stitched(trace: dict) -> bool:
     return any(chain <= names for names in names_by_trace.values())
 
 
+def _every_class_recovered(report: dict) -> bool:
+    """Each fault class the storm injected recovered at least once."""
+    injected = {
+        FaultKind(entry["kind"]).fault_class
+        for entry in report["injections"]
+        if entry["phase"] == "inject"
+    }
+    return all(report["recoveries"].get(cls, 0) >= 1 for cls in injected)
+
+
 _NO_DIVERGENCE: Gate = ("oracles agree", lambda r: r["divergence"] is None)
 
 SCENARIOS: tuple[Scenario, ...] = (
-    Scenario("chaos", "chaos --seed 7 --duration 5 --json"),
+    Scenario(
+        "chaos",
+        "chaos --seed 7 --duration 5 --json",
+        gates=(("every injected fault class recovered", _every_class_recovered),),
+    ),
     Scenario(
         "bench-load",
         "bench-load --seed 7 --clients 4 --requests 20 --json",

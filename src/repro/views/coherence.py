@@ -119,11 +119,6 @@ class CacheManager:
         self.properties = dict(properties or {})
         self.stats = CoherenceStats()
         self._depth = 0
-        self._dirty = False
-
-    def mark_dirty(self) -> None:
-        """Record that the view's local image diverged from the original."""
-        self._dirty = True
 
     def acquire_image(self) -> None:
         self._depth += 1
@@ -132,7 +127,14 @@ class CacheManager:
         self.stats.acquires += 1
         obs.counter(metric_names.COHERENCE_ACQUIRES).inc()
         if self.policy is CoherencePolicy.ON_DEMAND:
-            image = self.view.extractImageFromObj()
+            try:
+                image = self.view.extractImageFromObj()
+            except BaseException:
+                # Callers acquire outside their try/finally, so no release
+                # follows a failed pull: undo the acquire, or every later
+                # call would see a nested depth and skip its sync.
+                self._depth -= 1
+                raise
             if image:
                 self.view.mergeImageIntoView(image)
                 self.stats.images_pulled += 1
@@ -152,4 +154,3 @@ class CacheManager:
                 self.view.mergeImageIntoObj(image)
                 self.stats.images_pushed += 1
                 obs.counter(metric_names.COHERENCE_IMAGES_PUSHED).inc()
-                self._dirty = False

@@ -390,7 +390,6 @@ class Vig:
     def _ensure_coherence_methods(self, gen: _Generation) -> None:
         """Synthesize default image handlers when the spec omits them."""
         provided = set(gen.compiled)
-        fields = sorted(gen.replicated)
 
         def extractImageFromView(self):
             return {name: getattr(self, name) for name in self._replicated_fields}
@@ -418,7 +417,6 @@ class Vig:
             if name not in provided:
                 fn.__qualname__ = f"{gen.spec.name}.{name}"
                 gen.compiled[name] = fn
-        gen.replicated = set(fields) | gen.replicated
 
     # -- assembly ----------------------------------------------------------------------
 

@@ -174,12 +174,9 @@ class TestEvictionAtomicity:
 
 
 class TestWatchDedup:
-    """Regression for O(entries) callback accumulation: before the
-    MonitorHub, every cached entry (and every proof monitor) whose chain
-    crossed one hot credential registered its *own* callback at that
-    credential's home RevocationAuthority, so the subscriber list grew
-    with the cache.  The hub holds exactly one authority subscription per
-    credential id, however many dependents share it."""
+    """Regression for O(entries) callback accumulation: the cache attaches
+    one revocation listener per credential id, however many cached
+    entries share it; only each entry's proof monitor adds its own."""
 
     def test_hot_credential_registers_one_authority_callback(self, engine):
         hot = engine.delegate("Org", "Org.Mid", "Org.Goal")
@@ -188,14 +185,10 @@ class TestWatchDedup:
         cache = CachedAuthorizer(engine, max_entries=64, shards=1)
         for i in range(10):
             assert cache.is_authorized(f"u{i}", "Org.Goal")
-        # Ten entries (plus their proof monitors) all depend on `hot`,
-        # but the authority sees exactly one subscription for it.
-        authority = engine.revocations.authority("Org")
-        assert len(authority._subscribers[hot.credential_id]) == 1
-        # The hub fans that one subscription out to every local listener:
-        # 10 proof monitors, the cache's single per-credential watch, and
-        # the incremental engine's index maintenance.
-        assert engine.monitor_hub.listener_count(hot.credential_id) == 12
+        # Ten entries all depend on `hot`: 10 proof monitors, the cache's
+        # single per-credential watch, and the incremental engine's index
+        # maintenance listen for it.
+        assert engine.revocations.listener_count(hot.credential_id) == 12
 
     def test_one_revocation_evicts_every_dependent_entry(self, engine):
         hot = engine.delegate("Org", "Org.Mid", "Org.Goal")
@@ -208,7 +201,5 @@ class TestWatchDedup:
         engine.revoke(hot)
         assert cache.stats.invalidated == 10
         assert len(cache) == 0
-        # All dependents gone: the hub subscription was torn down too.
-        assert engine.monitor_hub.listener_count(hot.credential_id) == 0
-        authority = engine.revocations.authority("Org")
-        assert len(authority._subscribers[hot.credential_id]) == 0
+        # All dependents gone: every listener for it was detached too.
+        assert engine.revocations.listener_count(hot.credential_id) == 0

@@ -8,12 +8,7 @@ import pytest
 from repro.crypto import KeyStore
 from repro.drbac.delegation import issue
 from repro.drbac.model import EntityRef, Role
-from repro.drbac.monitor import (
-    MonitorHub,
-    ProofMonitor,
-    RevocationAuthority,
-    RevocationDirectory,
-)
+from repro.drbac.monitor import ProofMonitor, RevocationDirectory
 
 
 @pytest.fixture(scope="module")
@@ -25,42 +20,64 @@ def cred(store, issuer="A", subject="u", role="R", **kwargs):
     return issue(store.identity(issuer), EntityRef(subject), Role(issuer, role), **kwargs)
 
 
-class TestRevocationAuthority:
-    def test_revoke_and_query(self):
-        auth = RevocationAuthority("A")
-        auth.revoke("c-1")
-        assert auth.is_revoked("c-1")
-        assert not auth.is_revoked("c-2")
+class TestRevocationListeners:
+    def test_revoke_id_and_query(self, store):
+        directory = RevocationDirectory()
+        c = cred(store)
+        directory.revoke_id(c.home_entity, c.credential_id)
+        assert directory.is_revoked(c)
+        assert not directory.is_revoked(cred(store))
 
-    def test_subscribers_notified(self):
-        auth = RevocationAuthority("A")
+    def test_listeners_notified(self, store):
+        directory = RevocationDirectory()
+        c = cred(store)
         fired = []
-        auth.subscribe("c-1", fired.append)
-        auth.revoke("c-1")
-        assert fired == ["c-1"]
+        directory.attach(c, lambda cid: fired.append(("first", cid)))
+        directory.attach(c, lambda cid: fired.append(("second", cid)))
+        directory.revoke(c)
+        assert fired == [("first", c.credential_id), ("second", c.credential_id)]
 
-    def test_late_subscriber_notified_immediately(self):
-        auth = RevocationAuthority("A")
-        auth.revoke("c-1")
+    def test_late_attach_notified_immediately(self, store):
+        directory = RevocationDirectory()
+        c = cred(store)
+        directory.revoke(c)
         fired = []
-        auth.subscribe("c-1", fired.append)
-        assert fired == ["c-1"]
+        directory.attach(c, fired.append)
+        assert fired == [c.credential_id]
 
-    def test_double_revoke_notifies_once(self):
-        auth = RevocationAuthority("A")
+    def test_double_revoke_notifies_once(self, store):
+        directory = RevocationDirectory()
+        c = cred(store)
         fired = []
-        auth.subscribe("c-1", fired.append)
-        auth.revoke("c-1")
-        auth.revoke("c-1")
-        assert fired == ["c-1"]
+        directory.attach(c, fired.append)
+        directory.revoke(c)
+        directory.revoke(c)
+        assert fired == [c.credential_id]
 
-    def test_unsubscribe(self):
-        auth = RevocationAuthority("A")
+    def test_detach(self, store):
+        directory = RevocationDirectory()
+        c = cred(store)
         fired = []
-        cancel = auth.subscribe("c-1", fired.append)
-        cancel()
-        auth.revoke("c-1")
+        detach = directory.attach(c, fired.append)
+        assert directory.listener_count(c.credential_id) == 1
+        detach()
+        assert directory.listener_count(c.credential_id) == 0
+        assert directory.watched_credential_count() == 0
+        directory.revoke(c)
         assert fired == []
+
+    def test_pre_reset_detach_spares_post_reset_listener(self, store):
+        directory = RevocationDirectory()
+        c = cred(store)
+        stale = directory.attach(c, lambda cid: None)
+        directory.reset()
+        assert directory.watched_credential_count() == 0
+        fired = []
+        directory.attach(c, fired.append)
+        stale()  # held by a monitor from before the crash
+        assert directory.listener_count(c.credential_id) == 1
+        directory.revoke(c)
+        assert fired == [c.credential_id]
 
 
 class TestRevocationDirectory:
@@ -87,7 +104,7 @@ class TestProofMonitor:
     def test_valid_until_revocation(self, store):
         directory = RevocationDirectory()
         c = cred(store)
-        monitor = ProofMonitor([c], MonitorHub(directory))
+        monitor = ProofMonitor([c], directory)
         assert monitor.valid
         directory.revoke(c)
         assert not monitor.valid
@@ -96,7 +113,7 @@ class TestProofMonitor:
     def test_callback_fires_once(self, store):
         directory = RevocationDirectory()
         c1, c2 = cred(store), cred(store)
-        monitor = ProofMonitor([c1, c2], MonitorHub(directory))
+        monitor = ProofMonitor([c1, c2], directory)
         fired = []
         monitor.on_invalidated(fired.append)
         directory.revoke(c1)
@@ -106,7 +123,7 @@ class TestProofMonitor:
     def test_late_callback_gets_invalidation(self, store):
         directory = RevocationDirectory()
         c = cred(store)
-        monitor = ProofMonitor([c], MonitorHub(directory))
+        monitor = ProofMonitor([c], directory)
         directory.revoke(c)
         fired = []
         monitor.on_invalidated(fired.append)
@@ -115,14 +132,14 @@ class TestProofMonitor:
     def test_any_credential_in_proof_invalidates(self, store):
         directory = RevocationDirectory()
         creds = [cred(store, issuer=f"I{i}") for i in range(4)]
-        monitor = ProofMonitor(creds, MonitorHub(directory))
+        monitor = ProofMonitor(creds, directory)
         directory.revoke(creds[2])
         assert not monitor.valid
 
     def test_expiry_check(self, store):
         directory = RevocationDirectory()
         c = cred(store, expires_at=10.0)
-        monitor = ProofMonitor([c], MonitorHub(directory))
+        monitor = ProofMonitor([c], directory)
         assert monitor.check_expiry(5.0)
         assert not monitor.check_expiry(11.0)
         assert not monitor.valid
@@ -130,7 +147,7 @@ class TestProofMonitor:
     def test_closed_monitor_ignores_revocation(self, store):
         directory = RevocationDirectory()
         c = cred(store)
-        monitor = ProofMonitor([c], MonitorHub(directory))
+        monitor = ProofMonitor([c], directory)
         monitor.close()
         directory.revoke(c)
         assert monitor.valid  # detached before the event
@@ -138,5 +155,5 @@ class TestProofMonitor:
     def test_watched_credentials(self, store):
         directory = RevocationDirectory()
         creds = [cred(store), cred(store)]
-        monitor = ProofMonitor(creds, MonitorHub(directory))
+        monitor = ProofMonitor(creds, directory)
         assert monitor.watched_credentials == [c.credential_id for c in creds]

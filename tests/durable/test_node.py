@@ -227,14 +227,16 @@ class TestCacheRebuild:
         for i in range(6):
             feed.publish(world.sign("OrgA", f"user{i}", "OrgA.Reader"))
             world.holds(f"user{i}", "OrgA.Reader")
-        hub = world.engine.monitor_hub
+        revocations = world.engine.revocations
         for _ in range(3):
             world.node.crash()
             world.node.restart()
             for i in range(6):
                 assert world.holds(f"user{i}", "OrgA.Reader")
         self._watch_table_invariant(world.cache)
-        # Each credential has exactly one hub channel feeding cache watch,
-        # proof monitors, and incremental engine — recoveries must not
-        # stack duplicate subscriptions.
-        assert len(hub._channels) <= 6 + len(world.cache._watches)
+        # Each credential has exactly one listener-table row feeding cache
+        # watch, proof monitors, and incremental engine — recoveries must
+        # not stack rows for credentials nothing watches any more.
+        assert revocations.watched_credential_count() <= 6 + len(
+            world.cache._watches
+        )

@@ -1,4 +1,4 @@
-"""Authorizer / AuthorizationMonitor tests."""
+"""Authorizer tests: the monitors authorizers return."""
 
 from __future__ import annotations
 
@@ -17,12 +17,12 @@ class TestAcceptAll:
     def test_accepts_anyone(self, engine):
         monitor = AcceptAllAuthorizer().authorize(engine.public_identity("X"), [])
         assert monitor.valid
-        assert monitor.proof is None
+        assert monitor.watched_credentials == []
 
     def test_never_fires(self, engine):
         monitor = AcceptAllAuthorizer().authorize(engine.public_identity("X"), [])
         fired = []
-        monitor.on_change(fired.append)
+        monitor.on_invalidated(fired.append)
         assert fired == []
 
 
@@ -32,7 +32,7 @@ class TestRoleAuthorizer:
         authorizer = RoleAuthorizer(engine, "Comp.NY.Member")
         monitor = authorizer.authorize(engine.public_identity("Alice"), [])
         assert monitor.valid
-        assert monitor.proof is not None
+        assert monitor.watched_credentials
 
     def test_presented_credentials_merge_with_repository(self, engine):
         # Leaf credential only presented, mapping lives in the repository.
@@ -52,7 +52,7 @@ class TestRoleAuthorizer:
         authorizer = RoleAuthorizer(engine, "Comp.NY.Member")
         monitor = authorizer.authorize(engine.public_identity("Alice"), [])
         fired = []
-        monitor.on_change(fired.append)
+        monitor.on_invalidated(fired.append)
         engine.revoke(cred)
         assert fired == [cred.credential_id]
         assert not monitor.valid
@@ -64,22 +64,20 @@ class TestRoleAuthorizer:
         )
         engine.revoke(cred)
         fired = []
-        monitor.on_change(fired.append)
+        monitor.on_invalidated(fired.append)
         assert fired == [cred.credential_id]
 
     def test_monitors_share_one_authority_subscription(self, engine):
         cred = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member")
         authorizer = RoleAuthorizer(engine, "Comp.NY.Member")
         alice = engine.public_identity("Alice")
-        hub = engine.monitor_hub
-        before = hub.listener_count(cred.credential_id)
+        revocations = engine.revocations
+        before = revocations.listener_count(cred.credential_id)
         monitors = [authorizer.authorize(alice, []) for _ in range(3)]
-        authority = engine.revocations.authority(cred.home_entity)
-        assert hub.listener_count(cred.credential_id) == before + 3
-        assert len(authority._subscribers[cred.credential_id]) == 1
+        assert revocations.listener_count(cred.credential_id) == before + 3
         for monitor in monitors:
             monitor.close()
-        assert hub.listener_count(cred.credential_id) == before
+        assert revocations.listener_count(cred.credential_id) == before
 
     def test_required_attributes(self, engine):
         from repro.drbac.model import AttrSet

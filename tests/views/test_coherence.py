@@ -123,6 +123,31 @@ class TestReentrancy:
             manager.release_image()
 
 
+class TestFailedPull:
+    def test_failed_pull_does_not_freeze_coherence(self, pair):
+        origin, view = pair
+        pull = view.extractImageFromObj
+        failures = [TimeoutError("origin unreachable")]
+
+        def flaky_pull():
+            if failures:
+                raise failures.pop()
+            return pull()
+
+        view.extractImageFromObj = flaky_pull
+        manager = CacheManager(view, policy=CoherencePolicy.ON_DEMAND)
+        with pytest.raises(TimeoutError):
+            manager.acquire_image()
+        assert manager._depth == 0
+        manager.acquire_image()
+        view.state["x"] = 42
+        manager.release_image()
+        assert view.pulls == 1
+        assert view.pushes == 1
+        assert origin.x == 42
+        assert manager._depth == 0
+
+
 class TestStats:
     def test_counters(self, pair):
         _, view = pair
