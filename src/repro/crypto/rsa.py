@@ -6,12 +6,21 @@ full-domain-style padding (a simplified PKCS#1 v1.5 layout).  It is
 simulation-grade crypto as documented in DESIGN.md — not hardened against
 side channels — but the algebra is real: signatures cannot be forged or
 transplanted without the private key.
+
+Signing uses the Chinese Remainder Theorem: two half-size exponentiations,
+``m^dP mod p`` and ``m^dQ mod q``, joined by Garner's recombination, about
+3x cheaper than one ``m^d mod n``.  Every signature is checked with the
+public exponent before it leaves :meth:`RsaPrivateKey.sign`, so a corrupted
+CRT parameter raises instead of emitting a wrong signature (the
+Boneh-DeMillo-Lipton fault, which would reveal a factor of ``n``).  The
+padding is deterministic, so a CRT signature is byte-identical to the
+textbook ``m^d mod n`` one.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import CryptoError, SignatureError
 from .numtheory import bytes_to_int, generate_distinct_primes, int_to_bytes, modinv
@@ -63,11 +72,20 @@ class RsaPublicKey:
 
 @dataclass(frozen=True, slots=True)
 class RsaPrivateKey:
-    """RSA private key; carries its public half for convenience."""
+    """RSA private key in CRT form; carries its public half for convenience.
+
+    ``dp = d mod (p-1)``, ``dq = d mod (q-1)`` and ``qinv = q^-1 mod p``.
+    The secret fields stay out of ``repr`` so a logged key or identity does
+    not print its factors.
+    """
 
     n: int
     e: int
-    d: int
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    dp: int = field(repr=False)
+    dq: int = field(repr=False)
+    qinv: int = field(repr=False)
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -78,12 +96,20 @@ class RsaPrivateKey:
         return (self.n.bit_length() + 7) // 8
 
     def sign(self, message: bytes) -> bytes:
-        """Produce a deterministic hash-then-sign RSA signature."""
+        """Produce a deterministic hash-then-sign RSA signature.
+
+        Raises :class:`CryptoError` if the CRT result fails the
+        public-exponent check, i.e. a key parameter is corrupt.
+        """
         em = _encode_digest(message, self.byte_length)
         m = bytes_to_int(em)
         if m >= self.n:  # pragma: no cover - padding guarantees m < n
             raise CryptoError("encoded message does not fit the modulus")
-        s = pow(m, self.d, self.n)
+        s_p = pow(m % self.p, self.dp, self.p)
+        s_q = pow(m % self.q, self.dq, self.q)
+        s = s_q + self.q * (self.qinv * (s_p - s_q) % self.p)
+        if pow(s, self.e, self.n) != m:
+            raise CryptoError("RSA-CRT signature failed the public-exponent check")
         return s.to_bytes(self.byte_length, "big")
 
 
@@ -97,6 +123,24 @@ def _encode_digest(message: bytes, em_len: int) -> bytes:
     return b"\x00\x01" + b"\xff" * ps_len + b"\x00" + t
 
 
+def _private_key(p: int, q: int) -> RsaPrivateKey:
+    """The CRT private key over distinct primes ``p`` and ``q``.
+
+    Raises:
+        ValueError: if the public exponent is not invertible mod phi(n).
+    """
+    d = modinv(_PUBLIC_EXPONENT, (p - 1) * (q - 1))
+    return RsaPrivateKey(
+        n=p * q,
+        e=_PUBLIC_EXPONENT,
+        p=p,
+        q=q,
+        dp=d % (p - 1),
+        dq=d % (q - 1),
+        qinv=modinv(q, p),
+    )
+
+
 def generate_keypair(bits: int = DEFAULT_KEY_BITS) -> RsaPrivateKey:
     """Generate a fresh RSA keypair with an n of roughly ``bits`` bits."""
     if bits < 512:
@@ -104,10 +148,7 @@ def generate_keypair(bits: int = DEFAULT_KEY_BITS) -> RsaPrivateKey:
     half = bits // 2
     while True:
         p, q = generate_distinct_primes(half)
-        n = p * q
-        phi = (p - 1) * (q - 1)
         try:
-            d = modinv(_PUBLIC_EXPONENT, phi)
+            return _private_key(p, q)
         except ValueError:
             continue  # gcd(e, phi) != 1 — regenerate
-        return RsaPrivateKey(n=n, e=_PUBLIC_EXPONENT, d=d)

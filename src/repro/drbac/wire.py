@@ -97,7 +97,7 @@ def delegation_from_wire(data: dict[str, Any]) -> Delegation:
             credential_id=data["id"],
             signature=bytes.fromhex(data["signature"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise CredentialError(f"malformed credential on the wire: {exc}") from exc
 
 
@@ -111,9 +111,10 @@ def public_identity_to_wire(identity: PublicIdentity) -> dict[str, Any]:
 
 def public_identity_from_wire(data: dict[str, Any]) -> PublicIdentity:
     try:
-        return PublicIdentity(
-            name=data["name"],
-            public_key=RsaPublicKey(n=int(data["n"], 16), e=int(data["e"])),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        name = data["name"]
+        public_key = RsaPublicKey(n=int(data["n"], 16), e=int(data["e"]))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise CredentialError(f"malformed identity on the wire: {exc}") from exc
+    if not isinstance(name, str):
+        raise CredentialError(f"malformed identity on the wire: name {name!r}")
+    return PublicIdentity(name=name, public_key=public_key)

@@ -11,6 +11,8 @@ from abstractions like SSL/TLS".  The implementation:
   runs its :class:`~repro.switchboard.authorizer.Authorizer` on the
   partner's credentials, producing a
   :class:`~repro.drbac.monitor.ProofMonitor` over the partner's proof.
+  A malformed or hostile greeting ends as a typed reject (HELLO) or a
+  failed dial (WELCOME); no error escapes frame delivery.
 * **Frames** — after the handshake every frame is encrypted and MACed with
   the DH session key; the per-direction sequence number rides as
   associated data, so replayed or reordered frames fail authentication or
@@ -49,6 +51,7 @@ from ..errors import (
     CipherError,
     HandshakeError,
     NetworkError,
+    ReproError,
     RpcAbortedError,
     SwitchboardError,
 )
@@ -91,6 +94,20 @@ class ChannelRevoked(SwitchboardError):
 
 def _handshake_bytes(conn_id: str, role: str, dh_public: int, nonces: list[str]) -> bytes:
     return f"swb-hs|{conn_id}|{role}|{dh_public:x}|{'|'.join(nonces)}".encode()
+
+
+_GREETING_ERRORS = (ReproError, KeyError, TypeError, ValueError)
+"""What checking a greeting from the wire can raise: a typed failure of the
+decoders, the PKI, key agreement or the authorizer, or the lookup and type
+errors of a frame whose fields are missing or mistyped.  Either end turns
+each into a refused handshake, never an exception out of frame delivery."""
+
+
+def _named_conn_id(outer: dict) -> str:
+    """The frame's ``conn_id``, or ``""`` (which names no connection) when
+    it is missing or not a string."""
+    conn_id = outer.get("conn_id")
+    return conn_id if isinstance(conn_id, str) else ""
 
 
 @dataclass
@@ -596,23 +613,36 @@ class SwitchboardEndpoint:
         )
 
     def _verify_peer(
-        self, outer: dict, role: str, nonces: list[str], suite: AuthorizationSuite
-    ) -> tuple[PublicIdentity, int, ProofMonitor]:
-        """Check a greeting sent in ``role``: the claimed identity against
-        the PKI directory, the signature over the transcript (proof of key
-        possession), then the presented credentials against our
-        authorizer.  Raises on any failure; returns the peer's identity,
-        DH value and the monitor now watching its proof."""
+        self,
+        outer: dict,
+        sender: str,
+        role: str,
+        nonces: list[str],
+        suite: AuthorizationSuite,
+        dh: DiffieHellman,
+    ) -> tuple[PublicIdentity, bytes, ProofMonitor]:
+        """Check a greeting node ``sender`` sent in ``role``: its addressing,
+        the claimed identity against the PKI directory, the signature over
+        the transcript (proof of key possession), key agreement with our
+        ``dh``, then the presented credentials against our authorizer.
+        Raises one of :data:`_GREETING_ERRORS` on any failure; returns the
+        peer's identity, the session key and the monitor now watching its
+        proof.  Authorization comes last, so a failure leaves no monitor
+        behind."""
+        conn_id = outer["conn_id"]
+        if not isinstance(conn_id, str) or outer["reply_to"] != sender:
+            raise HandshakeError(f"{role} greeting misaddressed")
         identity = public_identity_from_wire(outer["identity"])
         expected = None if self.directory is None else self.directory(identity.name)
         if expected is not None and expected.public_key != identity.public_key:
             raise HandshakeError(f"identity binding mismatch for {identity.name!r}")
         peer_dh = int(outer["dh"], 16)
-        transcript = _handshake_bytes(outer["conn_id"], role, peer_dh, nonces)
+        transcript = _handshake_bytes(conn_id, role, peer_dh, nonces)
         if not identity.verify(transcript, bytes.fromhex(outer["sig"])):
             raise HandshakeError(f"{role} signature invalid")
+        session_key = dh.compute_shared(peer_dh)
         credentials = [delegation_from_wire(c) for c in outer["credentials"]]
-        return identity, peer_dh, suite.authorizer.authorize(identity, credentials)
+        return identity, session_key, suite.authorizer.authorize(identity, credentials)
 
     # -- frame handling -----------------------------------------------------------
 
@@ -626,48 +656,51 @@ class SwitchboardEndpoint:
         elif kind == "reject":
             self._on_reject(outer)
         elif kind == "data":
-            conn = self._connections.get(outer.get("conn_id", ""))
+            conn = self._connections.get(_named_conn_id(outer))
             if conn is not None:
                 conn._receive(outer)
         else:
             raise SwitchboardError(f"unknown switchboard frame {kind!r}")
 
     def _on_hello(self, outer: dict, sender: str) -> None:
-        conn_id = outer["conn_id"]
-
         def reject(reason: str) -> None:
             obs.counter(metric_names.SWB_HANDSHAKES_REJECTED).inc()
             try:
                 self.transport.send(
                     self.node_name,
-                    outer["reply_to"],
+                    sender,
                     SWITCHBOARD_SERVICE,
                     encode_frame(
-                        {"type": "reject", "conn_id": conn_id, "reason": reason}
+                        {
+                            "type": "reject",
+                            "conn_id": outer.get("conn_id"),
+                            "reason": reason,
+                        }
                     ),
                 )
             except NetworkError:
                 pass  # initiator unreachable; its dial simply never resolves
 
-        suite = self._listeners.get(outer.get("service", ""))
+        service = outer.get("service")
+        suite = self._listeners.get(service) if isinstance(service, str) else None
         if suite is None:
-            reject(f"no such service {outer.get('service')!r}")
+            reject(f"no such service {service!r}")
             return
+        dh = DiffieHellman()
         try:
-            peer_identity, peer_dh, monitor = self._verify_peer(
-                outer, "initiator", [outer["nonce"]], suite
+            peer_identity, session_key, monitor = self._verify_peer(
+                outer, sender, "initiator", [outer["nonce"]], suite, dh
             )
-        except (SwitchboardError, ValueError, KeyError) as exc:
+        except _GREETING_ERRORS as exc:
             reject(str(exc))
             return
 
-        dh = DiffieHellman()
-        session_key = dh.compute_shared(peer_dh)
+        conn_id = outer["conn_id"]
         nonce = secrets.token_hex(16)
         connection = SwitchboardConnection(
             endpoint=self,
             conn_id=conn_id,
-            peer_node=outer["reply_to"],
+            peer_node=sender,
             peer_identity=peer_identity,
             cipher=AuthenticatedCipher(session_key),
             monitor=monitor,
@@ -681,8 +714,7 @@ class SwitchboardEndpoint:
         echo = {"client_nonce": outer["nonce"]}
         try:
             self._greet(
-                outer["reply_to"], head, echo, "responder", suite, dh,
-                [outer["nonce"], nonce],
+                sender, head, echo, "responder", suite, dh, [outer["nonce"], nonce]
             )
         except NetworkError:
             # The initiator became unreachable mid-handshake; discard the
@@ -690,38 +722,40 @@ class SwitchboardEndpoint:
             connection._teardown(ChannelState.DEAD)
 
     def _on_welcome(self, outer: dict, sender: str) -> None:
-        dial = self._dials.pop(outer.get("conn_id", ""), None)
+        conn_id = _named_conn_id(outer)
+        dial = self._dials.pop(conn_id, None)
         if dial is None:
             return
         try:
             if outer.get("client_nonce") != dial.nonce:
                 raise HandshakeError("responder echoed wrong nonce")
-            peer_identity, peer_dh, monitor = self._verify_peer(
-                outer, "responder", [dial.nonce, outer["nonce"]], dial.suite
+            peer_identity, session_key, monitor = self._verify_peer(
+                outer, sender, "responder", [dial.nonce, outer["nonce"]],
+                dial.suite, dial.dh,
             )
-            session_key = dial.dh.compute_shared(peer_dh)
-        except (SwitchboardError, ValueError, KeyError) as exc:
+        except _GREETING_ERRORS as exc:
             dial.fail(str(exc))
-            self._conn_suites.pop(outer.get("conn_id", ""), None)
+            self._conn_suites.pop(conn_id, None)
             return
         connection = SwitchboardConnection(
             endpoint=self,
-            conn_id=outer["conn_id"],
-            peer_node=outer["reply_to"],
+            conn_id=conn_id,
+            peer_node=sender,
             peer_identity=peer_identity,
             cipher=AuthenticatedCipher(session_key),
             monitor=monitor,
             exporter=self.exporter,
             is_initiator=True,
         )
-        self._connections[outer["conn_id"]] = connection
+        self._connections[conn_id] = connection
         dial.resolve(connection)
 
     def _on_reject(self, outer: dict) -> None:
-        dial = self._dials.pop(outer.get("conn_id", ""), None)
+        conn_id = _named_conn_id(outer)
+        dial = self._dials.pop(conn_id, None)
         if dial is not None:
             dial.fail(outer.get("reason", "rejected"))
-            self._conn_suites.pop(outer.get("conn_id", ""), None)
+            self._conn_suites.pop(conn_id, None)
 
 
 @dataclass

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import time
 
 import pytest
 from hypothesis import given
@@ -12,6 +11,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.cipher import AuthenticatedCipher, _derive_keys, _open, _seal
 from repro.errors import CipherError
+
+from .timing import best_of
 
 KEY = b"k" * 32
 ENC_KEY, MAC_KEY = _derive_keys(KEY)
@@ -182,20 +183,11 @@ class TestConfidentiality:
         assert c1.decrypt(c2.encrypt(b"cross")) == b"cross"
 
 
-def _best_of(repeats: int, fn) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_bulk_cost_stays_within_a_small_multiple_of_one_hmac(cipher):
     # Relative guard, no absolute times: a per-byte Python loop is 60-150x one
     # HMAC pass over the same 16 KiB; the constant-C-call construction 6-14x
     # (the high end where SHA-256 has hardware support and Keccak does not).
     data = _pattern(16 * 1024)
-    one_hmac = _best_of(5, lambda: hmac.new(KEY, data, hashlib.sha256).digest())
-    round_trip = _best_of(5, lambda: cipher.decrypt(cipher.encrypt(data)))
+    one_hmac = best_of(5, lambda: hmac.new(KEY, data, hashlib.sha256).digest())
+    round_trip = best_of(5, lambda: cipher.decrypt(cipher.encrypt(data)))
     assert round_trip <= 40 * one_hmac

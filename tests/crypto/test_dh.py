@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import secrets
 
-from repro.crypto.dh import MODP_2048_PRIME, DiffieHellman
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.crypto.dh import (
+    MODP_2048_GENERATOR,
+    MODP_2048_PRIME,
+    DiffieHellman,
+    _fixed_base_pow,
+)
 from repro.errors import KeyExchangeError
+
+from .timing import best_of
+
+GROUPS = [(MODP_2048_GENERATOR, MODP_2048_PRIME), (5, 23)]
 
 
 class TestAgreement:
@@ -74,3 +87,31 @@ class TestKnownAnswers:
             assert alice.compute_shared(bob.public_value) == bob.compute_shared(
                 alice.public_value
             )
+
+
+class TestFixedBase:
+    @pytest.mark.parametrize("generator, prime", GROUPS, ids=["modp-2048", "p23-g5"])
+    def test_equals_pow_at_every_bit_length(self, generator, prime):
+        exponents = [0, 1] + [(1 << bits) - 1 for bits in range(1, 301)]
+        exponents += [1 << (bits - 1) for bits in range(1, 301)]
+        for x in exponents:
+            assert _fixed_base_pow(generator, x, prime) == pow(generator, x, prime), x
+
+    @given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+    def test_equals_pow_for_any_exponent(self, x):
+        for generator, prime in GROUPS:
+            assert _fixed_base_pow(generator, x, prime) == pow(generator, x, prime)
+
+    def test_public_value_is_generator_power(self):
+        dh = DiffieHellman()
+        assert dh.public_value == pow(MODP_2048_GENERATOR, dh._private, MODP_2048_PRIME)
+
+
+def test_key_pair_beats_square_and_multiply():
+    # Relative guard, no absolute times: the table lookup costs about 0.3x
+    # one pow over a 256-bit exponent, the table itself built beforehand.
+    x = secrets.randbits(256) | (1 << 255)
+    DiffieHellman()
+    table = best_of(5, DiffieHellman, calls=20)
+    plain = best_of(5, lambda: pow(MODP_2048_GENERATOR, x, MODP_2048_PRIME), calls=20)
+    assert table <= 0.6 * plain

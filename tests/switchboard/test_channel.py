@@ -6,11 +6,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.crypto import KeyStore
 from repro.drbac import DrbacEngine, EntityRef, Role
 from repro.errors import ChannelClosedError, HandshakeError
 from repro.net import EventScheduler, Network, Transport
+from repro.obs import names as metric_names
 from repro.switchboard import (
     AcceptAllAuthorizer,
     AuthorizationSuite,
@@ -18,6 +22,7 @@ from repro.switchboard import (
     RoleAuthorizer,
     SwitchboardEndpoint,
 )
+from repro.switchboard.channel import _handshake_bytes
 
 
 class MailBoxService:
@@ -32,8 +37,7 @@ class MailBoxService:
         return len(self.notes)
 
 
-@pytest.fixture()
-def world(key_store: KeyStore):
+def _make_world(key_store: KeyStore):
     engine = DrbacEngine(key_store=key_store)
     net = Network()
     net.add_node("cnode")
@@ -49,6 +53,11 @@ def world(key_store: KeyStore):
     service = MailBoxService()
     server_ep.export("mail", service)
     return engine, transport, client_ep, server_ep, service
+
+
+@pytest.fixture()
+def world(key_store: KeyStore):
+    return _make_world(key_store)
 
 
 def _suite(engine, name, credentials=(), authorizer=None):
@@ -304,3 +313,167 @@ class TestContinuousAuthorization:
         assert not server_conn.monitor.valid
         assert service.notes == []
 
+
+def _rewrite_greetings(transport, kind, rewrite):
+    """Let ``rewrite(frame)`` edit every ``kind`` greeting in place on its
+    way onto the wire, as a hostile peer would send it."""
+    send = transport.send
+
+    def rewriting_send(src, dst, service, payload, **kwargs):
+        frame = json.loads(payload)
+        if frame.get("type") == kind:
+            rewrite(frame)
+            payload = json.dumps(frame).encode()
+        return send(src, dst, service, payload, **kwargs)
+
+    transport.send = rewriting_send
+
+
+def _signed_dh_of_one(frame, signer, role):
+    # A degenerate DH value under a valid signature: only key agreement
+    # can refuse it.
+    nonces = [frame["nonce"]] if role == "initiator" else [frame["client_nonce"], frame["nonce"]]
+    frame["dh"] = "1"
+    frame["sig"] = signer.sign(_handshake_bytes(frame["conn_id"], role, 1, nonces)).hex()
+
+
+def _identity_without_n(frame, signer, role):
+    del frame["identity"]["n"]
+
+
+def _garbage_credential(frame, signer, role):
+    frame["credentials"].append({"junk": True})
+
+
+def _non_string_sig(frame, signer, role):
+    frame["sig"] = 7
+
+
+HOSTILE_GREETINGS = {
+    "signed-dh-of-one": _signed_dh_of_one,
+    "identity-without-n": _identity_without_n,
+    "garbage-credential": _garbage_credential,
+    "non-string-sig": _non_string_sig,
+}
+
+
+class TestHostileHandshakes:
+    """A malformed or hostile greeting ends as a typed reject (HELLO) or a
+    failed dial (WELCOME); nothing escapes frame delivery."""
+
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_GREETINGS))
+    def test_hostile_hello_is_rejected(self, world, shape):
+        engine, transport, client_ep, server_ep, _ = world
+        server_ep.listen("mail", _suite(engine, "MailService"))
+        alice = engine.identity("Alice")
+        _rewrite_greetings(
+            transport, "hello", lambda f: HOSTILE_GREETINGS[shape](f, alice, "initiator")
+        )
+        with obs.scoped(enabled=True) as registry:
+            pending = client_ep.connect("snode", "mail", _suite(engine, "Alice"))
+            transport.scheduler.run_until(1.0)
+        assert registry.counter_value(metric_names.SWB_HANDSHAKES_REJECTED) == 1
+        assert server_ep.connections() == []
+        with pytest.raises(HandshakeError):
+            pending.connection
+
+    @pytest.mark.parametrize("shape", sorted(HOSTILE_GREETINGS))
+    def test_hostile_welcome_fails_the_dial(self, world, shape):
+        engine, transport, client_ep, server_ep, _ = world
+        server_ep.listen("mail", _suite(engine, "MailService"))
+        service = engine.identity("MailService")
+        _rewrite_greetings(
+            transport, "welcome", lambda f: HOSTILE_GREETINGS[shape](f, service, "responder")
+        )
+        pending = client_ep.connect("snode", "mail", _suite(engine, "Alice"))
+        transport.scheduler.run_until(1.0)
+        assert client_ep.connections() == []
+        with pytest.raises(HandshakeError):
+            pending.connection
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.text("0123456789abcdef", min_size=1, max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_DROPPED = object()
+
+_CREDENTIAL_KEYS = (
+    "subject", "role", "issuer", "type", "attributes", "expires_at",
+    "requires_monitoring", "home", "id", "signature",
+)
+_GREETING_PATHS = {
+    kind: [(key,) for key in keys]
+    + [("identity", key) for key in ("name", "n", "e")]
+    + [("credentials", 0, key) for key in _CREDENTIAL_KEYS]
+    for kind, keys in {
+        # ``type`` is left alone: it picks the handler, not a greeting field.
+        "hello": ("conn_id", "service", "reply_to", "identity", "dh", "nonce",
+                  "credentials", "sig"),
+        "welcome": ("conn_id", "reply_to", "identity", "dh", "client_nonce",
+                    "nonce", "credentials", "sig"),
+    }.items()
+}
+
+
+def _replace(frame, path, value):
+    parent = frame
+    for step in path[:-1]:
+        parent = parent[step]
+    # The path must name a field the greeting has.
+    assert path[-1] in (parent if isinstance(parent, dict) else range(len(parent)))
+    if value is _DROPPED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_GREETING_PATHS)),
+    data=st.data(),
+)
+def test_mutated_greeting_is_rejected_or_opens(key_store, kind, data):
+    path = data.draw(st.sampled_from(_GREETING_PATHS[kind]), label="path")
+    value = data.draw(st.just(_DROPPED) | _JSON, label="value")
+    engine, transport, client_ep, server_ep, _ = _make_world(key_store)
+    server_ep.listen(
+        "mail",
+        _suite(
+            engine, "MailService",
+            [engine.delegate("Comp.NY", "MailService", "Comp.NY.Server")],
+            authorizer=RoleAuthorizer(engine, "Comp.NY.Member"),
+        ),
+    )
+    _rewrite_greetings(transport, kind, lambda frame: _replace(frame, path, value))
+    member = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member")
+    with obs.scoped(enabled=True) as registry:
+        pending = client_ep.connect("snode", "mail", _suite(engine, "Alice", [member]))
+        transport.scheduler.run_until(5.0)  # never raises out of a handler
+        rejected = registry.counter_value(metric_names.SWB_HANDSHAKES_REJECTED)
+
+    served = server_ep.connections()
+    if kind == "hello":
+        # The responder either rejected the greeting or opened on it.
+        assert (rejected, len(served)) in ((1, 0), (0, 1))
+    else:
+        assert (rejected, len(served)) == (0, 1)
+    assert all(conn.state is ChannelState.OPEN for conn in served)
+    if not pending.done:
+        # Only a greeting that no longer names the dial goes unanswered.
+        assert path == ("conn_id",)
+        return
+    try:
+        connection = pending.connection
+    except HandshakeError:
+        assert client_ep.connections() == []
+    else:
+        assert connection.state is ChannelState.OPEN
+        assert served and served[0].conn_id == connection.conn_id
