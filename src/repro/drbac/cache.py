@@ -22,18 +22,17 @@ is re-checked per hit).
 upgraded by a *new* credential, never by a revocation or by time passing.
 When the engine's :class:`~repro.drbac.incremental.IncrementalProofEngine`
 covers the query, a cached denial is *delta-keyed*: it survives unrelated
-publishes and is dropped precisely when a publish delta reports that its
-principal newly reached its role.  Outside that regime (attribute
-constraints, non-simple graphs, ``incremental=False`` engines) the denial
-falls back to version keying — valid exactly while the repository's
-publish version is unchanged.
+publishes and is dropped precisely when a publish record newly reaches
+its principal/role (the incremental engine says which).  Outside that
+regime (attribute constraints, non-simple graphs, ``incremental=False``
+engines) the denial falls back to version keying — valid exactly while
+the repository's publish version is unchanged.
 
 **Precise invalidation**: every positive entry records the credential ids
-its proof traversed, indexed in a per-credential watch table — the cache
-attaches *one* listener per distinct credential to the engine's
-:class:`~repro.drbac.monitor.RevocationDirectory` no matter how many
-entries share it, and a revocation (or an expiry delta) evicts only the
-dependent entries instead of sweeping the cache.
+its proof traversed, indexed in a per-credential watch table.  The table
+is the last fold of the engine's :class:`~repro.drbac.log.CredentialLog`:
+a revoke or expire record evicts exactly the dependent entries instead
+of sweeping the cache, before any proof monitor hears the revocation.
 
 This is the middle ground between the paper's two poles (per-call proof
 search vs authorize-once views); ``benchmarks/bench_sso_overhead.py``
@@ -45,15 +44,15 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .. import obs
 from ..errors import AuthorizationError
 from ..obs import names as metric_names
 from .delegation import Delegation
 from .engine import AuthorizationResult, DrbacEngine
+from .log import LogRecord
 from .model import Attributes, Role, Subject
-from .monitor import ProofMonitor
 
 
 @dataclass(slots=True)
@@ -86,19 +85,9 @@ class _Entry:
     repo_version: int = -1
     """Repository publish version a negative entry was computed at."""
     delta_keyed: bool = False
-    """Negative entry invalidated by publish deltas instead of version."""
+    """Negative entry invalidated by publish records instead of version."""
     cred_ids: tuple[str, ...] = ()
     """Exact credentials a positive entry's proof traversed (watch keys)."""
-
-
-class _Watch:
-    """Per-credential watch: one revocation listener, many dependents."""
-
-    __slots__ = ("entries", "detach")
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple, tuple["_Shard", _Entry]] = {}
-        self.detach: Callable[[], None] = lambda: None
 
 
 class _Shard:
@@ -141,9 +130,9 @@ class CachedAuthorizer:
         self.stats = CacheStats()
         self._shards = [_Shard() for _ in range(self.shards)]
         self._per_shard = max_entries // self.shards
-        self._watches: dict[str, _Watch] = {}
-        if engine.incremental is not None:
-            engine.incremental.on_delta(self._on_delta)
+        # credential id -> the entries whose proofs traversed it
+        self._watches: dict[str, dict[tuple, tuple[_Shard, _Entry]]] = {}
+        engine.log.subscribe(self._fold, since=engine.log.seqno)
 
     # -- keying --------------------------------------------------------------
 
@@ -265,7 +254,7 @@ class CachedAuthorizer:
         """Return the cached decision if still sound, else drop it."""
         if entry.result is None:
             # Negative entry: a delta-keyed denial is evicted precisely by
-            # the publish delta that upgrades it, so it is sound until
+            # the publish record that upgrades it, so it is sound until
             # then; a version-keyed one is sound while nothing new has
             # been published at all.
             if entry.delta_keyed or entry.repo_version == self.engine.repository.version:
@@ -311,21 +300,24 @@ class CachedAuthorizer:
         shard.entries[key] = entry
         self._sync_gauge()
 
-    def _remove(self, shard: _Shard, key: tuple, entry: _Entry, *, why: str) -> None:
-        """Drop one entry and account for it — the only removal path."""
+    def _remove(
+        self, shard: _Shard, key: tuple, entry: _Entry, *, why: str, close: bool = True
+    ) -> None:
+        """Drop one entry and account for it — the only removal path.
+        ``close=False`` (a revocation) leaves the proof monitor to fire for
+        whoever holds the result; a fired monitor detaches itself."""
         current = shard.entries.get(key)
         if current is not entry:
             return  # already removed (eager invalidation raced a lookup)
         del shard.entries[key]
-        if entry.result is not None:
+        if entry.result is not None and close:
             entry.result.close()
         for cred_id in entry.cred_ids:
             watch = self._watches.get(cred_id)
             if watch is None:
                 continue
-            watch.entries.pop(key, None)
-            if not watch.entries:
-                watch.detach()
+            watch.pop(key, None)
+            if not watch:
                 del self._watches[cred_id]
         if why == "evicted":
             self.stats.evicted += 1
@@ -338,67 +330,48 @@ class CachedAuthorizer:
     def _watch(self, shard: _Shard, key: tuple, entry: _Entry) -> None:
         """Register the entry under each credential its proof traversed.
 
-        One :class:`_Watch` (and thus one revocation listener) exists per
-        distinct credential id however many entries depend on it.
-        Storm-safe like the old per-entry callbacks: a revocation fires
-        synchronously and evicts exactly the dependent entries — the
-        entries gauge tracks reality *during* the storm, and no stale
-        grant can be observed even before its next lookup.
+        Storm-safe: a revoke or expire record evicts exactly the dependent
+        entries as it is folded — the entries gauge tracks reality
+        *during* the storm, and no stale grant can be observed even
+        before its next lookup.
         """
-        assert entry.result is not None
-        for delegation in entry.result.proof.all_delegations():
-            cred_id = delegation.credential_id
-            watch = self._watches.get(cred_id)
-            if watch is None:
-                watch = _Watch()
-                watch.detach = self.engine.revocations.attach(
-                    delegation,
-                    self._on_credential_dead,
+        for cred_id in entry.cred_ids:
+            self._watches.setdefault(cred_id, {})[key] = (shard, entry)
+
+    def _fold(self, record: LogRecord) -> None:
+        """Precise invalidation: a revoke or expire record evicts the grants
+        whose proofs used the credential; a publish record drops the
+        delta-keyed denials it newly reached (all of them once the graph
+        left the simple regime)."""
+        if record.kind != "publish":
+            watch = self._watches.get(record.credential_id, {})
+            for key, (shard, entry) in list(watch.items()):
+                self._remove(
+                    shard, key, entry, why="invalidated",
+                    close=record.kind != "revoke",
                 )
-                self._watches[cred_id] = watch
-            watch.entries[key] = (shard, entry)
-
-    def _on_credential_dead(self, credential_id: str) -> None:
-        """Evict every entry whose proof used the dead credential."""
-        watch = self._watches.get(credential_id)
-        if watch is None:
             return
-        for key, (shard, entry) in list(watch.entries.items()):
-            self._remove(shard, key, entry, why="invalidated")
-
-    def _on_delta(self, delta) -> None:
-        """Precise invalidation from the incremental engine's stream.
-
-        Publish deltas name exactly the (principal, role) pairs whose
-        denial just became stale; the conservative form (``principals is
-        None``, emitted when the graph leaves the simple regime) drops
-        every delta-keyed denial at once.  Expiry deltas evict dependent
-        grants eagerly — revocations already did, via the watch's listener.
-        """
-        if delta.kind == "publish":
-            if delta.principals is None:
-                stale = [
-                    (shard, key, entry)
-                    for shard in self._shards
-                    for key, entry in list(shard.entries.items())
-                    if entry.result is None and entry.delta_keyed
-                ]
-                for shard, key, entry in stale:
+        incremental = self.engine.incremental
+        if incremental is None:
+            return
+        reached = incremental.newly_reached(record.seq)
+        if reached is None:
+            stale = [
+                (shard, key, entry)
+                for shard in self._shards
+                for key, entry in list(shard.entries.items())
+                if entry.result is None and entry.delta_keyed
+            ]
+            for shard, key, entry in stale:
+                self._remove(shard, key, entry, why="invalidated")
+            return
+        for principal, roles in reached.items():
+            for role in roles:
+                key = (principal, role, ())
+                shard = self._shard_for(key)
+                entry = shard.entries.get(key)
+                if entry is not None and entry.result is None and entry.delta_keyed:
                     self._remove(shard, key, entry, why="invalidated")
-                return
-            for principal in delta.principals:
-                for role in delta.roles.get(principal, ()):
-                    key = (principal, role, ())
-                    shard = self._shard_for(key)
-                    entry = shard.entries.get(key)
-                    if (
-                        entry is not None
-                        and entry.result is None
-                        and entry.delta_keyed
-                    ):
-                        self._remove(shard, key, entry, why="invalidated")
-        else:
-            self._on_credential_dead(delta.credential_id)
 
     def _sync_gauge(self) -> None:
         obs.gauge(metric_names.CACHE_ENTRIES).set(len(self))
@@ -408,24 +381,19 @@ class CachedAuthorizer:
     def recover(self, *, published: frozenset[str]) -> tuple[int, int]:
         """Scrub the cache against recovered durable state.
 
-        Called by :class:`~repro.durable.node.DurableNode` *after* the
-        engine's revocation/repository/incremental state has been
-        rebuilt.  The rule is conservative: keep a positive entry only if
-        every credential its proof traversed is provable from durable
-        state — present in ``published``, unrevoked, and unexpired — and
-        drop **every** negative entry (a publish that landed while the
-        node was down may have upgraded any denial, and the pre-crash
-        delta stream that kept delta-keyed denials sound is gone).
+        Called by :class:`~repro.durable.node.DurableNode` once, *after*
+        the engine's log has been restored and caught up.  The rule is
+        conservative: keep a positive entry only if every credential its
+        proof traversed is provable from durable state — present in
+        ``published``, unrevoked, and unexpired — and drop **every**
+        negative entry (a publish that landed while the node was down may
+        have upgraded any denial, and the pre-crash publish records that
+        kept delta-keyed denials sound were never folded here).
 
-        Surviving entries get fresh :class:`ProofMonitor`s and watch-table
-        rows: the directory's reset dropped their pre-crash listeners, so
-        without re-watching, a post-recovery revocation would never evict
-        them.
+        Surviving entries keep their proof monitors and watch-table rows:
+        neither is fold state, so a post-recovery revocation evicts them.
         Returns ``(evicted, kept)``.
         """
-        for watch in self._watches.values():
-            watch.detach()  # no-op for pre-crash listeners; exact otherwise
-        self._watches.clear()
         engine = self.engine
         now = engine.clock.now()
         evicted = kept = 0
@@ -437,16 +405,11 @@ class CachedAuthorizer:
                     and not d.is_expired(now)
                     for d in entry.result.proof.all_delegations()
                 )
-                if not provable:
+                if provable:
+                    kept += 1
+                else:
                     self._remove(shard, key, entry, why="invalidated")
                     evicted += 1
-                    continue
-                entry.result.monitor.close()
-                entry.result.monitor = ProofMonitor(
-                    entry.result.proof.all_delegations(), engine.revocations
-                )
-                self._watch(shard, key, entry)
-                kept += 1
         self._sync_gauge()
         return evicted, kept
 
@@ -474,8 +437,6 @@ class CachedAuthorizer:
                 if entry.result is not None:
                     entry.result.close()
             shard.entries.clear()
-        for watch in self._watches.values():
-            watch.detach()
         self._watches.clear()
         self._sync_gauge()
 

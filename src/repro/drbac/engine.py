@@ -26,6 +26,7 @@ from ..errors import AuthorizationError
 from ..obs import names as metric_names
 from .delegation import Delegation, issue
 from .incremental import IncrementalProofEngine
+from .log import CredentialLog
 from .model import Attributes, Role, Subject, parse_subject
 from .monitor import ProofMonitor, RevocationDirectory
 from .proof import Proof, ProofEngine, SearchDirection
@@ -52,7 +53,8 @@ class DrbacEngine:
     """One dRBAC evaluation context shared by a scenario.
 
     Holds the key store (simulated PKI), the identity directory, the
-    distributed repository, and the revocation directory.  Guards
+    credential log, and the structures that fold it: the distributed
+    repository, the revocation directory and the incremental engine.  Guards
     (:mod:`repro.psf.guard`) each wrap one engine entity for their domain.
     """
 
@@ -71,8 +73,11 @@ class DrbacEngine:
             key_store = KeyStore(key_bits=key_bits) if key_bits else KeyStore()
         self.key_store = key_store
         self.clock = clock if clock is not None else ManualClock()
-        self.repository = DistributedRepository()
-        self.revocations = RevocationDirectory()
+        self.log = CredentialLog()
+        """The one record of credential state; the repository, revoked
+        sets, incremental engine and cache all fold it, in that order."""
+        self.repository = DistributedRepository(self.log)
+        self.revocations = RevocationDirectory(self.log)
         self._verify_signatures = verify_signatures
         self.search_work = 0
         """Deterministic cost counter: credential edges inspected by full

@@ -14,9 +14,13 @@ reachability instead:
   current reach chains actually used the dead credential, tracked via a
   per-credential dependents index.
 
-Every state change is also emitted as a :class:`Delta` so consumers —
-the precise-invalidation :class:`~repro.drbac.cache.CachedAuthorizer`
-and the monitor→adaptation path — can react without re-deriving it.
+The engine is the third fold of the engine's
+:class:`~repro.drbac.log.CredentialLog`: publish and revoke records
+arrive in sequence order, and the expiry drain appends ``expire``
+records to that same log rather than mutating state on the side.  The
+precise-invalidation :class:`~repro.drbac.cache.CachedAuthorizer` folds
+the same records next; for a publish it asks :meth:`newly_reached` which
+principals reached which roles, derived data rather than a second stream.
 
 **Soundness regime.**  The fast path answers queries only while the
 published graph is *simple*: every live credential is a self-certifying
@@ -42,11 +46,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .. import obs
 from ..obs import names as metric_names
 from .delegation import Delegation, DelegationType
+from .log import LogRecord
 from .model import Attributes, Role, Subject, subject_key
 from .proof import Proof
 
@@ -54,26 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import DrbacEngine
 
 MUTATIONS = ("skip-expire-cone", "skip-revoke-cone")
-
-DeltaKind = str  # "publish" | "revoke" | "expire"
-
-
-@dataclass(frozen=True, slots=True)
-class Delta:
-    """One observable change to the live delegation graph.
-
-    ``principals`` lists the principal keys whose reachable sets changed
-    (``None`` means *unknown — treat every principal as affected*, the
-    conservative form emitted once the graph leaves the simple regime).
-    For publish deltas ``roles`` maps each affected principal to the
-    roles it newly reached; revoke/expire deltas carry ``None`` there —
-    the credential id itself identifies the dead dependency.
-    """
-
-    kind: DeltaKind
-    credential_id: str
-    principals: Optional[tuple[str, ...]]
-    roles: Optional[dict[str, tuple[str, ...]]]
 
 
 @dataclass(slots=True)
@@ -93,11 +78,11 @@ class _ReachState:
 class IncrementalProofEngine:
     """Maintains reachability under deltas; answers simple-regime queries.
 
-    Owned by a :class:`~repro.drbac.engine.DrbacEngine`; subscribes to
-    the repository's publish stream and attaches a listener per indexed
-    credential to the engine's :class:`RevocationDirectory`.  Expiry
-    is a function of the clock, not an event, so an expiry min-heap is
-    drained against ``clock.now()`` at every query (:meth:`refresh`).
+    Owned by a :class:`~repro.drbac.engine.DrbacEngine` and subscribed to
+    its credential log.  Expiry is a function of the clock, not an
+    event, so an expiry min-heap is drained against ``clock.now()`` at
+    every query (:meth:`refresh`), appending one ``expire`` record per
+    credential that lapsed.
     """
 
     def __init__(self, engine: "DrbacEngine") -> None:
@@ -114,14 +99,13 @@ class IncrementalProofEngine:
         self._all_creds: dict[str, Delegation] = {}
         self._out: dict[str, list[str]] = {}
         self._expiry: list[tuple[float, str]] = []
-        self._detach: dict[str, Callable[[], None]] = {}
 
         # Reachability and its inverted dependency index.
         self._reach: dict[str, _ReachState] = {}
         self._dependents: dict[str, set[str]] = {}
 
-        self._listeners: list[Callable[[Delta], None]] = []
-        engine.repository.on_publish(self._on_publish)
+        self._reached: tuple[int, Optional[dict[str, tuple[str, ...]]]] = (0, {})
+        engine.log.subscribe(self._fold, clear=self._clear)
 
     # -- introspection -----------------------------------------------------
 
@@ -153,9 +137,16 @@ class IncrementalProofEngine:
         """
         return self._simple and not required_attributes
 
-    def on_delta(self, callback: Callable[[Delta], None]) -> None:
-        """Subscribe to the delta stream (fires after state is updated)."""
-        self._listeners.append(callback)
+    def newly_reached(self, seq: int) -> Optional[dict[str, tuple[str, ...]]]:
+        """The roles each tracked principal newly reached by publish ``seq``.
+
+        ``None`` means *unknown — treat every principal as affected*, the
+        conservative answer once the graph leaves the simple regime; a
+        publish this engine ignored (a republish, an unusable credential)
+        reached nothing.  Valid while the log delivers record ``seq``.
+        """
+        reached_seq, changed = self._reached
+        return changed if reached_seq == seq else {}
 
     # -- queries -------------------------------------------------------------
 
@@ -188,29 +179,6 @@ class IncrementalProofEngine:
         chain = [self._all_creds[cid] for cid in path]
         return True, Proof(subject=subject, role=role, chain=chain)
 
-    def reset(self) -> None:
-        """Drop every index and reach set (crash recovery).
-
-        The durable layer republishes the recovered credential set
-        afterwards, which rebuilds the adjacency, expiry heap, revocation
-        listeners, reachability, and dependents index from scratch —
-        including re-entering the simple regime, which is decided by the
-        *recovered* graph rather than remembered from the dead one.
-        Delta listeners stay registered; ``work`` keeps accumulating so
-        recovery cost shows up in the same meter as steady-state cost.
-        """
-        for detach in list(self._detach.values()):
-            detach()
-        self._detach.clear()
-        self._creds.clear()
-        self._all_creds.clear()
-        self._out.clear()
-        self._expiry.clear()
-        self._reach.clear()
-        self._dependents.clear()
-        self._simple = True
-        obs.gauge(metric_names.INCR_TRACKED).set(0)
-
     def refresh(self) -> None:
         """Drain credentials whose expiry instant has passed.
 
@@ -220,12 +188,37 @@ class IncrementalProofEngine:
         now = self._engine.clock.now()
         while self._expiry and self._expiry[0][0] < now:
             _, cred_id = heapq.heappop(self._expiry)
-            self._dead(cred_id, "expire")
+            delegation = self._creds.get(cred_id)
+            if delegation is not None:  # not already revoked
+                self._engine.log.expire(delegation)
 
-    # -- delta intake ----------------------------------------------------------
+    # -- the fold --------------------------------------------------------------
 
-    def _on_publish(self, delegation: Delegation) -> None:
-        cred_id = delegation.credential_id
+    def _fold(self, record: LogRecord) -> None:
+        if record.kind == "publish":
+            self._fold_publish(record)
+        else:
+            self._dead(record.credential_id, record.kind)
+
+    def _clear(self) -> None:
+        """Drop every index and reach set before a log restore refolds.
+
+        The simple regime is then decided by the *recovered* graph rather
+        than remembered from the dead one; ``work`` keeps accumulating so
+        recovery cost shows up in the same meter as steady-state cost.
+        """
+        self._creds.clear()
+        self._all_creds.clear()
+        self._out.clear()
+        self._expiry.clear()
+        self._reach.clear()
+        self._dependents.clear()
+        self._simple = True
+        obs.gauge(metric_names.INCR_TRACKED).set(0)
+
+    def _fold_publish(self, record: LogRecord) -> None:
+        delegation = record.delegation
+        cred_id = record.credential_id
         if cred_id in self._all_creds:
             return  # republish of an already-indexed credential: no new edge
         if not self._engine.proof_engine().usable(delegation):
@@ -235,14 +228,14 @@ class IncrementalProofEngine:
         obs.counter(metric_names.INCR_PUBLISHES).inc()
         if self._simple and not self._is_simple(delegation):
             # Leaving the regime: every maintained answer is suspect from
-            # here on, so ditch the reach sets and emit the conservative
-            # "anyone may be affected" delta.
+            # here on, so ditch the reach sets and answer the conservative
+            # "anyone may be affected" from newly_reached.
             self._simple = False
             self._reach.clear()
             self._dependents.clear()
             obs.gauge(metric_names.INCR_TRACKED).set(0)
         if not self._simple:
-            self._emit(Delta("publish", cred_id, None, None))
+            self._reached = (record.seq, None)
             return
 
         self.refresh()
@@ -251,31 +244,23 @@ class IncrementalProofEngine:
         self._out.setdefault(subject_key(delegation.subject), []).append(cred_id)
         if delegation.expires_at is not None:
             heapq.heappush(self._expiry, (delegation.expires_at, cred_id))
-        self._detach[cred_id] = self._engine.revocations.attach(
-            delegation, self._on_revoked
-        )
         changed = self._expand(delegation)
         obs.histogram(
             metric_names.INCR_DELTA_SIZE, metric_names.COUNT_BUCKETS
         ).observe(sum(len(roles) for roles in changed.values()))
-        self._emit(Delta("publish", cred_id, tuple(sorted(changed)), changed))
+        self._reached = (record.seq, changed)
 
-    def _on_revoked(self, credential_id: str) -> None:
-        obs.counter(metric_names.INCR_REVOCATIONS).inc()
-        self._dead(credential_id, "revoke")
-
-    def _dead(self, credential_id: str, kind: DeltaKind) -> None:
+    def _dead(self, credential_id: str, kind: str) -> None:
         delegation = self._creds.pop(credential_id, None)
         if delegation is None:
-            return  # already dead (e.g. revoked before its expiry popped)
-        if kind == "expire":
-            obs.counter(metric_names.INCR_EXPIRIES).inc()
+            return  # already dead, or never indexed
+        obs.counter(
+            metric_names.INCR_EXPIRIES if kind == "expire"
+            else metric_names.INCR_REVOCATIONS
+        ).inc()
         bucket = self._out.get(subject_key(delegation.subject), [])
         if credential_id in bucket:
             bucket.remove(credential_id)
-        detach = self._detach.pop(credential_id, None)
-        if detach is not None:
-            detach()
         cone = sorted(self._dependents.pop(credential_id, ()))
         obs.histogram(
             metric_names.INCR_CONE_SIZE, metric_names.COUNT_BUCKETS
@@ -288,7 +273,6 @@ class IncrementalProofEngine:
                 # Only principals whose chains used the dead edge are
                 # recomputed; everyone else's reach set is untouched.
                 self._compute_reach(pk)
-        self._emit(Delta(kind, credential_id, tuple(cone), None))
 
     # -- reachability maintenance ----------------------------------------------
 
@@ -373,7 +357,3 @@ class IncrementalProofEngine:
             delegation.delegation_type is DelegationType.SELF_CERTIFYING
             and not delegation.attributes
         )
-
-    def _emit(self, delta: Delta) -> None:
-        for listener in list(self._listeners):
-            listener(delta)

@@ -4,14 +4,14 @@
 monitoring from an authorized 'home' which is aware of any revocation of
 the delegation."
 
-The :class:`RevocationDirectory` holds every home's revoked set and the
-one listener table: anything that must hear a revocation — a
-:class:`ProofMonitor`, the authorization cache's per-credential watch,
-the incremental engine's index — attaches to a credential here and is
-called the moment it is revoked.  A :class:`ProofMonitor` watches every
-credential in a proof graph and fires its callbacks on the first
-revocation; it is the authorization monitor the paper's Switchboard
-relies on for *continuous* authorization (§4.3).
+The :class:`RevocationDirectory` holds every home's revoked set (a fold
+of the engine's :class:`~repro.drbac.log.CredentialLog`) and the monitor
+index: a :class:`ProofMonitor` watches every credential in a proof graph
+and fires its callbacks on the first revocation — after every fold has
+applied it, so a callback that re-authorizes is denied.  The index is
+not fold state, so a log restore keeps it.  This is the authorization
+monitor the paper's Switchboard relies on for *continuous*
+authorization (§4.3).
 """
 
 from __future__ import annotations
@@ -20,25 +20,28 @@ import itertools
 from typing import Callable
 
 from .delegation import Delegation
+from .log import CredentialLog, LogRecord
 
 RevocationCallback = Callable[[str], None]
 """Called with the revoked credential id."""
 
 
 class RevocationDirectory:
-    """Per-home revocation state and the revocation listener table.
+    """Per-home revocation state and the proof-monitor index.
 
     Simulates the "authorized home" lookup: in the real system each home
     is a network service; here the homes' revoked sets live in one
     in-process registry shared by the scenario.  Listeners are keyed by
-    credential id and fire in attach order, so any number of monitors and
-    cache entries share one table row per credential.
+    credential id and fire in attach order, so any number of monitors
+    share one table row per credential.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, log: CredentialLog | None = None) -> None:
         self._revoked: dict[str, set[str]] = {}
         self._listeners: dict[str, dict[int, RevocationCallback]] = {}
         self._handles = itertools.count()
+        self._log = log if log is not None else CredentialLog()
+        self._log.subscribe(self._fold, clear=self._revoked.clear)
 
     def is_revoked(self, delegation: Delegation) -> bool:
         revoked = self._revoked.get(delegation.home_entity)
@@ -48,13 +51,17 @@ class RevocationDirectory:
         self.revoke_id(delegation.home_entity, delegation.credential_id)
 
     def revoke_id(self, home: str, credential_id: str) -> None:
-        """Revoke a credential at its home and notify its listeners once."""
-        revoked = self._revoked.setdefault(home, set())
-        if credential_id in revoked:
+        """Revoke a credential at its home and notify its listeners once,
+        after every fold of the log has applied the revoke record."""
+        if credential_id in self._revoked.get(home, ()):
             return
-        revoked.add(credential_id)
+        self._log.revoke_id(home, credential_id)
         for callback in list(self._listeners.get(credential_id, {}).values()):
             callback(credential_id)
+
+    def _fold(self, record: LogRecord) -> None:
+        if record.kind == "revoke":
+            self._revoked.setdefault(record.home, set()).add(record.credential_id)
 
     def attach(
         self, delegation: Delegation, callback: RevocationCallback
@@ -79,17 +86,6 @@ class RevocationDirectory:
 
         return detach
 
-    def reset(self) -> None:
-        """Forget every revocation and listener (crash recovery).
-
-        Revocation sets are volatile node state in this model; the
-        durable layer replays them from its log.  Handles are never
-        reused, so a detach held by a pre-crash monitor is a no-op rather
-        than removing a listener attached after recovery.
-        """
-        self._revoked.clear()
-        self._listeners.clear()
-
     def listener_count(self, credential_id: str) -> int:
         """Listeners attached for one credential (introspection)."""
         return len(self._listeners.get(credential_id, ()))
@@ -102,10 +98,11 @@ class ProofMonitor:
     """Watches every credential used by a proof.
 
     The monitor is *valid* until any watched credential is revoked; at that
-    moment every registered callback fires exactly once with the offending
-    credential id.  Expiry is checked on demand via :meth:`check_expiry`
-    because expiry is a function of the clock, not an event.  A monitor
-    over no credentials (an accept-all policy) is valid forever.
+    moment it detaches from the directory and every registered callback
+    fires exactly once with the offending credential id.  Expiry is
+    checked on demand via :meth:`check_expiry` because expiry is a
+    function of the clock, not an event.  A monitor over no credentials
+    (an accept-all policy) is valid forever.
     """
 
     def __init__(
@@ -114,10 +111,12 @@ class ProofMonitor:
         self._delegations = list(delegations)
         self._callbacks: list[RevocationCallback] = []
         self._invalidated_by: str | None = None
-        self._detaches = [
-            directory.attach(delegation, self._on_revoked)
-            for delegation in self._delegations
-        ]
+        self._detaches: list[Callable[[], None]] = []
+        for delegation in self._delegations:
+            self._detaches.append(directory.attach(delegation, self._on_revoked))
+            if self._invalidated_by is not None:
+                self.close()  # already revoked: nothing left to listen for
+                break
 
     @property
     def valid(self) -> bool:
@@ -158,5 +157,6 @@ class ProofMonitor:
         if self._invalidated_by is not None:
             return
         self._invalidated_by = credential_id
+        self.close()  # invalid for good: nothing left to listen for
         for callback in list(self._callbacks):
             callback(credential_id)

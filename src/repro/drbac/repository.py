@@ -15,29 +15,24 @@ forward walk starting at the subject can find it; one published with
 backward walks from the goal role.  :meth:`DistributedRepository.collect`
 performs the bidirectional harvest used by the proof engine, counting the
 shard queries it issues so benchmarks can report discovery cost.
+
+The shards hold no state of their own making: :meth:`publish` appends a
+record to the engine's :class:`~repro.drbac.log.CredentialLog`, and the
+repository is that log's first fold.  Crash recovery is a log restore,
+which clears the shards and refolds them in sequence order.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Iterable
 
 from .. import obs
 from ..obs import names as metric_names
 from .delegation import Delegation
+from .log import BOTH_TAGS, CredentialLog, DiscoveryTag, LogRecord
 from .model import EntityRef, Role, Subject, subject_key
-
-
-class DiscoveryTag(enum.Enum):
-    SEARCHABLE_FROM_SUBJECT = "subject"
-    SEARCHABLE_FROM_OBJECT = "object"
-
-
-BOTH_TAGS = frozenset(
-    {DiscoveryTag.SEARCHABLE_FROM_SUBJECT, DiscoveryTag.SEARCHABLE_FROM_OBJECT}
-)
 
 
 def subject_home(subject: Subject) -> str:
@@ -72,18 +67,24 @@ class RepositoryShard:
 class DistributedRepository:
     """Shards keyed by home entity, with routed queries and hop counting.
 
-    With ``replicated=True`` every publish is mirrored to a warm replica
-    shard; :meth:`fail_shard` then models the home node crashing — routed
-    queries transparently fail over to the replica (counted, so chaos runs
-    can assert the recovery happened) until :meth:`recover_shard`.  An
-    unreplicated repository answers queries for a failed shard with the
-    empty set, which is the paper's degraded mode: proofs relying on that
-    home's credentials become undiscoverable until the node returns.
+    The shards are the first fold of a :class:`CredentialLog` (the
+    engine's, or a private one for a standalone repository):
+    :meth:`publish` appends a record and the fold indexes it.
+
+    :meth:`fail_shard` models a home node crashing.  With
+    ``replicated=True`` a warm replica holds exactly what the primary
+    held, so routed queries for a down shard are answered from that
+    content (counted as a failover, so chaos runs can assert the recovery
+    happened) until :meth:`recover_shard`.  An unreplicated repository
+    answers queries for a failed shard with the empty set, which is the
+    paper's degraded mode: proofs relying on that home's credentials
+    become undiscoverable until the node returns.
     """
 
-    def __init__(self, *, replicated: bool = False) -> None:
+    def __init__(
+        self, log: CredentialLog | None = None, *, replicated: bool = False
+    ) -> None:
         self._shards: dict[str, RepositoryShard] = {}
-        self._replicas: dict[str, RepositoryShard] = {}
         self._down: set[str] = set()
         self.replicated = replicated
         self.query_count = 0
@@ -92,17 +93,11 @@ class DistributedRepository:
         """Monotonic publish counter.  A new credential can turn a past
         denial into a grant, so negative authorization caches key their
         entries to the version they were computed against and drop them
-        when it moves (see :class:`~repro.drbac.cache.CachedAuthorizer`)."""
-        self._publish_listeners: list[Callable[[Delegation], None]] = []
-
-    def on_publish(self, callback: Callable[[Delegation], None]) -> None:
-        """Register a listener notified once per :meth:`publish` call.
-
-        This is the delta source the incremental proof engine and the
-        precise-invalidation cache subscribe to; listeners fire after the
-        credential is indexed, in registration order.
-        """
-        self._publish_listeners.append(callback)
+        when it moves (see :class:`~repro.drbac.cache.CachedAuthorizer`).
+        Clearing the fold for a log restore keeps it, so a recovered node
+        never hands out version numbers that alias pre-crash ones."""
+        self._log = log if log is not None else CredentialLog()
+        self._log.subscribe(self._fold, clear=self._clear)
 
     def shard(self, home: str) -> RepositoryShard:
         shard = self._shards.get(home)
@@ -111,31 +106,7 @@ class DistributedRepository:
             self._shards[home] = shard
         return shard
 
-    def _replica(self, home: str) -> RepositoryShard:
-        replica = self._replicas.get(home)
-        if replica is None:
-            replica = RepositoryShard(home)
-            self._replicas[home] = replica
-        return replica
-
     # -- shard failure ---------------------------------------------------------
-
-    def enable_replication(self) -> None:
-        """Turn on warm replicas, mirroring everything already published.
-
-        Lets a harness add fault tolerance to an engine whose repository
-        was built unreplicated: subsequent publishes mirror automatically,
-        and the existing shard contents are copied over right here.
-        """
-        if self.replicated:
-            return
-        self.replicated = True
-        for home, shard in self._shards.items():
-            replica = self._replica(home)
-            for key, bucket in shard.by_subject.items():
-                replica.by_subject[key].extend(bucket)
-            for key, bucket in shard.by_role.items():
-                replica.by_role[key].extend(bucket)
 
     def fail_shard(self, home: str) -> None:
         """Mark a home shard unreachable (its node crash-stopped)."""
@@ -145,36 +116,16 @@ class DistributedRepository:
         """Bring a failed shard back by *rebuilding* it, not resurrecting it.
 
         The honest heal for a crash-stop: the primary's in-memory index
-        died with the node, so its content is reconstructed from the warm
-        replica (bucket order preserved — replicas mirror publish order).
-        Without replication the rebuilt shard is empty, which is real
-        data loss: proofs relying on that home's credentials stay
-        undiscoverable until they are republished.
+        died with the node.  A replicated shard is rebuilt from its
+        replica, which held the same buckets in the same order.  Without
+        replication the rebuilt shard is empty, which is real data loss:
+        proofs relying on that home's credentials stay undiscoverable
+        until they are republished.
         """
         self._down.discard(home)
-        rebuilt = RepositoryShard(home)
-        replica = self._replicas.get(home) if self.replicated else None
-        if replica is not None:
-            for key, bucket in replica.by_subject.items():
-                rebuilt.by_subject[key].extend(bucket)
-            for key, bucket in replica.by_role.items():
-                rebuilt.by_role[key].extend(bucket)
-        self._shards[home] = rebuilt
+        if not self.replicated:
+            self._shards[home] = RepositoryShard(home)
         obs.counter(metric_names.RECOVER_SHARD_REBUILDS).inc()
-
-    def reset_state(self) -> None:
-        """Drop every shard and replica (node-wide crash recovery).
-
-        Used by :class:`~repro.durable.node.DurableNode` before replaying
-        durable history: listeners stay registered and ``version`` stays
-        monotonic (a recovered node must never hand out version numbers
-        that alias pre-crash ones, or version-keyed negative cache
-        entries could survive wrongly), but all indexed content is gone
-        until republished.
-        """
-        self._shards.clear()
-        self._replicas.clear()
-        self._down.clear()
 
     def shard_is_down(self, home: str) -> bool:
         return home in self._down
@@ -183,35 +134,37 @@ class DistributedRepository:
         """The shard that answers queries for ``home`` right now."""
         if home not in self._down:
             return self._shards.get(home)
-        if self.replicated and home in self._replicas:
+        if self.replicated:
             self.failover_count += 1
             obs.counter(metric_names.REPO_FAILOVERS).inc()
-            return self._replicas[home]
+            return self._shards.get(home)
         return None
 
     def publish(
         self,
         delegation: Delegation,
-        tags: frozenset[DiscoveryTag] | set[DiscoveryTag] = BOTH_TAGS,
+        tags: Iterable[DiscoveryTag] = BOTH_TAGS,
     ) -> None:
         """Store a credential, indexing per its discovery tags."""
-        self.version += 1
-        if DiscoveryTag.SEARCHABLE_FROM_SUBJECT in tags:
-            home = subject_home(delegation.subject)
-            self.shard(home).index_subject(delegation)
-            if self.replicated:
-                self._replica(home).index_subject(delegation)
-        if DiscoveryTag.SEARCHABLE_FROM_OBJECT in tags:
-            home = delegation.role.owner
-            self.shard(home).index_role(delegation)
-            if self.replicated:
-                self._replica(home).index_role(delegation)
-        for callback in list(self._publish_listeners):
-            callback(delegation)
+        self._log.publish(delegation, tags)
 
     def publish_all(self, delegations: list[Delegation]) -> None:
         for delegation in delegations:
             self.publish(delegation)
+
+    def _fold(self, record: LogRecord) -> None:
+        if record.kind != "publish":
+            return
+        self.version += 1
+        delegation = record.delegation
+        if DiscoveryTag.SEARCHABLE_FROM_SUBJECT in record.tags:
+            self.shard(subject_home(delegation.subject)).index_subject(delegation)
+        if DiscoveryTag.SEARCHABLE_FROM_OBJECT in record.tags:
+            self.shard(delegation.role.owner).index_role(delegation)
+
+    def _clear(self) -> None:
+        self._shards.clear()
+        self._down.clear()
 
     # -- routed point queries -------------------------------------------------
 

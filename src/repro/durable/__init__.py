@@ -12,15 +12,16 @@ ARIES-style engines and Bayou-style anti-entropy:
   over a disk area, with periodic snapshot + compaction.  Decoding stops
   at the first damaged frame, so a torn tail recovers a valid *prefix*
   of history, never a corrupt record.
-* :class:`UpdateFeed` — the live-replica side: every publish/revoke gets
-  a monotonic sequence number, so a recovering node can pull exactly the
+* :class:`UpdateFeed` — the live-replica side, itself a
+  :class:`~repro.drbac.log.CredentialLog`: every publish/revoke gets a
+  monotonic sequence number, so a recovering node can pull exactly the
   gap ``(last_durable_seqno, peer_seqno]`` it missed while down.
 * :class:`DurableNode` — bundles an engine (and optionally its cache)
   with a WAL and a feed; :meth:`DurableNode.crash` drops volatile state,
-  :meth:`DurableNode.restart` replays snapshot+WAL, rebuilds the
-  incremental engine's indexes, re-subscribes monitor callbacks, evicts
-  every cache entry not provable from durable state, and catches up from
-  the feed before serving.
+  :meth:`DurableNode.restart` restores the engine's credential log from
+  snapshot+WAL (every structure refolds it), catches up from the feed,
+  and evicts every cache entry not provable from durable state before
+  serving.
 
 ``DurableNode(mutation="skip-catchup")`` deliberately breaks the
 catch-up rule — the documented hook the differential drill uses to prove

@@ -36,6 +36,10 @@ class CredentialError(DrbacError):
     """A delegation is malformed, expired, or its signature is invalid."""
 
 
+class LogRecordError(CredentialError):
+    """A credential-log record off the feed or the WAL is malformed."""
+
+
 class AuthorizationError(DrbacError):
     """No valid proof graph authorizes the requested role."""
 

@@ -232,7 +232,7 @@ class ChaosRunner:
         self._expected_mail = server.fetchMail("Alice")
 
         engine = psf.engine
-        engine.repository.enable_replication()
+        engine.repository.replicated = True
 
         manager = AdaptationManager(psf)
         pair = manager.manage(

@@ -174,9 +174,9 @@ class TestEvictionAtomicity:
 
 
 class TestWatchDedup:
-    """Regression for O(entries) callback accumulation: the cache attaches
-    one revocation listener per credential id, however many cached
-    entries share it; only each entry's proof monitor adds its own."""
+    """Regression for O(entries) callback accumulation: the cache keeps
+    one watch-table row per credential id, however many cached entries
+    share it; only each entry's proof monitor listens in the directory."""
 
     def test_hot_credential_registers_one_authority_callback(self, engine):
         hot = engine.delegate("Org", "Org.Mid", "Org.Goal")
@@ -185,10 +185,11 @@ class TestWatchDedup:
         cache = CachedAuthorizer(engine, max_entries=64, shards=1)
         for i in range(10):
             assert cache.is_authorized(f"u{i}", "Org.Goal")
-        # Ten entries all depend on `hot`: 10 proof monitors, the cache's
-        # single per-credential watch, and the incremental engine's index
-        # maintenance listen for it.
-        assert engine.revocations.listener_count(hot.credential_id) == 12
+        # Ten entries all depend on `hot`: only their 10 proof monitors
+        # listen for it; the cache and the incremental engine fold the
+        # log, and the cache's watch table holds one row for it.
+        assert engine.revocations.listener_count(hot.credential_id) == 10
+        assert len(cache._watches[hot.credential_id]) == 10
 
     def test_one_revocation_evicts_every_dependent_entry(self, engine):
         hot = engine.delegate("Org", "Org.Mid", "Org.Goal")

@@ -248,8 +248,8 @@ class CacheVsOracleMachine(RuleBasedStateMachine):
         evicted entries, and never drops ids for live ones: watches and
         shard contents mirror each other exactly, in both directions."""
         for cred_id, watch in self.cache._watches.items():
-            assert watch.entries, f"empty watch retained for {cred_id}"
-            for key, (shard, entry) in watch.entries.items():
+            assert watch, f"empty watch retained for {cred_id}"
+            for key, (shard, entry) in watch.items():
                 assert shard.entries.get(key) is entry, (
                     f"watch on {cred_id} references an evicted entry {key}"
                 )
@@ -259,7 +259,7 @@ class CacheVsOracleMachine(RuleBasedStateMachine):
                 for cred_id in entry.cred_ids:
                     watch = self.cache._watches.get(cred_id)
                     assert watch is not None, f"live entry {key} unwatched"
-                    assert watch.entries.get(key, (None, None))[1] is entry
+                    assert watch.get(key, (None, None))[1] is entry
 
     def teardown(self):
         self.cache.clear()

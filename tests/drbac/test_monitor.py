@@ -7,6 +7,7 @@ import pytest
 
 from repro.crypto import KeyStore
 from repro.drbac.delegation import issue
+from repro.drbac.log import CredentialLog
 from repro.drbac.model import EntityRef, Role
 from repro.drbac.monitor import ProofMonitor, RevocationDirectory
 
@@ -66,18 +67,18 @@ class TestRevocationListeners:
         directory.revoke(c)
         assert fired == []
 
-    def test_pre_reset_detach_spares_post_reset_listener(self, store):
-        directory = RevocationDirectory()
+    def test_log_restore_keeps_listeners(self, store):
+        log = CredentialLog()
+        directory = RevocationDirectory(log)
         c = cred(store)
-        stale = directory.attach(c, lambda cid: None)
-        directory.reset()
-        assert directory.watched_credential_count() == 0
         fired = []
         directory.attach(c, fired.append)
-        stale()  # held by a monitor from before the crash
+        directory.revoke(c)
+        log.restore([])  # crash: the revoked set is fold state, listeners are not
+        assert not directory.is_revoked(c)
         assert directory.listener_count(c.credential_id) == 1
         directory.revoke(c)
-        assert fired == [c.credential_id]
+        assert fired == [c.credential_id, c.credential_id]
 
 
 class TestRevocationDirectory:

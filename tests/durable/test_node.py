@@ -240,3 +240,32 @@ class TestCacheRebuild:
         assert revocations.watched_credential_count() <= 6 + len(
             world.cache._watches
         )
+
+
+class TestHeldMonitorsSurviveRecovery:
+    """A proof monitor that a guard or channel holds across a crash must
+    still hear the next revocation: the monitor index is not recovered
+    state, so recovery must not drop it."""
+
+    def test_revocation_after_restart_fires_held_monitor(self, world, feed):
+        cred = world.sign("OrgA", "Alice", "OrgA.Reader")
+        feed.publish(cred)
+        held = world.engine.authorize("Alice", "OrgA.Reader").monitor
+        world.node.crash()
+        world.node.restart()
+        feed.revoke(cred)
+        assert not world.holds("Alice", "OrgA.Reader")
+        assert not held.valid
+        assert held.invalidated_by == cred.credential_id
+
+    def test_revocation_caught_up_after_downtime_fires_held_monitor(
+        self, world, feed
+    ):
+        cred = world.sign("OrgA", "Alice", "OrgA.Reader")
+        feed.publish(cred)
+        held = world.engine.authorize("Alice", "OrgA.Reader").monitor
+        world.node.crash()
+        feed.revoke(cred)  # lands while the node is down
+        world.node.restart()
+        assert not world.holds("Alice", "OrgA.Reader")
+        assert not held.valid

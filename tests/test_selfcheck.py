@@ -4,14 +4,17 @@ plus the metric-name self-check that keeps instrumentation and the
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.__main__ import exercise_scenario, main, run_selfcheck
 from repro.obs import names as metric_names
@@ -171,6 +174,76 @@ class TestMetricCatalogue:
             ):
                 assert registry.counter_value(counter) > 0, counter
             assert registry.histogram(metric_names.SWB_RPC_LATENCY).count > 0
+
+
+_CREDENTIAL_STATE_PACKAGES = ("drbac", "durable")
+_CALLABLE = re.compile(r"Callable|Callback|Listener|Fold")
+
+
+def _callback_list_registrations() -> set[str]:
+    """``Class.method`` for every method in the credential-state packages
+    that appends one of its callable parameters (alone or in a tuple) to a
+    list on ``self`` — the shape of a callback-list subscription."""
+    found = set()
+    for package in _CREDENTIAL_STATE_PACKAGES:
+        for path in sorted((Path(repro.__file__).parent / package).glob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for method in cls.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    params = {
+                        arg.arg
+                        for arg in method.args.args[1:] + method.args.kwonlyargs
+                        if arg.annotation is not None
+                        and _CALLABLE.search(ast.unparse(arg.annotation))
+                    }
+                    for call in ast.walk(method):
+                        if (
+                            isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "append"
+                            and isinstance(call.func.value, ast.Attribute)
+                            and isinstance(call.func.value.value, ast.Name)
+                            and call.func.value.value.id == "self"
+                            and any(
+                                isinstance(node, ast.Name) and node.id in params
+                                for arg in call.args
+                                for node in (
+                                    arg.elts if isinstance(arg, ast.Tuple) else [arg]
+                                )
+                            )
+                        ):
+                            found.add(f"{cls.name}.{method.name}")
+    return found
+
+
+class TestOneCredentialLog:
+    """Credential state reaches its consumers through one mechanism: the
+    engine's :class:`~repro.drbac.log.CredentialLog`."""
+
+    def test_one_subscription_mechanism(self):
+        # ProofMonitor.on_invalidated is a proof's own callback list, fired
+        # through the directory's monitor index, not a credential-state feed.
+        assert _callback_list_registrations() == {
+            "CredentialLog.subscribe",
+            "ProofMonitor.on_invalidated",
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["on_publish", "on_delta", "reset_state", "_publish_listeners", "_replicas"],
+    )
+    def test_retired_mechanism_is_gone(self, name):
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for package in _CREDENTIAL_STATE_PACKAGES
+            for path in sorted((root / package).glob("*.py"))
+            if name in path.read_text()
+        ]
+        assert not offenders, f"{name} is back in {offenders}"
 
 
 def _bench_layers():
