@@ -19,9 +19,8 @@ import time
 import pytest
 
 from repro.baselines.acl_per_call import PerCallGuardedService
-from repro.mail.client import MAIL_CLIENT_INTERFACES, MailClient
-from repro.mail.views_specs import VIEW_MAIL_CLIENT_MEMBER
-from repro.views import InterfaceRegistry, Vig, ViewRuntime
+from repro.mail import VIEW_MAIL_CLIENT_MEMBER, MailClient
+from repro.views import Vig, ViewRuntime
 
 from conftest import print_table
 
@@ -33,12 +32,8 @@ def _accounts():
 
 
 @pytest.fixture(scope="module")
-def member_view(key_store):
-    registry = InterfaceRegistry()
-    for iface in MAIL_CLIENT_INTERFACES:
-        registry.register(iface)
-    vig = Vig(registry)
-    view_cls = vig.generate(VIEW_MAIL_CLIENT_MEMBER, MailClient)
+def member_view(mail_app):
+    view_cls = Vig(mail_app.interfaces).generate(VIEW_MAIL_CLIENT_MEMBER, MailClient)
     original = MailClient(accounts=_accounts())
     return view_cls(ViewRuntime(local_objects={"MailClient": original}))
 
@@ -110,13 +105,9 @@ def test_sso_speedup_table(benchmark, member_view, guarded_service):
     assert acl_time > view_time * 2
 
 
-def test_view_instantiation_amortization(benchmark, key_store):
+def test_view_instantiation_amortization(benchmark, mail_app):
     """Instantiation (the one-time authorization point) is bounded."""
-    registry = InterfaceRegistry()
-    for iface in MAIL_CLIENT_INTERFACES:
-        registry.register(iface)
-    vig = Vig(registry)
-    view_cls = vig.generate(VIEW_MAIL_CLIENT_MEMBER, MailClient)
+    view_cls = Vig(mail_app.interfaces).generate(VIEW_MAIL_CLIENT_MEMBER, MailClient)
     original = MailClient(accounts=_accounts())
 
     benchmark(lambda: view_cls(ViewRuntime(local_objects={"MailClient": original})))

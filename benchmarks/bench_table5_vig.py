@@ -11,25 +11,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mail.client import MAIL_CLIENT_INTERFACES, MailClient
-from repro.mail.views_specs import VIEW_MAIL_CLIENT_PARTNER
-from repro.views import InterfaceRegistry, Vig, ViewRuntime
+from repro.mail import VIEW_MAIL_CLIENT_MEMBER, MailClient
+from repro.views import Vig, ViewRuntime
 from repro.views.spec import COHERENCE_METHODS
 
 from conftest import print_table
 
 
-def _fresh_vig():
-    registry = InterfaceRegistry()
-    for iface in MAIL_CLIENT_INTERFACES:
-        registry.register(iface)
-    return Vig(registry)
+@pytest.fixture()
+def partner(mail_app):
+    return mail_app.view_spec("ViewMailClient_Partner")
 
 
-def test_table5_structure(benchmark):
+def test_table5_structure(benchmark, mail_app, partner):
     """Generated class matches the Table 5 layout."""
-    vig = _fresh_vig()
-    view_cls = benchmark(lambda: Vig(vig.interfaces).generate(VIEW_MAIL_CLIENT_PARTNER, MailClient))
+    view_cls = benchmark(lambda: Vig(mail_app.interfaces).generate(partner, MailClient))
 
     rows = []
     # Local interface methods are copied and coherence-wrapped.
@@ -60,32 +56,29 @@ def test_table5_structure(benchmark):
     assert [f.name for f in source_fields] == ["accountCopy"]
 
 
-def test_generation_cold(benchmark):
+def test_generation_cold(benchmark, mail_app, partner):
     """Cold VIG generation cost (fresh generator each round)."""
 
     def generate():
-        return _fresh_vig().generate(VIEW_MAIL_CLIENT_PARTNER, MailClient)
+        return Vig(mail_app.interfaces).generate(partner, MailClient)
 
     view_cls = benchmark(generate)
     assert view_cls.__name__ == "ViewMailClient_Partner"
 
 
-def test_generation_cached(benchmark):
+def test_generation_cached(benchmark, mail_app, partner):
     """Cache-hit cost: deferred generation pays only once (§4.3)."""
-    vig = _fresh_vig()
-    vig.generate(VIEW_MAIL_CLIENT_PARTNER, MailClient)
+    vig = Vig(mail_app.interfaces)
+    vig.generate(partner, MailClient)
 
-    view_cls = benchmark(lambda: vig.generate(VIEW_MAIL_CLIENT_PARTNER, MailClient))
+    view_cls = benchmark(lambda: vig.generate(partner, MailClient))
     assert vig.stats.generated == 1
     assert vig.stats.cache_hits > 0
 
 
-def test_member_view_instantiation(benchmark):
+def test_member_view_instantiation(benchmark, mail_app):
     """Constructing the all-local member view against a live original."""
-    from repro.mail.views_specs import VIEW_MAIL_CLIENT_MEMBER
-
-    vig = _fresh_vig()
-    view_cls = vig.generate(VIEW_MAIL_CLIENT_MEMBER, MailClient)
+    view_cls = Vig(mail_app.interfaces).generate(VIEW_MAIL_CLIENT_MEMBER, MailClient)
     original = MailClient(accounts={"a": {"name": "a", "phone": "1", "email": "e"}})
 
     def construct():

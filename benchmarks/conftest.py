@@ -19,7 +19,8 @@ import pytest
 
 from repro import obs
 from repro.crypto import KeyStore
-from repro.mail import build_scenario
+from repro.mail import build_scenario, register_components
+from repro.psf import Registrar
 
 BENCH_KEY_BITS = 1024
 
@@ -46,6 +47,14 @@ def key_store() -> KeyStore:
 def shared_scenario(key_store):
     """Read-only scenario shared across benchmarks."""
     return build_scenario(key_store=key_store)
+
+
+@pytest.fixture(scope="session")
+def mail_app() -> Registrar:
+    """The mail application, loaded from its document into a registrar."""
+    registrar = Registrar()
+    register_components(registrar)
+    return registrar
 
 
 @pytest.fixture()

@@ -21,9 +21,9 @@ from repro.drbac import (
     Role,
     TranslationRule,
 )
-from repro.mail.client import MAIL_CLIENT_INTERFACES, MailClient
+from repro.mail import MailClient, register_components
+from repro.psf import Registrar
 from repro.views import (
-    InterfaceRegistry,
     ViewHint,
     ViewRuntime,
     Vig,
@@ -64,9 +64,9 @@ def demo_policy_translation() -> None:
 
 def demo_automatic_views() -> None:
     print("\n=== 2. Automatic view creation from programmer hints ===")
-    registry = InterfaceRegistry()
-    for iface in MAIL_CLIENT_INTERFACES:
-        registry.register(iface)
+    registrar = Registrar()
+    register_components(registrar)  # the mail application's interfaces
+    registry = registrar.interfaces
 
     # The whole "XML file" is this one hint:
     hint = ViewHint(allow=["getEmail", "sendMessage", "receiveMessages"])

@@ -115,7 +115,6 @@ class CachedAuthorizer:
         *,
         max_entries: int = 4096,
         shards: int = 8,
-        negative: bool = True,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -126,7 +125,6 @@ class CachedAuthorizer:
         # Clamp so per-shard capacities (floor division) sum to at most
         # max_entries: the global bound holds even for tiny caches.
         self.shards = min(shards, max_entries)
-        self.negative = negative
         self.stats = CacheStats()
         self._shards = [_Shard() for _ in range(self.shards)]
         self._per_shard = max_entries // self.shards
@@ -195,21 +193,20 @@ class CachedAuthorizer:
             )
         except AuthorizationError as denial:
             self._audit(subject, role, cache="miss", verdict="deny")
-            if self.negative:
-                incremental = self.engine.incremental
-                self._insert(
-                    shard,
-                    key,
-                    _Entry(
-                        result=None,
-                        denial=str(denial),
-                        repo_version=repo_version,
-                        delta_keyed=(
-                            incremental is not None
-                            and incremental.covers(required_attributes)
-                        ),
+            incremental = self.engine.incremental
+            self._insert(
+                shard,
+                key,
+                _Entry(
+                    result=None,
+                    denial=str(denial),
+                    repo_version=repo_version,
+                    delta_keyed=(
+                        incremental is not None
+                        and incremental.covers(required_attributes)
                     ),
-                )
+                ),
+            )
             raise
         self._audit(
             subject, role, cache="miss", verdict="grant",

@@ -1,13 +1,18 @@
-"""The component-based mail application (§2.2) and its three-site scenario."""
+"""The component-based mail application (§2.2) and its three-site scenario.
 
-from .client import (
-    AddressI,
-    MAIL_CLIENT_INTERFACES,
-    MailClient,
-    MessageI,
-    NotesI,
+The application is defined once, by the document
+:data:`~repro.mail.app_xml.MAIL_APP_XML`; :func:`register_components`
+loads it into a registrar.
+"""
+
+from .app_xml import (
+    MAIL_APP_XML,
+    VIEW_MAIL_CLIENT_MEMBER,
+    VIEW_MAIL_SERVER_SPEC,
+    register_components,
 )
-from .crypto_components import Decryptor, Encryptor, SecMailI, derive_pair_key
+from .client import MailClient
+from .crypto_components import Decryptor, Encryptor, derive_pair_key
 from .messages import Account, Message, make_directory
 from .scenario import (
     GATEWAYS,
@@ -22,43 +27,25 @@ from .scenario import (
     build_network,
     build_scenario,
     issue_table2_credentials,
-    register_components,
 )
-from .server import MailI, MailServer, VIEW_MAIL_SERVER_SPEC
-from .views_specs import (
-    MAIL_CLIENT_VIEW_SPECS,
-    VIEW_MAIL_CLIENT_ANONYMOUS,
-    VIEW_MAIL_CLIENT_MEMBER,
-    VIEW_MAIL_CLIENT_PARTNER,
-    VIEW_MAIL_CLIENT_PARTNER_XML,
-    mail_client_policy,
-)
+from .server import MailServer
 
 __all__ = [
     "Account",
-    "AddressI",
     "Decryptor",
     "Encryptor",
     "GATEWAYS",
     "LAN_BANDWIDTH",
     "LAN_LATENCY",
-    "MAIL_CLIENT_INTERFACES",
-    "MAIL_CLIENT_VIEW_SPECS",
+    "MAIL_APP_XML",
     "MailClient",
-    "MailI",
     "MailScenario",
     "MailServer",
     "Message",
-    "MessageI",
     "NY_NODES",
-    "NotesI",
     "SD_NODES",
     "SE_NODES",
-    "SecMailI",
-    "VIEW_MAIL_CLIENT_ANONYMOUS",
     "VIEW_MAIL_CLIENT_MEMBER",
-    "VIEW_MAIL_CLIENT_PARTNER",
-    "VIEW_MAIL_CLIENT_PARTNER_XML",
     "VIEW_MAIL_SERVER_SPEC",
     "WAN_BANDWIDTH",
     "WAN_LATENCY",
@@ -67,6 +54,5 @@ __all__ = [
     "derive_pair_key",
     "issue_table2_credentials",
     "make_directory",
-    "mail_client_policy",
     "register_components",
 ]

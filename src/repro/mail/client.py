@@ -9,39 +9,11 @@ Three interfaces:
 ``findAccount`` is the private helper of Table 3a; views that copy
 ``getPhone``/``getEmail`` locally pull it in automatically (VIG's helper
 copying), exactly as the Java original must copy it into view bytecode.
+The interfaces themselves are declared in the application document
+(:data:`repro.mail.app_xml.MAIL_APP_XML`).
 """
 
 from __future__ import annotations
-
-from ..views.interfaces import InterfaceDef, MethodSig
-
-# -- interface declarations (Table 3a) --------------------------------------
-
-MessageI = InterfaceDef(
-    name="MessageI",
-    methods=(
-        MethodSig("sendMessage", ("mes",)),
-        MethodSig("receiveMessages", ()),
-    ),
-)
-
-AddressI = InterfaceDef(
-    name="AddressI",
-    methods=(
-        MethodSig("getPhone", ("name",)),
-        MethodSig("getEmail", ("name",)),
-    ),
-)
-
-NotesI = InterfaceDef(
-    name="NotesI",
-    methods=(
-        MethodSig("addNote", ("note",)),
-        MethodSig("addMeeting", ("name",)),
-    ),
-)
-
-MAIL_CLIENT_INTERFACES = (MessageI, AddressI, NotesI)
 
 
 class MailClient:

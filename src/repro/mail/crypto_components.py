@@ -4,7 +4,8 @@
 protect sensitive data crossing insecure links."
 
 The pair translates between ``MailI`` (plaintext) and ``SecMailI``
-(ciphertext blobs).  The Encryptor sits near the mail server (reaching it
+(ciphertext blobs), both declared in the application document
+(:mod:`repro.mail.app_xml`).  The Encryptor sits near the mail server (reaching it
 over secure LAN links) and exposes ``SecMailI``, whose payloads may cross
 insecure WAN links; the Decryptor sits near the client and turns the
 blobs back into ``MailI``.  Both ends derive their pairwise key from a
@@ -18,16 +19,6 @@ import json
 from typing import Any
 
 from ..crypto.cipher import AuthenticatedCipher
-from ..views.interfaces import InterfaceDef, MethodSig
-
-SecMailI = InterfaceDef(
-    name="SecMailI",
-    methods=(
-        MethodSig("fetchMailEnc", ("user",)),
-        MethodSig("sendMailEnc", ("blob",)),
-        MethodSig("listAccountsEnc", ()),
-    ),
-)
 
 
 def derive_pair_key(secret: str) -> bytes:

@@ -8,8 +8,9 @@ connected to each other by high latency and insecure WAN links."
 
 :func:`build_scenario` constructs the whole world: network topology,
 Guards, the seventeen Table 2 credentials (numbered identically),
-node/client leaf credentials, component registrations, the Table 4 view
-policy, and the running central MailServer.
+node/client leaf credentials, the application its document declares
+(components, views and the Table 4 policy, :mod:`repro.mail.app_xml`),
+and the running central MailServer.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from dataclasses import dataclass, field
 
 from ..drbac.delegation import Delegation
 from ..drbac.model import AttrRange, AttrScalar, AttrSet, EntityRef, Role
-from ..drbac.query import Constraint
 from ..drbac.wallet import Wallet
-from ..psf.component import ComponentType, Port
 from ..psf.framework import PSF
 from ..psf.guard import Guard
-from .client import MAIL_CLIENT_INTERFACES, MailClient
-from .crypto_components import Decryptor, Encryptor, SecMailI
-from .server import MailServer, MailI, VIEW_MAIL_SERVER_SPEC
-from .views_specs import MAIL_CLIENT_VIEW_SPECS, mail_client_policy
+from .app_xml import register_components
+from .server import MailServer
 
 # Site topology constants.
 LAN_LATENCY = 0.001
@@ -175,85 +172,6 @@ def issue_table2_credentials(scenario: MailScenario) -> None:
         se.certify(EntityRef(node), se.role("PC"))
 
 
-def register_components(psf: PSF) -> None:
-    """Register interfaces, component types, views, and the Table 4 policy."""
-    for interface in MAIL_CLIENT_INTERFACES:
-        psf.registrar.register_interface(interface)
-    psf.registrar.register_interface(MailI)
-    psf.registrar.register_interface(SecMailI)
-
-    node_any = Constraint.parse("Mail.Node")
-    node_secure = Constraint(
-        role=Role("Mail", "Node"),
-        required_attributes={"Secure": AttrSet([True]), "Trust": AttrRange(0, 5)},
-    )
-
-    psf.registrar.register_component(
-        ComponentType(
-            name="MailServer",
-            implements=(Port("MailI"),),
-            component_role=Role("Mail", "MailServer"),
-            node_constraints=(node_secure,),
-            cpu_demand=50,
-            deployable=False,  # stateful singleton: link, never respawn
-            factory=lambda ctx: MailServer(),
-        ),
-        cls=MailServer,
-    )
-    psf.registrar.register_view(
-        "MailServer",
-        VIEW_MAIL_SERVER_SPEC,
-        cpu_demand=20,
-        component_role=Role("Mail", "ViewMailServer"),
-    )
-    psf.registrar.register_component(
-        ComponentType(
-            name="Encryptor",
-            implements=(Port("SecMailI", {"encrypted": True}),),
-            requires=(
-                Port("MailI", {"privacy": True, "channel": "rmi"}),
-            ),
-            component_role=Role("Mail", "Encryptor"),
-            node_constraints=(node_any,),
-            cpu_demand=30,
-            properties={"bandwidth_transparent": True},
-            factory=lambda ctx: Encryptor(ctx.require("MailI")),
-        ),
-        cls=Encryptor,
-    )
-    psf.registrar.register_component(
-        ComponentType(
-            name="Decryptor",
-            implements=(Port("MailI"),),
-            requires=(Port("SecMailI", {"privacy": True, "channel": "rmi"}),),
-            component_role=Role("Mail", "Decryptor"),
-            node_constraints=(node_any,),
-            cpu_demand=30,
-            properties={"bandwidth_transparent": True},
-            factory=lambda ctx: Decryptor(ctx.require("SecMailI")),
-        ),
-        cls=Decryptor,
-    )
-    psf.registrar.register_component(
-        ComponentType(
-            name="MailClient",
-            implements=(
-                Port("MessageI"),
-                Port("AddressI"),
-                Port("NotesI"),
-            ),
-            component_role=Role("Mail", "MailClient"),
-            node_constraints=(node_any,),
-            cpu_demand=10,
-            factory=lambda ctx: MailClient(),
-        ),
-        cls=MailClient,
-    )
-    for spec in MAIL_CLIENT_VIEW_SPECS:
-        psf.registrar.register_view("MailClient", spec, cpu_demand=5)
-    psf.registrar.set_policy("MailClient", mail_client_policy())
-
-
 def build_scenario(
     *,
     key_bits: int | None = None,
@@ -274,7 +192,7 @@ def build_scenario(
         psf=psf, ny_guard=ny, sd_guard=sd, se_guard=se, mail_guard=mail
     )
     issue_table2_credentials(scenario)
-    register_components(psf)
+    register_components(psf.registrar)
 
     # Client wallets hold only the leaf credentials their own Guard issued
     # (cross-domain mapping credentials live in the repository).

@@ -1,31 +1,18 @@
-"""The MailServer component and its cache view (§2.2).
+"""The MailServer component (§2.2).
 
 "The main components of this application are: mail clients ..., a *mail
 server* that manages the mail accounts for all users, *view mail server*
 components that can be replicated as a cache close to the client, and
 encryption/decryption components."
 
-``MailServer`` implements ``MailI``; ``VIEW_MAIL_SERVER_SPEC`` defines the
-cache as a genuine *view* of the server: the ``mailboxes`` and
-``directory`` state is replicated into the view, and the coherence
-machinery keeps it synchronized with the origin ("PSF adapts to low
-available bandwidth by placing a *view mail server* close to the
-client").
+``MailServer`` implements ``MailI``.  Its cache, ``ViewMailServer``, is a
+genuine *view* of the server declared in the application document
+(:mod:`repro.mail.app_xml`): the ``mailboxes`` and ``directory`` state is
+replicated into the view, and the coherence machinery keeps it
+synchronized with the origin.
 """
 
 from __future__ import annotations
-
-from ..views.interfaces import InterfaceDef, MethodSig
-from ..views.spec import InterfaceRestriction, InterfaceMode, ViewSpec
-
-MailI = InterfaceDef(
-    name="MailI",
-    methods=(
-        MethodSig("fetchMail", ("user",)),
-        MethodSig("sendMail", ("mes",)),
-        MethodSig("listAccounts", ()),
-    ),
-)
 
 
 class MailServer:
@@ -60,16 +47,3 @@ class MailServer:
         self.mailboxes.setdefault(name, [])
         self.directory[name] = {"name": name, "phone": phone, "email": email}
 
-
-# The cache: a hybrid object/data view of MailServer.  MailI is exposed
-# locally (the cached methods run against replicated state); the
-# ``delivered`` counter stays on the origin.  Coherence: on-demand policy
-# pulls/pushes the mailboxes + directory image around every call.
-VIEW_MAIL_SERVER_SPEC = ViewSpec(
-    name="ViewMailServer",
-    represents="MailServer",
-    interfaces=(
-        InterfaceRestriction(name="MailI", mode=InterfaceMode.LOCAL),
-    ),
-    replicated_fields=("mailboxes", "directory", "delivered"),
-)

@@ -8,8 +8,10 @@ This module provides the registration document: one XML file describing an
 application's interfaces, components (with implemented/required ports,
 properties, dRBAC roles, node constraints, CPU demands), view
 specifications, and the Table 4 access policies.  Loading a document
-populates a :class:`~repro.psf.registrar.Registrar` exactly as the
-programmatic API would.
+populates a :class:`~repro.psf.registrar.Registrar`, and is how the mail
+application (:mod:`repro.mail.app_xml`) is registered.  A malformed
+document raises :class:`~repro.errors.PsfError` (or the
+:class:`~repro.errors.ViewSpecError` of a malformed ``<View>``).
 
 Grammar::
 
@@ -122,6 +124,34 @@ def _parse_port(element: ET.Element) -> Port:
     return Port(interface=interface, properties=_parse_properties(element))
 
 
+def _parse_cpu(element: ET.Element, default: Optional[float]) -> Optional[float]:
+    text = element.get("cpu")
+    if text is None:
+        return default
+    try:
+        return float(text)
+    except ValueError:
+        raise PsfError(f"<{element.tag}> cpu={text!r} is not a number") from None
+
+
+def _parse_role(element: ET.Element) -> Optional[Role]:
+    text = (element.get("role") or "").strip()
+    if not text:
+        return None
+    try:
+        return Role.parse(text)
+    except ValueError as exc:
+        raise PsfError(f"<{element.tag}> role: {exc}") from None
+
+
+def _parse_constraint(element: ET.Element) -> Constraint:
+    text = (element.text or "").strip()
+    try:
+        return Constraint.parse(text)
+    except ValueError as exc:
+        raise PsfError(f"<NodeConstraint>{text}</NodeConstraint>: {exc}") from None
+
+
 def _parse_component(
     element: ET.Element,
     factories: dict[str, Callable],
@@ -130,20 +160,22 @@ def _parse_component(
     name = (element.get("name") or "").strip()
     if not name:
         raise PsfError("<Component> requires a name attribute")
-    role_text = (element.get("role") or "").strip()
-    component_role = Role.parse(role_text) if role_text else None
-    constraints = tuple(
-        Constraint.parse((c.text or "").strip())
-        for c in element.findall("NodeConstraint")
-    )
+    deployable = element.get("deployable", "true").strip().lower()
+    if deployable not in ("true", "false"):
+        raise PsfError(
+            f"<Component name={name!r}> deployable must be true or false, "
+            f"got {element.get('deployable')!r}"
+        )
     component = ComponentType(
         name=name,
         implements=tuple(_parse_port(p) for p in element.findall("Implements")),
         requires=tuple(_parse_port(p) for p in element.findall("Requires")),
-        component_role=component_role,
-        node_constraints=constraints,
-        cpu_demand=float(element.get("cpu", "0")),
-        deployable=_parse_value(element.get("deployable", "true")) is True,
+        component_role=_parse_role(element),
+        node_constraints=tuple(
+            _parse_constraint(c) for c in element.findall("NodeConstraint")
+        ),
+        cpu_demand=_parse_cpu(element, 0.0),
+        deployable=deployable == "true",
         factory=factories.get(name),
         properties=_parse_properties(element),
     )
@@ -192,14 +224,11 @@ def load_application(
         for view_el in views_el.findall("View"):
             spec = ViewSpec.from_xml(ET.tostring(view_el, encoding="unicode"))
             base = (view_el.get("component") or spec.represents).strip()
-            role_text = (view_el.get("role") or "").strip()
             registrar.register_view(
                 base,
                 spec,
-                cpu_demand=(
-                    float(view_el.get("cpu")) if view_el.get("cpu") else None
-                ),
-                component_role=Role.parse(role_text) if role_text else None,
+                cpu_demand=_parse_cpu(view_el, None),
+                component_role=_parse_role(view_el),
             )
             report.views.append(spec.name)
 
@@ -215,7 +244,10 @@ def load_application(
                 view_name = (allow_el.get("view") or "").strip()
                 if not role_text or not view_name:
                     raise PsfError("<Allow> requires role and view attributes")
-                policy.allow(role_text, view_name)
+                try:
+                    policy.allow(role_text, view_name)
+                except ValueError as exc:
+                    raise PsfError(f"<Allow role={role_text!r}>: {exc}") from None
             registrar.set_policy(component_name, policy)
             report.policies.append(component_name)
 

@@ -106,10 +106,8 @@ def view_component(
     base: ComponentType,
     spec: ViewSpec,
     *,
-    exported_interface_props: dict | None = None,
     cpu_demand: float | None = None,
     component_role: Optional[Role] = None,
-    extra_constraints: tuple[Constraint, ...] = (),
 ) -> ComponentType:
     """Derive a deployable component type from a view specification.
 
@@ -121,10 +119,7 @@ def view_component(
     in constrained environments" — the view's footprint (cpu, placement
     constraints) can be far lighter than the base component's.
     """
-    implements = tuple(
-        Port(interface=r.name, properties=dict(exported_interface_props or {}))
-        for r in spec.interfaces
-    )
+    implements = tuple(Port(interface=r.name) for r in spec.interfaces)
     remote_ifaces = [
         r for r in spec.interfaces if r.mode is not InterfaceMode.LOCAL
     ]
@@ -150,7 +145,7 @@ def view_component(
         implements=implements,
         requires=requires,
         component_role=component_role if component_role is not None else base.component_role,
-        node_constraints=base.node_constraints + extra_constraints,
+        node_constraints=base.node_constraints,
         cpu_demand=base.cpu_demand if cpu_demand is None else cpu_demand,
         factory=None,
         view_spec=spec,

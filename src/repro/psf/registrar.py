@@ -71,18 +71,13 @@ class Registrar:
         base_name: str,
         spec: ViewSpec,
         *,
-        exported_interface_props: dict | None = None,
         cpu_demand: float | None = None,
         component_role=None,
     ) -> ComponentType:
         """Register a view of an existing component as a deployable type."""
         base = self.component(base_name)
         derived = view_component(
-            base,
-            spec,
-            exported_interface_props=exported_interface_props,
-            cpu_demand=cpu_demand,
-            component_role=component_role,
+            base, spec, cpu_demand=cpu_demand, component_role=component_role
         )
         self._view_specs[spec.name] = spec
         return self.register_component(derived)
@@ -109,6 +104,3 @@ class Registrar:
 
     def register_interface(self, interface: InterfaceDef) -> InterfaceDef:
         return self.interfaces.register(interface)
-
-    def register_interface_class(self, cls: type, name: str | None = None) -> InterfaceDef:
-        return self.interfaces.register_class(cls, name)

@@ -46,12 +46,6 @@ class TestCaching:
         assert cache.is_authorized("Late", "Comp.NY.Member")
         assert cache.stats.invalidated == 1
 
-    def test_negative_caching_can_be_disabled(self, engine):
-        cache = CachedAuthorizer(engine, negative=False)
-        with pytest.raises(AuthorizationError):
-            cache.authorize("Nobody", "Comp.NY.Member")
-        assert len(cache) == 0
-
     def test_explicit_credentials_bypass_cache(self, engine):
         cred = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member", publish=False)
         cache = CachedAuthorizer(engine)

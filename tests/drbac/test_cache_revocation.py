@@ -87,9 +87,7 @@ class TestRevocationInvalidatesCache:
 class TestObsAccounting:
     def test_invalidation_counts_and_gauge_stays_honest(self, engine):
         with obs.scoped() as registry:
-            # negative=False keeps the point sharp: the gauge must drop to
-            # zero on pure invalidation, with no new insert to mask drift.
-            cache = CachedAuthorizer(engine, negative=False)
+            cache = CachedAuthorizer(engine)
             cred = engine.delegate("Org", "Alice", "Org.Member")
             cache.authorize("Alice", "Org.Member")
             cache.authorize("Alice", "Org.Member")
@@ -100,6 +98,8 @@ class TestObsAccounting:
             with pytest.raises(AuthorizationError):
                 cache.authorize("Alice", "Org.Member")
             assert registry.counter_value(metric_names.CACHE_INVALIDATED) == 1
-            # The stale entry is gone and the gauge reflects it even though
-            # the fresh search raised before any new insert happened.
-            assert registry.gauge(metric_names.CACHE_ENTRIES).value == 0
+            # The stale grant is gone and the fresh search's denial took its
+            # place: the gauge counts the one entry the cache holds, so a
+            # removal the gauge missed would read 2.
+            assert len(cache) == 1
+            assert registry.gauge(metric_names.CACHE_ENTRIES).value == 1

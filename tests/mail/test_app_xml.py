@@ -1,82 +1,21 @@
-"""Declarative-document equivalence: the XML app spec registers the same
-application as the programmatic scenario builder."""
+"""The mail application document: ``build_scenario`` registers it, and a
+damaged copy of it loads or raises a typed error, never anything else."""
 
 from __future__ import annotations
 
-import pytest
+import xml.etree.ElementTree as ET
 
-from repro.mail import build_network, build_scenario, issue_table2_credentials
-from repro.mail.app_xml import MAIL_APP_XML, register_components_declaratively
-from repro.mail.scenario import MailScenario, NY_NODES
-from repro.mail.server import MailServer
-from repro.psf import PSF, EdgeRequirement, ServiceRequest
-from repro.psf.guard import Guard
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
-@pytest.fixture()
-def declarative_scenario(key_store):
-    """The three-site world with components loaded from MAIL_APP_XML."""
-    psf = PSF(key_store=key_store)
-    build_network(psf)
-    ny = psf.add_guard("NY", "Comp.NY")
-    sd = psf.add_guard("SD", "Comp.SD")
-    se = psf.add_guard("SE", "Inc.SE")
-    mail = Guard(psf.engine, "Mail")
-    psf.set_app_guard(mail)
-    scenario = MailScenario(
-        psf=psf, ny_guard=ny, sd_guard=sd, se_guard=se, mail_guard=mail
-    )
-    issue_table2_credentials(scenario)
-    register_components_declaratively(psf)
-    server = MailServer()
-    server.create_account("Alice")
-    psf.host_existing("MailServer", "ny-server", server, "MailServer")
-    scenario.server = server
-    return scenario
-
-
-class TestEquivalence:
-    def test_same_component_inventory(self, declarative_scenario, shared_scenario):
-        declared = {c.name for c in declarative_scenario.psf.registrar.components()}
-        programmatic = {c.name for c in shared_scenario.psf.registrar.components()}
-        assert declared == programmatic
-
-    def test_same_component_shapes(self, declarative_scenario, shared_scenario):
-        for component in shared_scenario.psf.registrar.components():
-            declared = declarative_scenario.psf.registrar.component(component.name)
-            assert declared.cpu_demand == component.cpu_demand
-            assert declared.deployable == component.deployable
-            assert str(declared.component_role) == str(component.component_role)
-            assert [p.interface for p in declared.implements] == [
-                p.interface for p in component.implements
-            ]
-            assert [p.interface for p in declared.requires] == [
-                p.interface for p in component.requires
-            ]
-
-    def test_same_policy(self, declarative_scenario, shared_scenario):
-        declared = declarative_scenario.psf.registrar.policy("MailClient")
-        programmatic = shared_scenario.psf.registrar.policy("MailClient")
-        assert [r.view_name for r in declared.rules()] == [
-            r.view_name for r in programmatic.rules()
-        ]
-
-    def test_same_view_specs(self, declarative_scenario, shared_scenario):
-        for name in (
-            "ViewMailServer",
-            "ViewMailClient_Member",
-            "ViewMailClient_Partner",
-            "ViewMailClient_Anonymous",
-        ):
-            declared = declarative_scenario.psf.registrar.view_spec(name)
-            programmatic = shared_scenario.psf.registrar.view_spec(name)
-            assert declared.interfaces == programmatic.interfaces
-            assert declared.replicated_fields == programmatic.replicated_fields
+from repro.errors import ReproError
+from repro.mail import MAIL_APP_XML, register_components
+from repro.psf import EdgeRequirement, Registrar, ServiceRequest, load_application
 
 
 class TestDeclarativeOperation:
-    def test_planner_adapts_identically(self, declarative_scenario):
-        plan = declarative_scenario.psf.planner().plan(
+    def test_planner_adapts_identically(self, shared_scenario):
+        plan = shared_scenario.psf.planner().plan(
             ServiceRequest(
                 client="Bob", client_node="sd-pc1", interface="MailI",
                 qos=EdgeRequirement(privacy=True, channel="rmi"),
@@ -84,8 +23,9 @@ class TestDeclarativeOperation:
         )
         assert plan.deployed_names() == ["ViewMailServer"]
 
-    def test_end_to_end_deployment_works(self, declarative_scenario):
-        session = declarative_scenario.psf.request_service(
+    def test_end_to_end_deployment_works(self, scenario_factory):
+        scenario = scenario_factory()
+        session = scenario.psf.request_service(
             ServiceRequest(
                 client="Bob", client_node="sd-pc1", interface="MailI",
                 qos=EdgeRequirement(privacy=True, channel="rmi"),
@@ -94,8 +34,66 @@ class TestDeclarativeOperation:
         session.access.sendMail(
             {"sender": "Bob", "recipient": "Alice", "subject": "d", "body": "b"}
         )
-        assert declarative_scenario.server.fetchMail("Alice")
+        assert scenario.server.fetchMail("Alice")
 
     def test_document_mentions_table_3b_view(self):
         assert 'name="ViewMailClient_Partner"' in MAIL_APP_XML
         assert 'type="switchboard"' in MAIL_APP_XML
+
+    def test_scenario_registers_everything_the_document_declares(self, shared_scenario):
+        report = register_components(Registrar())
+        registrar = shared_scenario.psf.registrar
+        assert [c.name for c in registrar.components()] == (
+            report.components + report.views
+        )
+        assert registrar.interfaces.names() == sorted(report.interfaces)
+        assert [s.name for s in registrar.view_specs()] == report.views
+        assert report.policies == ["MailClient"]
+
+
+# Every attribute and every non-blank text node of the document: the
+# places a hand-edited or corrupted copy can differ from the original.
+_ELEMENTS = list(ET.fromstring(MAIL_APP_XML).iter())
+_SLOTS = [
+    (index, attribute)
+    for index, element in enumerate(_ELEMENTS)
+    for attribute in element.attrib
+] + [
+    (index, None)
+    for index, element in enumerate(_ELEMENTS)
+    if (element.text or "").strip()
+]
+_TOKENS = st.sampled_from([
+    "", " ", "abc", "0", "-1", "1", "yes", "true", "false", "others", "x",
+    "Mail.Node", "Mail.Node with Secure=", "Mail.Node with Secure={}",
+    "Mail.Node with Trust=(5,1)", "Mail.Node with Trust=(a,b)", "f(",
+    "f(a b)", "MailServer", "MailClient", "MailI", "ViewMailServer", "rmi",
+    "bogus", "nan", "1e999",
+])
+# Lone surrogates cannot occur in text decoded from a file.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+
+
+class TestHostileDocument:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        slot=st.sampled_from(_SLOTS),
+        value=st.none() | _TOKENS | _TEXT,
+    )
+    def test_one_changed_node_loads_or_raises_typed(self, slot, value):
+        """Replace (or drop, ``None``) one attribute or text node."""
+        index, attribute = slot
+        root = ET.fromstring(MAIL_APP_XML)
+        element = list(root.iter())[index]
+        if attribute is None:
+            element.text = value
+        elif value is None:
+            del element.attrib[attribute]
+        else:
+            element.set(attribute, value)
+        registrar = Registrar()
+        try:
+            load_application(registrar, ET.tostring(root, encoding="unicode"))
+        except ReproError:
+            return
+        assert registrar.components()

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mail.client import (
-    AddressI,
-    MAIL_CLIENT_INTERFACES,
-    MailClient,
-    MessageI,
-    NotesI,
-)
+from repro.mail.client import MailClient
 
 
 @pytest.fixture()
@@ -57,19 +51,26 @@ class TestNotesI:
 
 
 class TestInterfaceDeclarations:
-    def test_three_interfaces(self):
-        assert [i.name for i in MAIL_CLIENT_INTERFACES] == [
+    """The interfaces ``build_scenario`` registers from the document."""
+
+    @pytest.fixture()
+    def registrar(self, shared_scenario):
+        return shared_scenario.psf.registrar
+
+    def test_three_interfaces(self, registrar):
+        assert [p.interface for p in registrar.component("MailClient").implements] == [
             "MessageI",
             "AddressI",
             "NotesI",
         ]
 
-    def test_methods_match_table_3a(self):
-        assert MessageI.method_names() == ("sendMessage", "receiveMessages")
-        assert AddressI.method_names() == ("getPhone", "getEmail")
-        assert NotesI.method_names() == ("addNote", "addMeeting")
+    def test_methods_match_table_3a(self, registrar):
+        interfaces = registrar.interfaces
+        assert interfaces.get("MessageI").method_names() == ("sendMessage", "receiveMessages")
+        assert interfaces.get("AddressI").method_names() == ("getPhone", "getEmail")
+        assert interfaces.get("NotesI").method_names() == ("addNote", "addMeeting")
 
-    def test_interfaces_cover_client_methods(self):
-        for iface in MAIL_CLIENT_INTERFACES:
-            for sig in iface.methods:
+    def test_interfaces_cover_client_methods(self, registrar):
+        for port in registrar.component("MailClient").implements:
+            for sig in registrar.interfaces.get(port.interface).methods:
                 assert callable(getattr(MailClient, sig.name))

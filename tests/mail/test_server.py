@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mail.server import VIEW_MAIL_SERVER_SPEC, MailServer
-from repro.views import InterfaceRegistry, Vig, ViewRuntime
-from repro.mail.server import MailI
+from repro.mail.server import MailServer
+from repro.views import Vig, ViewRuntime
 
 
 @pytest.fixture()
@@ -39,11 +38,15 @@ class TestMailServer:
 
 
 class TestCacheView:
-    def test_cache_reads_and_writes_through(self, server):
-        registry = InterfaceRegistry()
-        registry.register(MailI)
-        vig = Vig(registry)
-        view_cls = vig.generate(VIEW_MAIL_SERVER_SPEC, MailServer)
+    """The ``ViewMailServer`` cache ``build_scenario`` registers."""
+
+    @pytest.fixture()
+    def registrar(self, shared_scenario):
+        return shared_scenario.psf.registrar
+
+    def test_cache_reads_and_writes_through(self, server, registrar):
+        vig = Vig(registrar.interfaces)
+        view_cls = vig.generate(registrar.view_spec("ViewMailServer"), MailServer)
         cache = view_cls(ViewRuntime(local_objects={"MailServer": server}))
         # Read through the cache.
         assert cache.listAccounts() == ["alice", "bob"]
@@ -54,8 +57,8 @@ class TestCacheView:
         server.sendMail({"recipient": "alice", "body": "direct"})
         assert cache.fetchMail("alice") == [{"recipient": "alice", "body": "direct"}]
 
-    def test_spec_replicates_server_state(self):
-        assert set(VIEW_MAIL_SERVER_SPEC.replicated_fields) == {
+    def test_spec_replicates_server_state(self, registrar):
+        assert set(registrar.view_spec("ViewMailServer").replicated_fields) == {
             "mailboxes",
             "directory",
             "delivered",

@@ -145,6 +145,48 @@ class TestErrors:
         with pytest.raises(PsfError, match="component"):
             load_application(Registrar(), doc)
 
+    def test_component_cpu_not_a_number(self):
+        with pytest.raises(PsfError, match="cpu"):
+            load_application(Registrar(), MINI_APP.replace('cpu="30"', 'cpu="abc"'))
+
+    def test_view_cpu_not_a_number(self):
+        with pytest.raises(PsfError, match="cpu"):
+            load_application(Registrar(), MINI_APP.replace('cpu="20"', 'cpu="abc"'))
+
+    def test_unparseable_role(self):
+        with pytest.raises(PsfError, match="role"):
+            load_application(
+                Registrar(),
+                MINI_APP.replace('role="Mail.Encryptor"', 'role="norole"'),
+            )
+
+    def test_malformed_node_constraint(self):
+        doc = MINI_APP.replace(
+            "Mail.Node with Secure={true}", "Mail.Node with Secure="
+        )
+        with pytest.raises(PsfError, match="NodeConstraint"):
+            load_application(Registrar(), doc)
+
+    def test_unparseable_allow_role(self):
+        doc = MINI_APP.replace('<Allow role="Comp.NY.Member"', '<Allow role="x"')
+        with pytest.raises(PsfError, match="Allow"):
+            load_application(Registrar(), doc)
+
+    def test_allow_after_others(self):
+        doc = MINI_APP.replace(
+            '<Allow role="others" view="CacheView"/>',
+            '<Allow role="others" view="CacheView"/>'
+            '<Allow role="Comp.NY.Member" view="CacheView"/>',
+        )
+        with pytest.raises(PsfError, match="others"):
+            load_application(Registrar(), doc)
+
+    @pytest.mark.parametrize("value", ["1", "yes", "0", ""])
+    def test_deployable_accepts_only_true_or_false(self, value):
+        doc = MINI_APP.replace('deployable="false"', f'deployable="{value}"')
+        with pytest.raises(PsfError, match="deployable"):
+            load_application(Registrar(), doc)
+
 
 class TestPlannability:
     def test_loaded_app_plans_like_programmatic_registration(self, key_store):

@@ -246,6 +246,45 @@ class TestOneCredentialLog:
         assert not offenders, f"{name} is back in {offenders}"
 
 
+_APP_MODEL_TYPES = {
+    "InterfaceDef", "MethodSig", "ViewSpec", "ComponentType", "Port",
+    "Constraint", "ViewAccessPolicy",
+}
+
+
+def _mail_calls() -> list[str]:
+    """The callee of every call in ``repro/mail``: ``X`` for ``X(...)``,
+    ``X.attr`` for ``X.attr(...)`` (so ``ViewSpec.from_xml`` counts too)."""
+    calls = []
+    for path in sorted((Path(repro.__file__).parent / "mail").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                calls.append(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                calls.append(f"{func.value.id}.{func.attr}")
+    return calls
+
+
+class TestOneApplicationDocument:
+    """The mail application is defined once, by ``MAIL_APP_XML``: no module
+    of ``repro.mail`` builds an interface, component, view spec, node
+    constraint or access policy in Python, and one call loads the
+    document."""
+
+    def test_no_python_built_application_model(self):
+        offenders = [
+            call for call in _mail_calls()
+            if call.split(".")[0] in _APP_MODEL_TYPES
+        ]
+        assert not offenders
+
+    def test_one_load_application_call(self):
+        assert _mail_calls().count("load_application") == 1
+
+
 def _bench_layers():
     """``bench/layers.py``, imported read-only from its file (``bench/`` is
     not a package and must not be edited by PRs that guard performance)."""

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ViewSpecError
-from repro.mail.client import MAIL_CLIENT_INTERFACES, MailClient
+from repro.mail import MailClient, register_components
+from repro.psf import Registrar
 from repro.views import (
     InterfaceMode,
-    InterfaceRegistry,
     ViewHint,
     ViewRuntime,
     Vig,
@@ -19,10 +19,9 @@ from repro.views import (
 
 @pytest.fixture()
 def registry():
-    registry = InterfaceRegistry()
-    for iface in MAIL_CLIENT_INTERFACES:
-        registry.register(iface)
-    return registry
+    registrar = Registrar()
+    register_components(registrar)
+    return registrar.interfaces
 
 
 def _original():
