@@ -13,10 +13,15 @@ from abstractions like SSL/TLS".  The implementation:
   :class:`~repro.drbac.monitor.ProofMonitor` over the partner's proof.
   A malformed or hostile greeting ends as a typed reject (HELLO) or a
   failed dial (WELCOME); no error escapes frame delivery.
-* **Frames** — after the handshake every frame is encrypted and MACed with
-  the DH session key; the per-direction sequence number rides as
-  associated data, so replayed or reordered frames fail authentication or
-  the monotonicity check (:class:`~repro.errors.ReplayError` accounting).
+* **Frames** — after the handshake every frame is JSON, encrypted and
+  MACed with the DH session key, and sent as one binary envelope:
+  ``DATA_MAGIC ‖ len(conn_id) (1 byte) ‖ conn_id ‖ from_initiator (1 byte)
+  ‖ seq (8 bytes) ‖ sealed frame``.  The clear header is authenticated as
+  the associated data ``conn_id|direction|seq``, so a changed header byte
+  fails the tag or names no connection, and replayed or reordered frames
+  fail authentication or the monotonicity check (``replays_rejected`` /
+  ``tamper_rejected`` accounting).  A malformed envelope is dropped and
+  counted, never raised.
 * **Heartbeats** — replay-resistant pings measure round-trip latency and
   drive liveness: missing too many pongs marks the channel ``DEAD``.
 * **Continuous authorization** — a revocation anywhere in either partner's
@@ -70,6 +75,9 @@ from .rpc import (
 )
 
 SWITCHBOARD_SERVICE = "switchboard"
+
+DATA_MAGIC = b"RSWD1"
+"""First bytes of every data envelope; greetings are JSON and start with ``{``."""
 
 REVALIDATE = "<revalidate>"
 """Method name of the call-table entry a pending revalidation holds."""
@@ -153,6 +161,8 @@ class SwitchboardConnection:
         self.missed_heartbeats = 0
         self._send_seq = 0
         self._recv_seq = -1
+        cid = conn_id.encode()
+        self._envelope_head = DATA_MAGIC + bytes((len(cid),)) + cid + bytes((is_initiator,))
         self.calls = CallTable(endpoint.transport.scheduler)
         self._trust_callbacks: list[Callable[[str], None]] = []
         self._heartbeat_cancel: Callable[[], None] = lambda: None
@@ -322,15 +332,7 @@ class SwitchboardConnection:
                 self.endpoint.node_name,
                 self.peer_node,
                 SWITCHBOARD_SERVICE,
-                encode_frame(
-                    {
-                        "type": "data",
-                        "conn_id": self.conn_id,
-                        "seq": seq,
-                        "from_initiator": self.is_initiator,
-                        "frame": frame.hex(),
-                    }
-                ),
+                self._envelope_head + seq.to_bytes(8, "big") + frame,
             )
         except NetworkError:
             # No route right now (fault injection).  Equivalent to the
@@ -343,21 +345,16 @@ class SwitchboardConnection:
         direction = b"i2r" if sender_is_initiator else b"r2i"
         return self.conn_id.encode() + b"|" + direction + b"|" + seq.to_bytes(8, "big")
 
-    def _receive(self, outer: dict) -> None:
-        seq = int(outer["seq"])
+    def _receive(self, from_initiator: bool, seq: int, ciphertext: bytes) -> None:
         if seq <= self._recv_seq:
             self.stats.replays_rejected += 1
             obs.counter(metric_names.SWB_REPLAYS_REJECTED).inc()
             return
-        ad = self._associated_data(
-            sender_is_initiator=bool(outer["from_initiator"]), seq=seq
-        )
+        ad = self._associated_data(sender_is_initiator=from_initiator, seq=seq)
         try:
-            ciphertext = bytes.fromhex(outer["frame"])
             plaintext = self.cipher.decrypt(ciphertext, ad)
-        except (CipherError, ValueError):
-            self.stats.tamper_rejected += 1
-            obs.counter(metric_names.SWB_TAMPER_REJECTED).inc()
+        except CipherError:
+            self._reject_tampered()
             return
         self._recv_seq = seq
         self.stats.frames_received += 1
@@ -365,6 +362,10 @@ class SwitchboardConnection:
             obs.counter(metric_names.SWB_FRAMES_RECEIVED).inc()
             obs.counter(metric_names.SWB_BYTES_RECEIVED).inc(len(ciphertext))
         self._handle(decode_frame(plaintext))
+
+    def _reject_tampered(self) -> None:
+        self.stats.tamper_rejected += 1
+        obs.counter(metric_names.SWB_TAMPER_REJECTED).inc()
 
     def _handle(self, inner: dict) -> None:
         kind = inner.get("kind")
@@ -630,7 +631,11 @@ class SwitchboardEndpoint:
         proof.  Authorization comes last, so a failure leaves no monitor
         behind."""
         conn_id = outer["conn_id"]
-        if not isinstance(conn_id, str) or outer["reply_to"] != sender:
+        if (
+            not isinstance(conn_id, str)
+            or len(conn_id.encode()) > 255  # its length is one envelope byte
+            or outer["reply_to"] != sender
+        ):
             raise HandshakeError(f"{role} greeting misaddressed")
         identity = public_identity_from_wire(outer["identity"])
         expected = None if self.directory is None else self.directory(identity.name)
@@ -647,6 +652,9 @@ class SwitchboardEndpoint:
     # -- frame handling -----------------------------------------------------------
 
     def _on_frame(self, payload: bytes, sender: str) -> None:
+        if payload.startswith(DATA_MAGIC):
+            self._on_data(payload)
+            return
         outer = decode_frame(payload)
         kind = outer.get("type")
         if kind == "hello":
@@ -655,12 +663,28 @@ class SwitchboardEndpoint:
             self._on_welcome(outer, sender)
         elif kind == "reject":
             self._on_reject(outer)
-        elif kind == "data":
-            conn = self._connections.get(_named_conn_id(outer))
-            if conn is not None:
-                conn._receive(outer)
         else:
             raise SwitchboardError(f"unknown switchboard frame {kind!r}")
+
+    def _on_data(self, envelope: bytes) -> None:
+        """Hand a data envelope to the connection it names.  One naming no
+        live connection is dropped; one cut short, or whose flag byte is
+        not the peer's direction, counts as tampering on its connection.
+        Both directions share one key, so the flag check is what stops a
+        frame reflected back to its sender from opening there."""
+        at = len(DATA_MAGIC) + 1
+        end = at + envelope[at - 1] if len(envelope) >= at else at
+        try:
+            conn = self._connections.get(envelope[at:end].decode())
+        except UnicodeDecodeError:
+            return
+        if conn is None:
+            return
+        flag, seq = envelope[end : end + 1], envelope[end + 1 : end + 9]
+        if flag != bytes((not conn.is_initiator,)) or len(seq) < 8:
+            conn._reject_tampered()
+            return
+        conn._receive(flag == b"\x01", int.from_bytes(seq, "big"), envelope[end + 9 :])
 
     def _on_hello(self, outer: dict, sender: str) -> None:
         def reject(reason: str) -> None:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.crypto import KeyStore
 from repro.drbac import DrbacEngine, EntityRef, Role
-from repro.errors import ChannelClosedError, HandshakeError
+from repro.errors import ChannelClosedError, HandshakeError, SwitchboardError
 from repro.net import EventScheduler, Network, Transport
 from repro.obs import names as metric_names
 from repro.switchboard import (
@@ -22,7 +22,7 @@ from repro.switchboard import (
     RoleAuthorizer,
     SwitchboardEndpoint,
 )
-from repro.switchboard.channel import _handshake_bytes
+from repro.switchboard.channel import DATA_MAGIC, _handshake_bytes
 
 
 class MailBoxService:
@@ -163,6 +163,26 @@ class TestCalls:
             conn.call("mail", "inbox")
 
 
+def _client_envelopes(frames):
+    """The client->server data envelopes among captured ``(payload, src, dst)``."""
+    return [p for (p, s, d) in frames if s == "cnode" and p.startswith(DATA_MAGIC)]
+
+
+def _split_envelope(envelope):
+    """``(head, seq, sealed)``: the bytes up to and including the
+    ``from_initiator`` flag, the sequence number, and the sealed frame."""
+    end = len(DATA_MAGIC) + 1 + envelope[len(DATA_MAGIC)] + 1
+    return envelope[:end], int.from_bytes(envelope[end : end + 8], "big"), envelope[end + 8 :]
+
+
+def _envelope(head, seq, sealed):
+    return head + seq.to_bytes(8, "big") + sealed
+
+
+def _flip(data, index):
+    return data[:index] + bytes((data[index] ^ 1,)) + data[index + 1 :]
+
+
 class TestReplayAndTamper:
     def _capture_data_frames(self, transport):
         frames = []
@@ -175,10 +195,7 @@ class TestReplayAndTamper:
         conn, _ = _open_channel(engine, client_ep, server_ep)
         conn.call_sync("mail", "note", ["once"])
         # Find the client->server data frame and replay it verbatim.
-        data_frames = [
-            p for (p, s, d) in frames
-            if s == "cnode" and json.loads(p.decode()).get("type") == "data"
-        ]
+        data_frames = _client_envelopes(frames)
         assert data_frames
         replay = data_frames[-1]
         server_conn = server_ep.connections()[0]
@@ -193,39 +210,170 @@ class TestReplayAndTamper:
         frames = self._capture_data_frames(transport)
         conn, _ = _open_channel(engine, client_ep, server_ep)
         conn.call_sync("mail", "note", ["real"])
-        data_frames = [
-            p for (p, s, d) in frames
-            if s == "cnode" and json.loads(p.decode()).get("type") == "data"
-        ]
-        outer = json.loads(data_frames[-1].decode())
-        outer["seq"] = outer["seq"] + 1000  # fresh seq, but MAC now fails
+        head, seq, sealed = _split_envelope(_client_envelopes(frames)[-1])
+        # A fresh seq, but the MAC over it now fails.
+        forged = _envelope(head, seq + 1000, sealed)
         server_conn = server_ep.connections()[0]
         before = server_conn.stats.tamper_rejected
-        transport.send(
-            "cnode", "snode", "switchboard", json.dumps(outer).encode()
-        )
+        transport.send("cnode", "snode", "switchboard", forged)
         transport.scheduler.run()
         assert server_conn.stats.tamper_rejected == before + 1
 
-    def test_non_hex_frame_field_counts_as_tamper(self, world):
+    def test_corrupted_ciphertext_counts_as_tamper(self, world):
         engine, transport, client_ep, server_ep, service = world
         frames = self._capture_data_frames(transport)
         conn, _ = _open_channel(engine, client_ep, server_ep)
         conn.call_sync("mail", "note", ["real"])
-        outer = json.loads(
-            [p for (p, s, d) in frames if s == "cnode"][-1].decode()
-        )
-        assert outer["type"] == "data"
-        outer["seq"] += 1
-        outer["frame"] = "zz"
+        last = [p for (p, s, d) in frames if s == "cnode"][-1]
+        assert last.startswith(DATA_MAGIC)
+        head, seq, sealed = _split_envelope(last)
         server_conn = server_ep.connections()[0]
         transport.send(
-            "cnode", "snode", "switchboard", json.dumps(outer).encode()
+            "cnode", "snode", "switchboard", _envelope(head, seq + 1, _flip(sealed, 20))
         )
         transport.scheduler.run()  # must not raise out of _on_frame
         assert server_conn.stats.tamper_rejected == 1
         assert server_conn.state is ChannelState.OPEN
         assert conn.call_sync("mail", "note", ["again"]) == 2
+
+
+def _open_and_capture(world):
+    """Open a channel, make one real call, and return the client end, the
+    server end and that call's envelope."""
+    engine, transport, client_ep, server_ep, _ = world
+    frames = []
+    transport.observe_link("cnode", "snode", lambda p, s, d: frames.append((p, s, d)))
+    conn, _ = _open_channel(engine, client_ep, server_ep)
+    conn.call_sync("mail", "note", ["real"])
+    return conn, server_ep.connections()[0], _client_envelopes(frames)[-1]
+
+
+MALFORMED_ENVELOPES = {
+    "short-header": lambda head, seq, sealed: head[:-1],
+    "truncated-seq": lambda head, seq, sealed: head + seq.to_bytes(8, "big")[:5],
+    "flag-byte-2": lambda head, seq, sealed: _envelope(head[:-1] + b"\x02", seq, sealed),
+    "bad-tag": lambda head, seq, sealed: _envelope(head, seq, _flip(sealed, len(sealed) - 1)),
+}
+
+UNROUTED_ENVELOPES = {
+    "magic-only": lambda head: DATA_MAGIC,
+    "undecodable-conn-id": lambda head: DATA_MAGIC + b"\x02\xff\xfe" + head[-1:],
+    "unknown-conn-id": lambda head: DATA_MAGIC + b"\x0bconn-0-none" + head[-1:],
+}
+
+
+class TestMalformedDataFrames:
+    """Anyone on an insecure link can read a live ``conn_id``.  A data frame
+    built around one never raises a builtin error out of frame delivery: a
+    JSON ``data`` frame is an unknown kind, and a malformed envelope is
+    dropped and counted."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"frame": "00"}, {"seq": "x", "frame": "00"}, {"seq": 5, "frame": 5}],
+        ids=["missing-seq", "non-integer-seq", "non-string-frame"],
+    )
+    def test_json_data_frame_is_an_unknown_kind(self, world, fields):
+        engine, transport, client_ep, server_ep, service = world
+        conn, _ = _open_channel(engine, client_ep, server_ep)
+        frame = {"type": "data", "conn_id": conn.conn_id, "from_initiator": True, **fields}
+        transport.send("cnode", "snode", "switchboard", json.dumps(frame).encode())
+        with pytest.raises(SwitchboardError, match="unknown switchboard frame"):
+            transport.scheduler.run()
+        assert server_ep.connections()[0].state is ChannelState.OPEN
+        assert conn.call_sync("mail", "note", ["after"]) == 1
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_ENVELOPES))
+    def test_malformed_envelope_counts_as_tamper(self, world, shape):
+        _, transport, _, _, service = world
+        conn, server_conn, captured = _open_and_capture(world)
+        head, seq, sealed = _split_envelope(captured)
+        envelope = MALFORMED_ENVELOPES[shape](head, seq + 1, sealed)
+        transport.send("cnode", "snode", "switchboard", envelope)
+        transport.scheduler.run()  # never raises out of frame delivery
+        assert server_conn.stats.tamper_rejected == 1
+        assert server_conn.stats.replays_rejected == 0
+        assert service.notes == ["real"]
+        assert server_conn.state is ChannelState.OPEN
+        assert conn.call_sync("mail", "note", ["again"]) == 2
+
+    def test_reflected_envelope_counts_as_tamper(self, world):
+        # Both directions share one key: a call sent back to its own sender
+        # before the real reply arrives must not be served there.
+        engine, transport, client_ep, server_ep, service = world
+        frames = []
+        transport.observe_link("cnode", "snode", lambda p, s, d: frames.append((p, s, d)))
+        conn, _ = _open_channel(engine, client_ep, server_ep)
+        client_service = MailBoxService()
+        client_ep.export("mail", client_service)
+        pending = conn.call("mail", "note", ["once"])
+        transport.send("snode", "cnode", "switchboard", _client_envelopes(frames)[-1])
+        transport.scheduler.run()
+        assert client_service.notes == []
+        assert conn.stats.tamper_rejected == 1
+        assert pending.wait() == 1
+        assert service.notes == ["once"]
+
+    @pytest.mark.parametrize("shape", sorted(UNROUTED_ENVELOPES))
+    def test_envelope_naming_no_connection_is_dropped(self, world, shape):
+        _, transport, _, _, service = world
+        conn, server_conn, captured = _open_and_capture(world)
+        head, seq, sealed = _split_envelope(captured)
+        envelope = _envelope(UNROUTED_ENVELOPES[shape](head), seq + 1, sealed)
+        transport.send("cnode", "snode", "switchboard", envelope)
+        transport.scheduler.run()  # never raises out of frame delivery
+        assert server_conn.stats.tamper_rejected == 0
+        assert server_conn.stats.replays_rejected == 0
+        assert service.notes == ["real"]
+        assert conn.call_sync("mail", "note", ["again"]) == 2
+
+
+_MUTATIONS = (
+    st.tuples(st.just("flip-header"), st.integers(0, 255), st.integers(1, 255))
+    | st.tuples(st.just("flip"), st.integers(0, 4095), st.integers(1, 255))
+    | st.tuples(st.just("cut"), st.integers(0, 4095))
+    | st.tuples(st.just("grow"), st.binary(min_size=1, max_size=16))
+)
+"""Byte flips (biased towards the clear header), truncations and appended
+bytes, drawn apart from the envelope they apply to: its length varies
+from run to run with the connection id."""
+
+
+def _mutate(envelope, mutation):
+    """Apply one of :data:`_MUTATIONS`.  The magic stays whole: without it
+    a payload is a greeting, which has its own typed errors."""
+    magic = len(DATA_MAGIC)
+    kind, *args = mutation
+    if kind == "grow":
+        return envelope + args[0]
+    if kind == "cut":
+        return envelope[: magic + args[0] % (len(envelope) - magic)]
+    header = magic + 1 + envelope[magic] + 1 + 8
+    span = (header if kind == "flip-header" else len(envelope)) - magic
+    index = magic + args[0] % span
+    return envelope[:index] + bytes((envelope[index] ^ args[1],)) + envelope[index + 1 :]
+
+
+def _names_connection(envelope, conn_id):
+    at = len(DATA_MAGIC) + 1
+    return len(envelope) >= at and envelope[at : at + envelope[at - 1]] == conn_id.encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(_MUTATIONS, min_size=1, max_size=8))
+def test_corrupted_envelopes_never_execute(key_store, mutations):
+    world = _make_world(key_store)
+    _, transport, _, _, service = world
+    conn, server_conn, captured = _open_and_capture(world)
+    mutants = [_mutate(captured, mutation) for mutation in mutations]
+    for mutant in mutants:
+        transport.send("cnode", "snode", "switchboard", mutant)
+        transport.scheduler.run()  # never raises out of frame delivery
+    assert service.notes == ["real"]
+    named = sum(_names_connection(m, conn.conn_id) for m in mutants)
+    assert server_conn.stats.replays_rejected + server_conn.stats.tamper_rejected == named
+    assert server_conn.state is ChannelState.OPEN
+    assert conn.call_sync("mail", "note", ["next"]) == 2
 
 
 class TestHeartbeats:
@@ -376,6 +524,26 @@ class TestHostileHandshakes:
         assert server_ep.connections() == []
         with pytest.raises(HandshakeError):
             pending.connection
+
+    def test_conn_id_too_long_for_an_envelope_is_rejected(self, world):
+        engine, transport, client_ep, server_ep, _ = world
+        server_ep.listen("mail", _suite(engine, "MailService"))
+        alice = engine.identity("Alice")
+
+        def long_conn_id(frame):
+            # Validly signed, so only the length check can refuse it.
+            frame["conn_id"] = "c" * 256
+            transcript = _handshake_bytes(
+                frame["conn_id"], "initiator", int(frame["dh"], 16), [frame["nonce"]]
+            )
+            frame["sig"] = alice.sign(transcript).hex()
+
+        _rewrite_greetings(transport, "hello", long_conn_id)
+        with obs.scoped(enabled=True) as registry:
+            client_ep.connect("snode", "mail", _suite(engine, "Alice"))
+            transport.scheduler.run_until(1.0)
+        assert registry.counter_value(metric_names.SWB_HANDSHAKES_REJECTED) == 1
+        assert server_ep.connections() == []
 
     @pytest.mark.parametrize("shape", sorted(HOSTILE_GREETINGS))
     def test_hostile_welcome_fails_the_dial(self, world, shape):

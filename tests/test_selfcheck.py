@@ -285,6 +285,55 @@ class TestOneApplicationDocument:
         assert _mail_calls().count("load_application") == 1
 
 
+def _connection_callees(method: str) -> list[str]:
+    """The callee of every call in ``SwitchboardConnection.<method>``: ``f``
+    for ``f(...)``, ``.attr`` for ``x.attr(...)``."""
+    path = Path(repro.__file__).parent / "switchboard" / "channel.py"
+    [cls] = [
+        node for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "SwitchboardConnection"
+    ]
+    [func] = [
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == method
+    ]
+    return [
+        call.func.id if isinstance(call.func, ast.Name) else f".{call.func.attr}"
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, (ast.Name, ast.Attribute))
+    ]
+
+
+class TestOneDataEnvelope:
+    """A sealed channel frame travels as one binary envelope: the inner
+    frame is the only JSON on the data path, and nothing hex-encodes the
+    ciphertext or wraps it in a second JSON object."""
+
+    def test_send_encodes_only_the_inner_frame(self):
+        assert _connection_callees("_send").count("encode_frame") == 1
+
+    @pytest.mark.parametrize("method", ["_send", "_receive"])
+    def test_no_hex_on_the_data_path(self, method):
+        callees = _connection_callees(method)
+        assert ".hex" not in callees and ".fromhex" not in callees
+
+    def test_no_json_data_frame(self):
+        root = Path(repro.__file__).parent / "switchboard"
+        offenders = [
+            path.name
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Dict)
+            and any(
+                isinstance(key, ast.Constant) and key.value == "type"
+                and isinstance(value, ast.Constant) and value.value == "data"
+                for key, value in zip(node.keys, node.values)
+            )
+        ]
+        assert not offenders
+
+
 def _bench_layers():
     """``bench/layers.py``, imported read-only from its file (``bench/`` is
     not a package and must not be edited by PRs that guard performance)."""
