@@ -5,22 +5,44 @@ Models the paper's evaluation environment (§2.2): three LAN sites with
 insecure WAN links".  Nodes and links carry property maps — the raw
 material that dRBAC credentials translate into application-level
 properties (§3.3, node authorization).
+
+The topology changes rarely and frames cross it constantly, so routes are
+cached per ``(src, dst)`` until the next change routing can see (see
+:class:`Network`); an assignment hook on the node and link classes catches
+every such change, whoever makes it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from ..errors import LinkDownError, NetworkError, NodeDownError
 
 Handler = Callable[[bytes, str], None]
 """Service handler: (payload, sender node name) -> None."""
 
+Route = tuple[tuple[str, ...], tuple["SimLink", ...]]
+"""A cached route: the node path and the links between consecutive hops."""
+
+
+class _RoutedState:
+    """Assigning a ``_ROUTED`` field tells the owning ``_network`` (set by
+    :class:`Network` once it constructs the object) that its topology
+    changed."""
+
+    _ROUTED: frozenset[str] = frozenset()
+    _network: Network | None = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name in self._ROUTED and self._network is not None:
+            self._network._topology_changed()
+
 
 @dataclass
-class SimNode:
+class SimNode(_RoutedState):
     """A host in the simulated network.
 
     ``properties`` holds domain-local facts ("vendor": "Dell", "os":
@@ -35,6 +57,7 @@ class SimNode:
     """Crash-stop flag: a down node neither routes nor delivers; the fault
     injector flips it (via the environment monitor, so planners re-plan)."""
     _services: dict[str, Handler] = field(default_factory=dict, repr=False)
+    _ROUTED = frozenset({"up"})
 
     def bind(self, service: str, handler: Handler) -> None:
         """Register (or replace) the handler for a named service port."""
@@ -58,7 +81,7 @@ class SimNode:
 
 
 @dataclass
-class SimLink:
+class SimLink(_RoutedState):
     """A bidirectional link with latency, bandwidth, and a security flag.
 
     ``secure=False`` marks the paper's "insecure WAN links": registered
@@ -81,6 +104,7 @@ class SimLink:
     frames_dropped: int = field(default=0, repr=False)
     batches_carried: int = field(default=0, repr=False)
     """Multi-frame batches that crossed this link (frame batching)."""
+    _ROUTED = frozenset({"up", "latency_s", "bandwidth_bps"})
 
     def endpoints(self) -> frozenset[str]:
         return frozenset((self.a, self.b))
@@ -92,12 +116,26 @@ class SimLink:
         return self.latency_s + (nbytes * 8) / self.bandwidth_bps
 
 
+@dataclass(slots=True)
+class RouteStats:
+    routes_computed: int = 0
+    """Dijkstra runs: route-cache misses that had a route to search for."""
+
+
 class Network:
-    """Topology container with shortest-path routing.
+    """Topology container with cached shortest-path routing.
 
     Routing minimizes per-byte delay for a nominal 1 KiB frame, which makes
     low-latency high-bandwidth paths preferred — the same bias the paper's
     planner exploits when deciding where to place caches.
+
+    :meth:`route` answers ``(src, dst)`` from a cache of immutable
+    ``(path, links)`` tuples.  An entry lives until the next topology
+    change — ``add_node``, ``add_link``, or an assignment to a node's
+    ``up`` or a link's ``up``/``latency_s``/``bandwidth_bps`` — which bumps
+    :attr:`epoch` and empties the cache.  ``secure``, ``loss_rate`` and
+    properties do not affect routing and keep the cache.  Failed lookups
+    are not cached: they search again and raise again.
     """
 
     _ROUTE_PROBE_BYTES = 1024
@@ -106,6 +144,14 @@ class Network:
         self._nodes: dict[str, SimNode] = {}
         self._links: dict[frozenset[str], SimLink] = {}
         self._adjacency: dict[str, set[str]] = {}
+        self._routes: dict[tuple[str, str], Route] = {}
+        self.epoch = 0
+        """Bumped on every topology change that routing can see."""
+        self.stats = RouteStats()
+
+    def _topology_changed(self) -> None:
+        self.epoch += 1
+        self._routes.clear()
 
     # -- construction --------------------------------------------------------
 
@@ -115,8 +161,10 @@ class Network:
         if name in self._nodes:
             raise NetworkError(f"duplicate node {name!r}")
         node = SimNode(name=name, domain=domain, properties=dict(properties or {}))
+        node._network = self
         self._nodes[name] = node
         self._adjacency[name] = set()
+        self._topology_changed()
         return node
 
     def add_link(
@@ -148,9 +196,11 @@ class Network:
             loss_rate=loss_rate,
             properties=dict(properties or {}),
         )
+        link._network = self
         self._links[key] = link
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
+        self._topology_changed()
         return link
 
     # -- lookup ----------------------------------------------------------------
@@ -173,23 +223,37 @@ class Network:
     def links(self) -> list[SimLink]:
         return list(self._links.values())
 
-    def neighbors(self, name: str) -> set[str]:
-        return set(self._adjacency.get(name, ()))
-
     def nodes_in_domain(self, domain: str) -> list[SimNode]:
         return [n for n in self._nodes.values() if n.domain == domain]
 
     # -- routing -----------------------------------------------------------------
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
-        """Dijkstra over live links and live nodes; raises when no route
-        exists (a crash-stopped node cannot originate, relay, or sink)."""
+        """The cached route's node path, as a fresh list."""
+        return list(self.route(src, dst)[0])
+
+    def route(self, src: str, dst: str) -> Route:
+        """``(path, links)`` from ``src`` to ``dst``; every hop is live.
+
+        Raises when no route exists (a crash-stopped node cannot
+        originate, relay, or sink).
+        """
+        cached = self._routes.get((src, dst))
+        if cached is None:
+            path = tuple(self._dijkstra(src, dst))
+            links = tuple(self.link(a, b) for a, b in zip(path, path[1:]))
+            cached = self._routes[(src, dst)] = (path, links)
+        return cached
+
+    def _dijkstra(self, src: str, dst: str) -> list[str]:
+        """Dijkstra over live links and live nodes, uncached."""
         if src not in self._nodes or dst not in self._nodes:
             raise NetworkError(f"unknown endpoint: {src!r} or {dst!r}")
         if not self._nodes[src].up or not self._nodes[dst].up:
             raise NodeDownError(f"no route from {src!r} to {dst!r}: endpoint down")
         if src == dst:
             return [src]
+        self.stats.routes_computed += 1
         dist: dict[str, float] = {src: 0.0}
         prev: dict[str, str] = {}
         heap: list[tuple[float, str]] = [(0.0, src)]

@@ -30,7 +30,7 @@ from .. import obs
 from ..errors import LinkDownError, NetworkError
 from ..obs import names as metric_names
 from .events import EventScheduler
-from .simnet import Network, SimLink
+from .simnet import Network, Route, SimLink
 
 Observer = Callable[[bytes, str, str], None]
 """Eavesdropper callback: (payload, src node, dst node)."""
@@ -115,21 +115,31 @@ def encode_batch(entries: list[tuple[str, bytes]]) -> bytes:
 
 
 def decode_batch(wire: bytes) -> list[tuple[str, bytes]]:
+    """Inverse of :func:`encode_batch`; raises :class:`NetworkError` on
+    anything ``encode_batch`` could not have produced."""
     if wire[: len(_BATCH_MAGIC)] != _BATCH_MAGIC:
         raise NetworkError("not a batch frame")
     offset = len(_BATCH_MAGIC)
-    count = int.from_bytes(wire[offset : offset + 2], "big")
-    offset += 2
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        if offset + size > len(wire):
+            raise NetworkError("truncated batch frame")
+        chunk = wire[offset : offset + size]
+        offset += size
+        return chunk
+
+    count = int.from_bytes(take(2), "big")
     entries: list[tuple[str, bytes]] = []
     for _ in range(count):
-        name_len = int.from_bytes(wire[offset : offset + 2], "big")
-        offset += 2
-        service = wire[offset : offset + name_len].decode()
-        offset += name_len
-        payload_len = int.from_bytes(wire[offset : offset + 4], "big")
-        offset += 4
-        entries.append((service, wire[offset : offset + payload_len]))
-        offset += payload_len
+        name = take(int.from_bytes(take(2), "big"))
+        try:
+            service = name.decode()
+        except UnicodeDecodeError:
+            raise NetworkError("batch service name is not UTF-8") from None
+        entries.append((service, take(int.from_bytes(take(4), "big"))))
+    if offset != len(wire):
+        raise NetworkError("trailing bytes after batch frame")
     return entries
 
 
@@ -201,22 +211,19 @@ class Transport:
         its loss/reroute fate) with other frames on the same flow; the
         returned delay is then the projected worst-case queueing delay.
         """
-        # Validate the route now in both modes, so callers keep their
-        # synchronous LinkDownError/NodeDownError contract.
-        path = self.network.shortest_path(src, dst)
-        for link in self.network.path_links(path):
-            if not link.up:
-                raise LinkDownError(f"link {link.a}<->{link.b} is down")
+        # Route now in both modes, so callers keep their synchronous
+        # LinkDownError/NodeDownError contract.
+        route = self.network.route(src, dst)
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(payload)
-        self._snoop(self.network.path_links(path), payload, src, dst)
+        self._snoop(route[1], payload, src, dst)
         entry = _Entry(service=service, payload=payload, on_dropped=on_dropped)
         if obs.dist_enabled():
             current = obs.get_tracer().current
             if current is not None:
                 entry.ctx = current.context()
         if self.batching is None:
-            return self._transmit(src, dst, [entry], max_reroutes, path=path)
+            return self._transmit(src, dst, [entry], max_reroutes, route)
         return self._enqueue(src, dst, entry)
 
     # -- batching internals -------------------------------------------------
@@ -260,7 +267,7 @@ class Transport:
             self.stats.frames_coalesced += len(entries)
             obs.counter(metric_names.NET_BATCH_FRAMES_COALESCED).inc(len(entries))
         try:
-            self._transmit(src, dst, entries, max_reroutes=2)
+            self._transmit(src, dst, entries, 2, self.network.route(src, dst))
         except NetworkError as exc:
             # The route died between enqueue and flush; the frames were
             # never on the wire, so fail them like an in-flight drop.
@@ -268,11 +275,6 @@ class Transport:
             for entry in entries:
                 if entry.on_dropped is not None:
                     entry.on_dropped(exc)
-
-    def flush_all(self) -> None:
-        """Flush every queued batch immediately (shutdown/test helper)."""
-        for flow in list(self._queues):
-            self._flush(flow)
 
     # -- wire-level transfer -------------------------------------------------
 
@@ -287,17 +289,14 @@ class Transport:
         dst: str,
         entries: list[_Entry],
         max_reroutes: int,
-        path: list[str] | None = None,
+        route: Route,
     ) -> float:
-        """Charge one wire transfer for ``entries`` and schedule delivery."""
-        if path is None:
-            path = self.network.shortest_path(src, dst)
-        links = self.network.path_links(path)
+        """Charge one wire transfer for ``entries`` along ``route`` (live,
+        as :meth:`Network.route` returns it) and schedule delivery."""
+        links = route[1]
         delay = 0.0
         nbytes = self._wire_bytes(entries)
         for link in links:
-            if not link.up:
-                raise LinkDownError(f"link {link.a}<->{link.b} is down")
             delay += link.transfer_delay(nbytes)
             link.bytes_carried += nbytes
             if len(entries) > 1:
@@ -346,7 +345,7 @@ class Transport:
 
         self.scheduler.schedule(
             delay,
-            lambda: self._deliver(src, dst, entries, path, max_reroutes),
+            lambda: self._deliver(src, dst, entries, route, max_reroutes),
         )
         if span is not None:
             _finish_wire_span(span, deliver_at)
@@ -357,11 +356,11 @@ class Transport:
         src: str,
         dst: str,
         entries: list[_Entry],
-        path: list[str],
+        route: Route,
         reroutes_left: int,
     ) -> None:
         """Complete (or salvage) a transfer whose delay has elapsed."""
-        if not self._path_alive(path):
+        if not self._route_alive(route):
             # The route chosen at send time died under the frame.  Fail
             # fast or re-route — never deliver over a dead link.
             try:
@@ -369,7 +368,7 @@ class Transport:
                     raise LinkDownError(
                         f"route {src!r}->{dst!r} died in flight; reroutes exhausted"
                     )
-                new_path = self.network.shortest_path(src, dst)
+                new_route = self.network.route(src, dst)
             except NetworkError as exc:
                 self.stats.messages_dropped += len(entries)
                 for entry in entries:
@@ -380,12 +379,12 @@ class Transport:
             obs.counter(metric_names.NET_MESSAGES_REROUTED).inc(len(entries))
             obs.event(
                 "net.reroute", node=src, dst=dst, frames=len(entries),
-                path=">".join(new_path),
+                path=">".join(new_route[0]),
             )
-            delay = self.network.path_delay(new_path, self._wire_bytes(entries))
+            delay = self.network.path_delay(new_route[0], self._wire_bytes(entries))
             self.scheduler.schedule(
                 delay,
-                lambda: self._deliver(src, dst, entries, new_path, reroutes_left - 1),
+                lambda: self._deliver(src, dst, entries, new_route, reroutes_left - 1),
             )
             return
         node = self.network.node(dst)
@@ -398,14 +397,15 @@ class Transport:
                 if entry.on_dropped is not None:
                     entry.on_dropped(exc)
 
-    def _path_alive(self, path: list[str]) -> bool:
+    def _route_alive(self, route: Route) -> bool:
+        path, links = route
         for node in path:
             if not self.network.node(node).up:
                 return False
-        return all(link.up for link in self.network.path_links(path))
+        return all(link.up for link in links)
 
     def _snoop(
-        self, links: list[SimLink], payload: bytes, src: str, dst: str
+        self, links: tuple[SimLink, ...], payload: bytes, src: str, dst: str
     ) -> None:
         for link in links:
             if link.secure:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import LinkDownError, NetworkError
@@ -41,6 +43,74 @@ class TestEnvelope:
             BatchConfig(max_frames=0)
         with pytest.raises(NetworkError):
             BatchConfig(window=-1.0)
+
+
+frames_strategy = st.lists(
+    st.tuples(st.text(max_size=12), st.binary(max_size=40)), min_size=1, max_size=6
+)
+
+
+class TestDecodeIsTotal:
+    """``decode_batch`` accepts exactly what ``encode_batch`` produces."""
+
+    wire = encode_batch([("rpc", b"world")])
+
+    def test_truncated_batch_is_rejected(self):
+        with pytest.raises(NetworkError):
+            decode_batch(self.wire[:-2])
+
+    def test_trailing_bytes_are_rejected(self):
+        with pytest.raises(NetworkError):
+            decode_batch(self.wire + b"!")
+
+    def test_non_utf8_service_name_is_rejected(self):
+        with pytest.raises(NetworkError):
+            decode_batch(b"RBAT1\x00\x01\x00\x01\xff\x00\x00\x00\x00")
+
+    def test_count_without_entries_is_rejected(self):
+        with pytest.raises(NetworkError):
+            decode_batch(b"RBAT1\x00\x05")
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames=frames_strategy, data=st.data())
+    def test_mutants_raise_or_round_trip(self, frames, data):
+        wire = bytearray(encode_batch(frames))
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+            if kind == "flip" and wire:
+                at = data.draw(st.integers(0, len(wire) - 1))
+                wire[at] ^= data.draw(st.integers(1, 255))
+            elif kind == "truncate":
+                del wire[data.draw(st.integers(0, len(wire))):]
+            else:
+                wire += data.draw(st.binary(min_size=1, max_size=8))
+        mutant = bytes(wire)
+        try:
+            decoded = decode_batch(mutant)
+        except NetworkError:
+            return
+        assert encode_batch(decoded) == mutant
+
+
+class TestWireBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=frames_strategy)
+    def test_link_carries_exactly_the_encoded_batch(self, frames):
+        net = Network()
+        for name in ("a", "b"):
+            net.add_node(name)
+        net.add_link("a", "b")
+        scheduler = EventScheduler()
+        transport = Transport(net, scheduler)
+        transport.configure_batching(max_frames=16, window=0.01)
+        for service, payload in frames:
+            net.node("b").bind(service, lambda p, s: None)
+            transport.send("a", "b", service, payload)
+        scheduler.run()
+        expected = (
+            len(encode_batch(frames)) if len(frames) > 1 else len(frames[0][1])
+        )
+        assert net.link("a", "b").bytes_carried == expected
 
 
 class TestCoalescing:

@@ -285,13 +285,12 @@ class TestOneApplicationDocument:
         assert _mail_calls().count("load_application") == 1
 
 
-def _connection_callees(method: str) -> list[str]:
-    """The callee of every call in ``SwitchboardConnection.<method>``: ``f``
-    for ``f(...)``, ``.attr`` for ``x.attr(...)``."""
-    path = Path(repro.__file__).parent / "switchboard" / "channel.py"
+def _method_callees(path: Path, class_name: str, method: str) -> list[str]:
+    """The callee of every call in ``<class_name>.<method>``: ``f`` for
+    ``f(...)``, ``.attr`` for ``x.attr(...)``."""
     [cls] = [
         node for node in ast.parse(path.read_text()).body
-        if isinstance(node, ast.ClassDef) and node.name == "SwitchboardConnection"
+        if isinstance(node, ast.ClassDef) and node.name == class_name
     ]
     [func] = [
         node for node in cls.body
@@ -303,6 +302,11 @@ def _connection_callees(method: str) -> list[str]:
         if isinstance(call, ast.Call)
         and isinstance(call.func, (ast.Name, ast.Attribute))
     ]
+
+
+def _connection_callees(method: str) -> list[str]:
+    path = Path(repro.__file__).parent / "switchboard" / "channel.py"
+    return _method_callees(path, "SwitchboardConnection", method)
 
 
 class TestOneDataEnvelope:
@@ -332,6 +336,32 @@ class TestOneDataEnvelope:
             )
         ]
         assert not offenders
+
+
+class TestOneRoutingPath:
+    """Dijkstra lives in one function, and the transport's per-frame path
+    reaches routing only through the cached ``Network.route``."""
+
+    net = Path(repro.__file__).parent / "net"
+
+    def test_one_dijkstra_loop(self):
+        owners = set()
+        # The event scheduler's queue is the package's one other heap.
+        for path in sorted(set(self.net.glob("*.py")) - {self.net / "events.py"}):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "heappop"
+                    for node in ast.walk(func)
+                ):
+                    owners.add(f"{path.name}:{func.name}")
+        assert owners == {"simnet.py:_dijkstra"}
+
+    @pytest.mark.parametrize("method", ["send", "_flush"])
+    def test_transport_routes_through_the_cache(self, method):
+        callees = _method_callees(self.net / "transport.py", "Transport", method)
+        assert callees.count(".route") == 1
+        assert ".shortest_path" not in callees
+        assert ".path_links" not in callees
 
 
 def _bench_layers():
