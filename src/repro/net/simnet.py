@@ -143,7 +143,8 @@ class Network:
     def __init__(self) -> None:
         self._nodes: dict[str, SimNode] = {}
         self._links: dict[frozenset[str], SimLink] = {}
-        self._adjacency: dict[str, set[str]] = {}
+        self._adjacency: dict[str, dict[str, SimLink]] = {}
+        """node -> {neighbour: the link between them}"""
         self._routes: dict[tuple[str, str], Route] = {}
         self.epoch = 0
         """Bumped on every topology change that routing can see."""
@@ -163,7 +164,7 @@ class Network:
         node = SimNode(name=name, domain=domain, properties=dict(properties or {}))
         node._network = self
         self._nodes[name] = node
-        self._adjacency[name] = set()
+        self._adjacency[name] = {}
         self._topology_changed()
         return node
 
@@ -198,8 +199,8 @@ class Network:
         )
         link._network = self
         self._links[key] = link
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        self._adjacency[a][b] = link
+        self._adjacency[b][a] = link
         self._topology_changed()
         return link
 
@@ -265,8 +266,7 @@ class Network:
             visited.add(u)
             if u == dst:
                 break
-            for v in self._adjacency[u]:
-                link = self._links[frozenset((u, v))]
+            for v, link in self._adjacency[u].items():
                 if not link.up or not self._nodes[v].up:
                     continue
                 nd = d + link.transfer_delay(self._ROUTE_PROBE_BYTES)

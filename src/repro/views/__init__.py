@@ -14,6 +14,7 @@ from .coherence import (
     ImageService,
     LocalOrigin,
     OriginPort,
+    RemoteOrigin,
 )
 from .interfaces import (
     InterfaceDef,
@@ -66,6 +67,7 @@ __all__ = [
     "MethodSig",
     "MethodSpec",
     "OriginPort",
+    "RemoteOrigin",
     "RmiStub",
     "SwitchboardStub",
     "Vig",

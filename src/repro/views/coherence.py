@@ -12,18 +12,94 @@ pluggable policy; :class:`ImageService` is the origin-side half, exported
 over RMI/Switchboard when the original object lives on another node.
 
 Images are JSON-compatible dicts of field values, the Python analogue of
-the paper's ``byte[]`` images.
+the paper's ``byte[]`` images.  A view shares a same-process original's
+objects (:class:`LocalOrigin`) and syncs with a remote one by delta
+(:class:`RemoteOrigin`).  A *slot* is a field or one key of a dict field.
+Per call the wire carries one ``pull`` (the slot digests of each field the
+view holds in sync, answered by ops for the slots that differ) and at most one
+``push`` (the slots the call changed).  The ops set a field, set or drop a
+key, and ``extend`` a list that only grew.  A failed pull or push forgets
+the view's snapshot, so the next pull is whole and overwrites the view.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Protocol
+import hashlib
+import json
+from dataclasses import dataclass
+from typing import Any, Callable, Protocol
 
 from .. import obs
 from ..errors import ViewError
 from ..obs import names as metric_names
+
+_MISSING = object()
+
+SET, SET_KEY, DROP_KEY, EXTEND = "set", "set_key", "drop_key", "extend"
+_ARITIES = {SET: (3,), SET_KEY: (4,), DROP_KEY: (3,), EXTEND: (3, 4)}
+
+
+def _encode(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _fresh(value: Any) -> Any:
+    """A deep copy, normalised as the wire would leave it."""
+    return json.loads(_encode(value))
+
+
+def _str_keyed(value: Any) -> bool:
+    """A dict JSON carries unchanged, so it syncs key by key."""
+    return isinstance(value, dict) and all(isinstance(key, str) for key in value)
+
+
+def _digest(value: Any) -> str:
+    """sha256 over the compact JSON encoding of one slot's value."""
+    return hashlib.sha256(_encode(value).encode()).hexdigest()
+
+
+def _apply_ops(ops: Any, read: Callable, write: Callable) -> None:
+    """Apply image ops in order through ``read(field)``/``write(field, value)``.
+
+    A malformed op raises :class:`ViewError`; the ops before it stay applied.
+    """
+    for op in ops if isinstance(ops, list) else [ops]:
+        if not (
+            isinstance(op, list) and op and isinstance(op[0], str)
+            and len(op) in _ARITIES.get(op[0], ()) and isinstance(op[1], str)
+        ):
+            raise ViewError(f"malformed image op {op!r:.80}")
+        if op[0] == SET:
+            write(op[1], op[2])
+            continue
+        target = read(op[1])
+        if isinstance(target, dict) and not _str_keyed(target):
+            # A whole-image push would have replaced it with its JSON form.
+            target = _fresh(target)
+            write(op[1], target)
+        if len(op) == 4 or op[0] == DROP_KEY:
+            if not isinstance(target, dict) or not isinstance(op[2], str):
+                raise ViewError(f"{op[0]}: {op[1]!r} is not a dict keyed by {op[2]!r:.40}")
+            if op[0] == SET_KEY:
+                target[op[2]] = op[3]
+                continue
+            if op[0] == DROP_KEY:
+                target.pop(op[2], None)
+                continue
+            target = target.get(op[2])
+        if not isinstance(target, list) or not isinstance(op[-1], list):
+            raise ViewError(f"extend: {op[1]!r} needs a list and a list of items")
+        target.extend(op[-1])
+
+
+def _change(slot: list, value: Any, old: Any) -> list:
+    """The op turning ``old`` into ``value`` at ``[field]`` or ``[field, key]``."""
+    if isinstance(value, list) and isinstance(old, list) and (
+        len(old) < len(value) and value[: len(old)] == old
+    ):
+        return [EXTEND, *slot, value[len(old):]]
+    return [SET_KEY if len(slot) == 2 else SET, *slot, value]
 
 
 class CoherencePolicy(enum.Enum):
@@ -42,7 +118,13 @@ class CoherencePolicy(enum.Enum):
 
 
 class OriginPort(Protocol):
-    """The origin-side image operations, local or remote."""
+    """The origin-side image operations, local or remote.
+
+    ``extract_image`` returns the fields the view must take in:
+    :class:`LocalOrigin` returns every field asked for, while
+    :class:`RemoteOrigin` returns only those whose synced value the view
+    does not already hold, and ``{}`` when it holds them all.
+    """
 
     def extract_image(self, fields: list[str]) -> dict:  # pragma: no cover
         ...
@@ -77,17 +159,150 @@ class ImageService:
 
     The deployment infrastructure exports one of these next to the
     original object; remote views call it through their rmi or switchboard
-    stubs.
+    stubs.  ``extract_image``/``merge_image`` move whole images and
+    ``pull``/``push`` move deltas; the service keeps no per-view state.
+    Every name it is given must pass :meth:`_field`, so a caller can
+    neither read the original's internals nor replace a method.
     """
 
     def __init__(self, obj: Any) -> None:
-        self._origin = LocalOrigin(obj)
+        self._obj = obj
+
+    def _field(self, name: Any) -> str:
+        """``name`` if it is an instance attribute or a non-callable class
+        attribute of the original and not private (``_``-prefixed, as the
+        RPC dispatcher also treats such names); else ViewError."""
+        if isinstance(name, str) and not name.startswith("_"):
+            if name in getattr(self._obj, "__dict__", ()):
+                return name
+            declared = getattr(type(self._obj), name, _MISSING)
+            if declared is not _MISSING and not callable(declared):
+                return name
+        raise ViewError(f"{name!r:.40} is not a data field of the original object")
+
+    def _fields(self, fields: Any) -> list[str]:
+        if not isinstance(fields, list):
+            raise ViewError(f"expected field names, got {type(fields).__name__}")
+        return [self._field(name) for name in fields]
+
+    def _read(self, name: str) -> Any:
+        return getattr(self._obj, self._field(name))
+
+    def _write(self, name: str, value: Any) -> None:
+        try:
+            setattr(self._obj, self._field(name), value)
+        except (AttributeError, TypeError) as exc:
+            raise ViewError(f"cannot write field {name!r}: {exc}") from None
 
     def extract_image(self, fields: list[str]) -> dict:
-        return self._origin.extract_image(fields)
+        return {name: getattr(self._obj, name) for name in self._fields(fields)}
 
     def merge_image(self, image: dict) -> None:
-        self._origin.merge_image(image)
+        for name in self._fields(list(image) if isinstance(image, dict) else None):
+            self._write(name, image[name])
+
+    def pull(self, fields: list[str], since: dict) -> list:
+        """Ops for the slots whose digest differs from ``since``, which maps
+        a field to its digest or a dict field to its per-key digests.  A
+        dict whose keys moved is resent whole, keeping the origin's order."""
+        ops: list = []
+        for name in self._fields(fields):
+            value = getattr(self._obj, name)
+            prev = since.get(name) if isinstance(since, dict) else None
+            if not (_str_keyed(value) and isinstance(prev, dict)):
+                if prev != _digest(value):
+                    ops.append([SET, name, value])
+            elif [k for k in prev if k in value] + [
+                k for k in value if k not in prev
+            ] != list(value):
+                ops.append([SET, name, value])
+            else:
+                ops.extend([DROP_KEY, name, key] for key in prev if key not in value)
+                ops.extend(
+                    [SET_KEY, name, key, item] for key, item in value.items()
+                    if prev.get(key) != _digest(item)
+                )
+        return ops
+
+    def push(self, ops: list) -> None:
+        _apply_ops(ops, self._read, self._write)
+
+
+class RemoteOrigin:
+    """The :class:`OriginPort` of a remote original: syncs by delta.
+
+    ``stub`` reaches the original's :class:`ImageService` over a wire that
+    copies arguments and results, as rmi and switchboard stubs do.  The
+    port keeps a private snapshot of the image it last synced (deep
+    copies, never shared with the view) and its slot digests.  A field
+    whose value in ``view`` no longer equals the snapshot is resent whole;
+    without a view, every pull is whole.  So ``extract_image`` is a delta:
+    it returns only the fields the view does not hold in sync.
+    """
+
+    def __init__(self, stub: Any, view: Any = None) -> None:
+        self._stub = stub
+        self._view = view
+        self._snapshot: dict[str, Any] = {}
+        self._digests: dict[str, Any] = {}
+
+    def extract_image(self, fields: list[str]) -> dict:
+        """The fields whose synced value the view does not hold, as fresh
+        objects; ``{}`` when the view is up to date."""
+        since: dict[str, Any] = {}
+        stale: set[str] = set()
+        for name in fields:
+            snap = self._snapshot.get(name, _MISSING)
+            live = getattr(self._view, name, _MISSING) if self._view is not None else _MISSING
+            if snap is not _MISSING and live == snap:
+                since[name] = self._digests.get(name)
+                continue
+            stale.add(name)
+        stale.update(self._sync(self._stub.pull, list(fields), since))
+        return {name: _fresh(self._snapshot[name]) for name in fields if name in stale}
+
+    def merge_image(self, image: dict) -> None:
+        """Push the slots of ``image`` that differ from the snapshot."""
+        ops: list = []
+        for name, value in image.items():
+            snap = self._snapshot.get(name, _MISSING)
+            if value == snap:
+                continue
+            if not (_str_keyed(value) and isinstance(snap, dict)):
+                ops.append(_change([name], value, snap))
+                continue
+            ops.extend([DROP_KEY, name, key] for key in snap if key not in value)
+            ops.extend(
+                _change([name, key], item, snap.get(key, _MISSING))
+                for key, item in value.items() if item != snap.get(key, _MISSING)
+            )
+        if ops:
+            ops = _fresh(ops)
+            # A push returns nothing; what the snapshot records is the ops.
+            self._sync(lambda: self._stub.push(ops) or ops)
+
+    def _sync(self, call: Callable, *args: Any) -> set[str]:
+        """Apply the ops ``call`` returns to the snapshot, re-digest the
+        slots they touched and return the touched fields.  On any failure
+        forget the snapshot, so the next pull is whole."""
+        try:
+            ops = call(*args)
+            _apply_ops(ops, self._snapshot.get, self._snapshot.__setitem__)
+            for op in ops:
+                name, value = op[1], self._snapshot[op[1]]
+                if op[0] == SET or op[0] == EXTEND and len(op) == 3:
+                    self._digests[name] = (
+                        {key: _digest(item) for key, item in value.items()}
+                        if isinstance(value, dict) else _digest(value)
+                    )
+                elif op[0] == DROP_KEY:
+                    self._digests[name].pop(op[2], None)
+                else:
+                    self._digests[name][op[2]] = _digest(value[op[2]])
+        except BaseException:
+            self._snapshot, self._digests = {}, {}
+            raise
+        return {op[1] for op in ops}
 
 
 @dataclass
@@ -129,14 +344,15 @@ class CacheManager:
         if self.policy is CoherencePolicy.ON_DEMAND:
             try:
                 image = self.view.extractImageFromObj()
+                if image:
+                    self.view.mergeImageIntoView(image)
             except BaseException:
                 # Callers acquire outside their try/finally, so no release
-                # follows a failed pull: undo the acquire, or every later
-                # call would see a nested depth and skip its sync.
+                # follows a failed pull or merge: undo the acquire, or every
+                # later call would see a nested depth and skip its sync.
                 self._depth -= 1
                 raise
             if image:
-                self.view.mergeImageIntoView(image)
                 self.stats.images_pulled += 1
                 obs.counter(metric_names.COHERENCE_IMAGES_PULLED).inc()
 

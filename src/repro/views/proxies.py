@@ -17,7 +17,7 @@ from ..switchboard.authorizer import AuthorizationSuite
 from ..switchboard.channel import SwitchboardConnection, SwitchboardEndpoint
 from ..switchboard.registry import NamingRegistry, ServiceAddress
 from ..switchboard.rpc import PlainRpcEndpoint
-from .coherence import LocalOrigin, OriginPort
+from .coherence import LocalOrigin, OriginPort, RemoteOrigin
 
 IMAGE_BINDING_PREFIX = "image:"
 """Naming-registry prefix for a represented object's ImageService."""
@@ -127,14 +127,16 @@ class ViewRuntime:
             self._connections[cache_key] = connection
         return SwitchboardStub(connection, address.target)
 
-    def origin_port(self, represents: str) -> Optional[OriginPort]:
+    def origin_port(self, represents: str, view: Any = None) -> Optional[OriginPort]:
         """Resolve the image port for a represented object.
 
         Local objects win; otherwise the convention ``image:<name>`` in
         the naming registry locates the exported
         :class:`~repro.views.coherence.ImageService`, reached over
-        Switchboard when a suite is available, else plain RMI.  Returns
-        ``None`` when the original object is unreachable.
+        Switchboard when a suite is available, else plain RMI, and synced
+        by delta against ``view``'s fields through a
+        :class:`~repro.views.coherence.RemoteOrigin`.  Returns ``None``
+        when the original object is unreachable.
         """
         if represents in self.local_objects:
             return LocalOrigin(self.local_objects[represents])
@@ -146,11 +148,11 @@ class ViewRuntime:
             # The planner judged the path safe for a bulk channel
             # (secure links or encrypted payload); don't pay for a
             # Switchboard handshake it didn't ask for.
-            return self.rmi_stub(binding)  # type: ignore[return-value]
+            return RemoteOrigin(self.rmi_stub(binding), view)
         if self.switchboard is not None and self.suite is not None:
-            return self.switchboard_stub(binding)  # type: ignore[return-value]
+            return RemoteOrigin(self.switchboard_stub(binding), view)
         if self.rpc is not None:
-            return self.rmi_stub(binding)  # type: ignore[return-value]
+            return RemoteOrigin(self.rmi_stub(binding), view)
         return None
 
     def close(self) -> None:

@@ -186,9 +186,6 @@ class ViewSpec:
 
     # -- convenience ------------------------------------------------------
 
-    def interfaces_in_mode(self, mode: InterfaceMode) -> list[InterfaceRestriction]:
-        return [i for i in self.interfaces if i.mode is mode]
-
     def method_spec(self, name: str) -> MethodSpec | None:
         for spec in self.added_methods + self.customized_methods:
             if spec.name == name:

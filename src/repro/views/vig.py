@@ -155,13 +155,6 @@ def represented_methods(cls: type) -> dict[str, Callable]:
     return methods
 
 
-def defining_class(cls: type, method_name: str) -> type:
-    for klass in cls.__mro__[:-1]:
-        if method_name in vars(klass):
-            return klass
-    raise KeyError(method_name)
-
-
 # --------------------------------------------------------------------------
 # Coherence wrapping
 # --------------------------------------------------------------------------
@@ -462,7 +455,7 @@ class Vig:
                 else:
                     setattr(self, attr, self._runtime.switchboard_stub(binding))
             # Reach the original object for images.
-            self._origin = self._runtime.origin_port(spec.represents)
+            self._origin = self._runtime.origin_port(spec.represents, self)
             if self._origin is None and replicated:
                 from ..errors import ViewError
 

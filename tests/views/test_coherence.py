@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ViewError
+from repro.mail.crypto_components import Encryptor
+from repro.mail.server import MailServer
 from repro.views.coherence import (
     CacheManager,
     CoherencePolicy,
@@ -146,6 +152,152 @@ class TestFailedPull:
         assert view.pushes == 1
         assert origin.x == 42
         assert manager._depth == 0
+
+
+    def test_failed_view_merge_does_not_freeze_coherence(self, pair):
+        origin, view = pair
+        merge = view.mergeImageIntoView
+        failures = [ValueError("image does not fit the view")]
+
+        def flaky_merge(image):
+            if failures:
+                raise failures.pop()
+            merge(image)
+
+        view.mergeImageIntoView = flaky_merge
+        manager = CacheManager(view, policy=CoherencePolicy.ON_DEMAND)
+        with pytest.raises(ValueError):
+            manager.acquire_image()
+        assert manager._depth == 0
+        manager.acquire_image()
+        assert manager.stats.images_pulled == 1
+        view.state["x"] = 42
+        manager.release_image()
+        assert origin.x == 42
+        assert manager._depth == 0
+
+
+class TestImageServiceConfinement:
+    """Only the original's data fields cross the image API."""
+
+    def test_extract_cannot_read_internals(self):
+        service = ImageService(MailServer())
+        with pytest.raises(ViewError):
+            service.extract_image(["__dict__"])
+        with pytest.raises(ViewError):
+            service.pull(["__dict__"], {})
+
+    def test_merge_cannot_replace_a_method(self):
+        server = MailServer()
+        service = ImageService(server)
+        with pytest.raises(ViewError):
+            service.merge_image({"sendMail": "x"})
+        with pytest.raises(ViewError):
+            service.push([["set", "sendMail", "x"]])
+        assert server.sendMail({"recipient": "bob", "subject": "hi"}) is True
+
+    def test_private_fields_are_not_data(self):
+        encryptor = Encryptor(MailServer())
+        service = ImageService(encryptor)
+        for call in (
+            lambda: service.extract_image(["_cipher"]),
+            lambda: service.pull(["_upstream"], {}),
+            lambda: service.merge_image({"_cipher": None}),
+            lambda: service.push([["set", "_upstream", "x"]]),
+        ):
+            with pytest.raises(ViewError):
+                call()
+        blob = encryptor.fetchMailEnc("bob")
+        assert isinstance(blob, str)
+
+    def test_a_bad_name_leaves_the_whole_image_unmerged(self):
+        server = MailServer()
+        with pytest.raises(ViewError):
+            ImageService(server).merge_image({"delivered": 5, "ghost": 1})
+        assert server.delivered == 0
+        assert not hasattr(server, "ghost")
+
+    def test_non_callable_class_attributes_are_data(self):
+        class Tuned:
+            limit = 5
+
+        tuned = Tuned()
+        service = ImageService(tuned)
+        assert service.extract_image(["limit"]) == {"limit": 5}
+        service.merge_image({"limit": 7})
+        assert tuned.limit == 7 and Tuned.limit == 5
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            "set",
+            [],
+            ["set", "delivered"],
+            ["set", "delivered", 1, 2],
+            ["set_key", "mailboxes", "bob"],
+            ["drop_key", "mailboxes"],
+            ["extend", "mailboxes", "bob", [1], 2],
+            ["nope", "delivered", 1],
+            [["set"], "delivered", 1],
+            ["set", ["delivered"], 1],
+            ["set_key", "delivered", "bob", 1],
+            ["set_key", "mailboxes", ["bob"], []],
+            ["drop_key", "delivered", "bob"],
+            ["extend", "delivered", [1]],
+            ["extend", "mailboxes", "nobody", [1]],
+            ["extend", "mailboxes", "bob", "not a list"],
+            ["extend", "directory", [1]],
+        ],
+    )
+    def test_malformed_push_op_is_a_view_error(self, op):
+        server = MailServer()
+        server.mailboxes["bob"] = []
+        with pytest.raises(ViewError):
+            ImageService(server).push([op])
+
+    def test_ops_must_be_a_list(self):
+        with pytest.raises(ViewError):
+            ImageService(MailServer()).push({"set": 1})
+
+    def test_an_image_must_be_a_dict(self):
+        with pytest.raises(ViewError):
+            ImageService(MailServer()).merge_image(["delivered"])
+
+
+_FIELDS = ["mailboxes", "directory", "delivered"]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text("ab", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+_names = st.sampled_from(_FIELDS + ["sendMail", "__dict__", "__class__", "ghost"])
+_kinds = st.sampled_from(["set", "set_key", "drop_key", "extend", "bogus"])
+_op = st.one_of(
+    st.builds(lambda kind, name, rest: [kind, name, *rest],
+              _kinds, _names, st.lists(st.one_of(st.sampled_from(["bob", "amy"]), _json),
+                                       max_size=3)),
+    st.lists(st.one_of(_kinds, _names, _json), max_size=4),
+    _json,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.one_of(st.lists(_op, max_size=6), _json))
+def test_push_gives_a_typed_error_or_a_valid_state(ops):
+    """Mutated op lists: ``push`` raises ViewError or leaves an original
+    whose fields are still JSON data and whose methods still work."""
+    server = MailServer()
+    server.mailboxes["bob"] = [{"subject": "s"}]
+    server.directory["bob"] = {"name": "bob"}
+    service = ImageService(server)
+    try:
+        service.push(ops)
+    except ViewError:
+        pass
+    assert sorted(vars(server)) == sorted(_FIELDS)
+    json.dumps(service.extract_image(list(_FIELDS)))
+    assert callable(server.sendMail) and callable(server.fetchMail)
 
 
 class TestStats:
