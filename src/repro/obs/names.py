@@ -58,6 +58,7 @@ INCR_TRACKED = "drbac.incr.tracked_principals"
 SWB_HANDSHAKES_INITIATED = "switchboard.handshakes.initiated"
 SWB_HANDSHAKES_ACCEPTED = "switchboard.handshakes.accepted"
 SWB_HANDSHAKES_REJECTED = "switchboard.handshakes.rejected"
+SWB_HANDSHAKES_REUSED = "switchboard.handshakes.reused"
 SWB_CHANNELS_OPENED = "switchboard.channels.opened"
 SWB_CHANNELS_CLOSED = "switchboard.channels.closed"
 SWB_CHANNELS_REVOKED = "switchboard.channels.revoked"
@@ -231,6 +232,7 @@ CATALOGUE: tuple[MetricSpec, ...] = (
     MetricSpec(SWB_HANDSHAKES_INITIATED, "counter", "handshakes dialed"),
     MetricSpec(SWB_HANDSHAKES_ACCEPTED, "counter", "handshakes accepted (responder)"),
     MetricSpec(SWB_HANDSHAKES_REJECTED, "counter", "handshakes rejected (responder)"),
+    MetricSpec(SWB_HANDSHAKES_REUSED, "counter", "dials answered by an open channel"),
     MetricSpec(SWB_CHANNELS_OPENED, "counter", "channel ends opened"),
     MetricSpec(SWB_CHANNELS_CLOSED, "counter", "channel ends closed"),
     MetricSpec(SWB_CHANNELS_REVOKED, "counter", "channel ends flipped to REVOKED"),

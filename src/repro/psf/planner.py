@@ -213,13 +213,6 @@ class Planner:
         obs.counter(metric_names.PLAN_SUCCESS).inc()
         return min(plans, key=self.plan_cost) if optimize else plans[0]
 
-    def can_plan(self, request: ServiceRequest) -> bool:
-        try:
-            self.plan(request)
-            return True
-        except PlanningError:
-            return False
-
     # -- plan quality ------------------------------------------------------
 
     def plan_cost(self, plan: DeploymentPlan) -> float:

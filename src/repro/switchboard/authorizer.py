@@ -26,7 +26,13 @@ from ..errors import HandshakeError
 
 
 class Authorizer:
-    """Policy object evaluating a partner's identity and credentials."""
+    """Policy object evaluating a partner's identity and credentials.
+
+    An endpoint reuses an open connection only for a dial whose authorizer
+    compares equal to the one that opened it.  Authorizers compare by
+    identity; :class:`AcceptAllAuthorizer`, the default of every suite, is
+    one policy and compares by value.
+    """
 
     def authorize(
         self, partner: PublicIdentity, credentials: list[Delegation]
@@ -44,6 +50,12 @@ class AcceptAllAuthorizer(Authorizer):
         self, partner: PublicIdentity, credentials: list[Delegation]
     ) -> ProofMonitor:
         return ProofMonitor([], RevocationDirectory())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is AcceptAllAuthorizer
+
+    def __hash__(self) -> int:
+        return hash(AcceptAllAuthorizer)
 
 
 class RoleAuthorizer(Authorizer):

@@ -28,6 +28,13 @@ from abstractions like SSL/TLS".  The implementation:
   proof graph fires the monitor, flips the channel to ``REVOKED``, notifies
   the peer, and blocks further calls until :meth:`SwitchboardConnection.
   revalidate` succeeds with fresh credentials.
+* **Reuse** — a channel is continuously authorized, so while it stays
+  ``OPEN`` it can serve the next dial of the same principal: each endpoint
+  keeps one connection table keyed by :func:`_table_key`, and
+  :meth:`SwitchboardEndpoint.connect` hands back a listed connection with
+  one more lease instead of redoing the handshake.  A connection leaves
+  the table on any move out of ``OPEN``.  :meth:`SwitchboardConnection.
+  release` drops a lease (the last one closes); ``close`` is a hard close.
 """
 
 from __future__ import annotations
@@ -118,6 +125,29 @@ def _named_conn_id(outer: dict) -> str:
     return conn_id if isinstance(conn_id, str) else ""
 
 
+def _table_key(
+    remote_node: str, remote_service: str, suite: AuthorizationSuite
+) -> tuple:
+    """What a reused connection must share with the dial it stands in for:
+    the remote end, the local identity, the presented credentials down to
+    their signature bytes, and the policy applied to the peer."""
+    return (
+        remote_node,
+        remote_service,
+        suite.identity.public,
+        tuple((c.credential_id, c.signature) for c in suite.credentials),
+        suite.authorizer,
+    )
+
+
+@dataclass
+class EndpointStats:
+    dialled: int = 0
+    """Handshakes this endpoint initiated."""
+    reused: int = 0
+    """``connect`` calls answered from the connection table."""
+
+
 @dataclass
 class ChannelStats:
     frames_sent: int = 0
@@ -159,6 +189,10 @@ class SwitchboardConnection:
         self.stats = ChannelStats()
         self.last_rtt: Optional[float] = None
         self.missed_heartbeats = 0
+        self._leases = 1
+        self._supervisors = 0
+        """:class:`ChannelSupervisor` instances heartbeating this channel."""
+        self._table_key: Optional[tuple] = None
         self._send_seq = 0
         self._recv_seq = -1
         cid = conn_id.encode()
@@ -221,7 +255,9 @@ class SwitchboardConnection:
     # -- heartbeats -----------------------------------------------------------
 
     def start_heartbeats(self, interval: float, *, max_missed: int = 3) -> None:
-        """Begin periodic replay-resistant liveness probes."""
+        """Begin periodic replay-resistant liveness probes, replacing any
+        already running."""
+        self.stop_heartbeats()
         scheduler = self.endpoint.transport.scheduler
         self._last_pong_at = scheduler.now()
 
@@ -295,7 +331,15 @@ class SwitchboardConnection:
         )
         return pending
 
+    def release(self) -> None:
+        """Drop one lease taken by :meth:`SwitchboardEndpoint.connect`; the
+        last release closes the channel."""
+        self._leases -= 1
+        if self._leases <= 0:
+            self.close()
+
     def close(self) -> None:
+        """Close the channel for every leaseholder."""
         if self.state is ChannelState.CLOSED:
             return
         try:
@@ -478,6 +522,7 @@ class SwitchboardConnection:
         if state in (ChannelState.DEAD, ChannelState.CLOSED):
             self._go_down()
         if state is not ChannelState.OPEN:
+            self.endpoint._unlist(self)
             self.streams.abort_all()
         for callback in list(self._trust_callbacks):
             callback(reason)
@@ -488,6 +533,7 @@ class SwitchboardConnection:
         self.state = state
         obs.counter(metric_names.SWB_CHANNELS_CLOSED).inc()
         self._go_down()
+        self.endpoint._unlist(self)
         self.endpoint._forget(self.conn_id)
 
     def _go_down(self) -> None:
@@ -531,6 +577,9 @@ class SwitchboardEndpoint:
         self._connections: dict[str, SwitchboardConnection] = {}
         self._conn_suites: dict[str, AuthorizationSuite] = {}
         self._dials: dict[str, _Dial] = {}
+        self._table: dict[tuple, SwitchboardConnection] = {}
+        """Open dialled connections by :func:`_table_key`."""
+        self.stats = EndpointStats()
         transport.network.node(node_name).bind(SWITCHBOARD_SERVICE, self._on_frame)
 
     # -- server side -----------------------------------------------------------
@@ -547,17 +596,31 @@ class SwitchboardEndpoint:
     def connect(
         self, remote_node: str, remote_service: str, suite: AuthorizationSuite
     ) -> "PendingConnection":
-        """Initiate a handshake; returns a future SwitchboardConnection."""
+        """A future SwitchboardConnection: an open one from the connection
+        table with one more lease, else a fresh handshake."""
+        key = _table_key(remote_node, remote_service, suite)
+        listed = self._table.get(key)
+        if listed is not None and self._still_current(listed, suite):
+            listed._leases += 1
+            self.stats.reused += 1
+            if obs.is_enabled():
+                obs.counter(metric_names.SWB_HANDSHAKES_REUSED).inc()
+            return PendingConnection(_Dial.settled(listed, suite), self)
         conn_id = f"conn-{next(_conn_ids)}-{secrets.token_hex(4)}"
+        self.stats.dialled += 1
         obs.counter(metric_names.SWB_HANDSHAKES_INITIATED).inc()
         dh = DiffieHellman()
         nonce = secrets.token_hex(16)
-        dial = _Dial(conn_id=conn_id, suite=suite, dh=dh, nonce=nonce)
+        dial = _Dial(conn_id=conn_id, suite=suite, dh=dh, nonce=nonce, key=key)
         self._dials[conn_id] = dial
         self._conn_suites[conn_id] = suite
         head = {"type": "hello", "conn_id": conn_id, "service": remote_service}
-        self._greet(remote_node, head, {}, "initiator", suite, dh, [nonce])
-        return PendingConnection(dial, self.transport.scheduler)
+        try:
+            self._greet(remote_node, head, {}, "initiator", suite, dh, [nonce])
+        except NetworkError:
+            self._drop_dial(conn_id)
+            raise
+        return PendingConnection(dial, self)
 
     # -- shared ---------------------------------------------------------------------
 
@@ -573,6 +636,32 @@ class SwitchboardEndpoint:
     def _forget(self, conn_id: str) -> None:
         self._connections.pop(conn_id, None)
         self._conn_suites.pop(conn_id, None)
+
+    def _still_current(
+        self, listed: SwitchboardConnection, suite: AuthorizationSuite
+    ) -> bool:
+        """Redo the clock checks a fresh handshake would make before a
+        listed connection serves another dial.  Revocation needs no check
+        here (it unlists the connection as it lands), but expiry is not an
+        event: a lapse in the peer's proof flips the connection to
+        ``REVOKED`` as :meth:`SwitchboardConnection.watch_expiry` would,
+        and a lapse in our own presented credentials unlists it, so the
+        redial goes back to the peer's authorizer."""
+        now = self.transport.scheduler.now()
+        if any(c.is_expired(now) for c in suite.credentials):
+            self._unlist(listed)
+            return False
+        return listed.monitor.check_expiry(now)
+
+    def _unlist(self, connection: SwitchboardConnection) -> None:
+        """Take ``connection`` out of the connection table, if listed."""
+        if self._table.get(connection._table_key) is connection:
+            del self._table[connection._table_key]
+
+    def _drop_dial(self, conn_id: str) -> Optional["_Dial"]:
+        """Forget a dial that will not resolve here (failed, or given up)."""
+        self._conn_suites.pop(conn_id, None)
+        return self._dials.pop(conn_id, None)
 
     def call_tables(self) -> list[tuple[str, CallTable]]:
         """``(label, table)`` for every live connection's call table."""
@@ -772,14 +861,14 @@ class SwitchboardEndpoint:
             is_initiator=True,
         )
         self._connections[conn_id] = connection
+        connection._table_key = dial.key
+        self._table[dial.key] = connection
         dial.resolve(connection)
 
     def _on_reject(self, outer: dict) -> None:
-        conn_id = _named_conn_id(outer)
-        dial = self._dials.pop(conn_id, None)
+        dial = self._drop_dial(_named_conn_id(outer))
         if dial is not None:
             dial.fail(outer.get("reason", "rejected"))
-            self._conn_suites.pop(conn_id, None)
 
 
 @dataclass
@@ -788,11 +877,19 @@ class _Dial:
 
     conn_id: str
     suite: AuthorizationSuite
-    dh: DiffieHellman
+    dh: Optional[DiffieHellman]
     nonce: str
+    key: tuple = ()
     done: bool = False
     connection: Optional[SwitchboardConnection] = None
     error: Optional[str] = None
+
+    @classmethod
+    def settled(
+        cls, connection: SwitchboardConnection, suite: AuthorizationSuite
+    ) -> "_Dial":
+        """A dial already answered by an open connection."""
+        return cls(connection.conn_id, suite, None, "", done=True, connection=connection)
 
     def resolve(self, connection: SwitchboardConnection) -> None:
         self.done = True
@@ -806,9 +903,10 @@ class _Dial:
 class PendingConnection:
     """Future for an in-flight handshake."""
 
-    def __init__(self, dial: _Dial, scheduler) -> None:
+    def __init__(self, dial: _Dial, endpoint: SwitchboardEndpoint) -> None:
         self._dial = dial
-        self._scheduler = scheduler
+        self._endpoint = endpoint
+        self._scheduler = endpoint.transport.scheduler
 
     @property
     def done(self) -> bool:
@@ -822,6 +920,14 @@ class PendingConnection:
             raise HandshakeError(self._dial.error)
         assert self._dial.connection is not None
         return self._dial.connection
+
+    def abandon(self) -> None:
+        """Give up on a handshake still in flight: a late WELCOME or REJECT
+        for it is then ignored, so it cannot open a connection nobody
+        holds."""
+        if not self._dial.done:
+            self._endpoint._drop_dial(self._dial.conn_id)
+            self._dial.fail("abandoned")
 
     def wait(self, *, max_events: int = 100_000) -> SwitchboardConnection:
         steps = 0
@@ -903,13 +1009,19 @@ class ChannelSupervisor:
         return self
 
     def stop(self) -> None:
-        """End supervision and close the live connection, if any."""
+        """End supervision and release the live connection, if any.  The
+        connection may be shared, so its heartbeats stop with the last
+        supervisor on it rather than with its last lease."""
         self._stopped = True
-        if self.connection is not None and self.connection.state in (
+        connection = self.connection
+        if connection is not None and connection.state in (
             ChannelState.OPEN,
             ChannelState.REVOKED,
         ):
-            self.connection.close()
+            connection._supervisors -= 1
+            if not connection._supervisors:
+                connection.stop_heartbeats()
+            connection.release()
         self.connection = None
 
     # -- internals ---------------------------------------------------------
@@ -939,6 +1051,8 @@ class ChannelSupervisor:
                     return
                 except SwitchboardError:
                     pass  # handshake rejected; fall through to retry
+            elif pending is not None:
+                pending.abandon()  # too slow; the retry dials afresh
             wait = schedule.next_delay()
             if wait is None:
                 self.gave_up = True
@@ -951,6 +1065,7 @@ class ChannelSupervisor:
         self, connection: SwitchboardConnection, *, is_reconnect: bool
     ) -> None:
         self.connection = connection
+        connection._supervisors += 1
         connection.on_trust_change(self._on_channel_event)
         connection.start_heartbeats(
             self.heartbeat_interval, max_missed=self.max_missed

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..errors import SwitchboardError, ViewError
+from ..errors import ViewError
 from ..switchboard.authorizer import AuthorizationSuite
 from ..switchboard.channel import SwitchboardConnection, SwitchboardEndpoint
 from ..switchboard.registry import NamingRegistry, ServiceAddress
@@ -91,7 +91,7 @@ class ViewRuntime:
     binding_modes: dict[str, str] = field(default_factory=dict)
     """Per-binding channel mode ("rmi" | "switchboard") decided by the
     planner; bindings absent here fall back to preferring Switchboard."""
-    _connections: dict[str, SwitchboardConnection] = field(default_factory=dict)
+    _leases: list[SwitchboardConnection] = field(default_factory=list)
 
     def local_object(self, name: str) -> Any:
         obj = self.local_objects.get(name)
@@ -107,11 +107,13 @@ class ViewRuntime:
         return RmiStub(self.rpc, self.naming.lookup(binding))
 
     def switchboard_stub(self, binding: str) -> SwitchboardStub:
-        """Resolve a binding to a stub over a (cached) secure channel.
+        """Resolve a binding to a stub over a leased secure channel.
 
-        One channel per remote service address is reused by every
-        interface bound to it — the authorization happened at connect
-        time, so sharing the channel preserves single sign-on semantics.
+        The endpoint hands back its open connection to the same service
+        for this runtime's suite, if it holds one, and dials otherwise —
+        the authorization happened at connect time and is still monitored,
+        so sharing the channel preserves single sign-on semantics.
+        :meth:`close` releases the lease.
         """
         if self.switchboard is None or self.suite is None:
             raise ViewError(
@@ -119,12 +121,9 @@ class ViewRuntime:
                 "has no switchboard endpoint / authorization suite"
             )
         address = self.naming.lookup(binding)
-        cache_key = f"{address.node}|{address.service}"
-        connection = self._connections.get(cache_key)
-        if connection is None or connection.state.value != "open":
-            pending = self.switchboard.connect(address.node, address.service, self.suite)
-            connection = pending.wait()
-            self._connections[cache_key] = connection
+        pending = self.switchboard.connect(address.node, address.service, self.suite)
+        connection = pending.wait()
+        self._leases.append(connection)
         return SwitchboardStub(connection, address.target)
 
     def origin_port(self, represents: str, view: Any = None) -> Optional[OriginPort]:
@@ -156,9 +155,6 @@ class ViewRuntime:
         return None
 
     def close(self) -> None:
-        for connection in self._connections.values():
-            try:
-                connection.close()
-            except SwitchboardError:
-                pass
-        self._connections.clear()
+        for connection in self._leases:
+            connection.release()
+        self._leases.clear()
