@@ -71,10 +71,11 @@ class CasDeployment:
         self.communities[name] = community
         return community
 
-    def add_provider(self, name: str, *, trusts: list[str] | None = None) -> CasProvider:
+    def add_provider(self, name: str) -> CasProvider:
+        """A provider trusting every community added so far."""
         provider = CasProvider(name)
         self.providers[name] = provider
-        for community in trusts if trusts is not None else list(self.communities):
+        for community in self.communities:
             provider.trust_community(community)
         return provider
 

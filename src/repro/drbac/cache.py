@@ -35,8 +35,8 @@ a revoke or expire record evicts exactly the dependent entries instead
 of sweeping the cache, before any proof monitor hears the revocation.
 
 This is the middle ground between the paper's two poles (per-call proof
-search vs authorize-once views); ``benchmarks/bench_sso_overhead.py``
-ablates all three.
+search vs authorize-once views); ``tests/paper/test_views.py`` counts
+the proofs each of the three runs.
 """
 
 from __future__ import annotations

@@ -118,15 +118,8 @@ class IncrementalProofEngine:
     def tracked_principals(self) -> tuple[str, ...]:
         return tuple(self._reach)
 
-    def dependents_of(self, credential_id: str) -> frozenset[str]:
-        return frozenset(self._dependents.get(credential_id, ()))
-
     def dependents_index(self) -> dict[str, frozenset[str]]:
         return {cid: frozenset(pks) for cid, pks in self._dependents.items()}
-
-    def reach_chain(self, principal_key: str, role_key: str) -> tuple[str, ...] | None:
-        state = self._reach.get(principal_key)
-        return state.roles.get(role_key) if state is not None else None
 
     def covers(self, required_attributes: Attributes | None = None) -> bool:
         """May a *denial* of this query be invalidated purely by deltas?

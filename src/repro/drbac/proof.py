@@ -25,7 +25,7 @@ combine and cover the requirement.  Finding the first chain and finding
 them all are the same walk, stopped at different points.
 
 Two search strategies are provided (mirroring Sekitei's regression and
-progression, and ablated by ``benchmarks/bench_proof_search.py``):
+progression, and ablated by ``tests/paper/test_drbac.py``):
 *regression* consumes the enumeration, walking backward from the goal role;
 *progression* first tries the chain a forward breadth-first walk from the
 subject reaches, and falls back to the enumeration when that chain's

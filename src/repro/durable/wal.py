@@ -103,10 +103,6 @@ class WriteAheadLog:
         # crash cannot leave it out of sync with the bytes.
         self._records_since_snapshot = len(decode_records(disk.read(area))[0])
 
-    @property
-    def records_since_snapshot(self) -> int:
-        return self._records_since_snapshot
-
     def append(self, payload: WalRecord) -> None:
         frame = encode_record(payload)
         self.disk.append(self.area, frame)

@@ -17,6 +17,9 @@ from typing import Sequence
 from ..errors import FaultError
 from .plan import FaultEvent, FaultKind, FaultPlan
 
+MAX_TORN_TAIL = 24
+"""Most bytes a crash-restart rips off the WAL tail."""
+
 
 def generate_chaos_plan(
     *,
@@ -26,7 +29,6 @@ def generate_chaos_plan(
     domains: Sequence[str] = (),
     crash_nodes: Sequence[str] = (),
     restart_nodes: Sequence[str] = (),
-    max_torn_tail: int = 24,
     credential_ids: Sequence[str] = (),
     intensity: float = 1.0,
 ) -> FaultPlan:
@@ -40,7 +42,7 @@ def generate_chaos_plan(
     world with nothing to re-plan).  ``restart_nodes`` must be hosts
     registered as :class:`~repro.durable.node.DurableNode`\\ s with the
     injector; each crash-restart carries a seeded ``torn_tail`` in
-    ``[0, max_torn_tail]`` bytes ripped off the WAL before recovery.
+    ``[0, MAX_TORN_TAIL]`` bytes ripped off the WAL before recovery.
     The restart draws happen *after* every legacy class's draws for the
     round, and only when ``restart_nodes`` is non-empty — so plans
     generated by pre-durability callers are byte-identical to before.
@@ -101,7 +103,7 @@ def generate_chaos_plan(
         if restart_nodes:
             node = restart_nodes[rng.randrange(len(restart_nodes))]
             at, hold = window()
-            torn = rng.randrange(max_torn_tail + 1) if max_torn_tail > 0 else 0
+            torn = rng.randrange(MAX_TORN_TAIL + 1)
             plan.add(FaultEvent(at=at, kind=FaultKind.NODE_CRASH_RESTART,
                                 duration=hold,
                                 params={"node": node, "torn_tail": torn}))

@@ -75,7 +75,6 @@ class FlowConfig:
     # -- per-principal token bucket -----------------------------------------
     bucket_rate: float = 100.0
     bucket_burst: float = 20.0
-    bucket_enabled: bool = True
 
     # -- weighted fair queue -------------------------------------------------
     max_backlog: int = 64

@@ -106,13 +106,12 @@ class FlowController:
         now = self.scheduler.now()
         cls = classify_priority(target, method)
         if config.enabled and cls > EXEMPT_CLASS:
-            if config.bucket_enabled:
-                bucket = self.bucket_for(principal)
-                if not bucket.try_acquire(now):
-                    obs.counter(metric_names.FLOW_BUCKET_DENIED).inc()
-                    return self._shed(
-                        cls, "rate", bucket.time_until(now), target, method, principal
-                    )
+            bucket = self.bucket_for(principal)
+            if not bucket.try_acquire(now):
+                obs.counter(metric_names.FLOW_BUCKET_DENIED).inc()
+                return self._shed(
+                    cls, "rate", bucket.time_until(now), target, method, principal
+                )
             if len(self.queue) >= config.max_backlog:
                 return self._shed(
                     cls, "backlog", config.retry_after_s, target, method, principal

@@ -176,7 +176,6 @@ def build_scenario(
     *,
     key_bits: int | None = None,
     key_store=None,
-    with_server: bool = True,
 ) -> MailScenario:
     """Construct the complete three-site world of §2.2."""
     psf = PSF(key_bits=key_bits, key_store=key_store)
@@ -202,11 +201,10 @@ def build_scenario(
         scenario.wallets[client] = wallet
         psf.engine.identity(client)  # materialize the client's keypair
 
-    if with_server:
-        server = MailServer()
-        for user, phone in (("Alice", "212-555-0001"), ("Bob", "619-555-0002"), ("Charlie", "206-555-0003")):
-            server.create_account(user, phone=phone, email=f"{user.lower()}@comp.example")
-        psf.host_existing("MailServer", "ny-server", server, "MailServer")
-        scenario.server = server
+    server = MailServer()
+    for user, phone in (("Alice", "212-555-0001"), ("Bob", "619-555-0002"), ("Charlie", "206-555-0003")):
+        server.create_account(user, phone=phone, email=f"{user.lower()}@comp.example")
+    psf.host_existing("MailServer", "ny-server", server, "MailServer")
+    scenario.server = server
 
     return scenario

@@ -13,8 +13,8 @@ Usage from instrumented code::
 The module holds one active :class:`MetricsRegistry`, one
 :class:`Tracer`, and one :class:`EventLog` per process.  :func:`disable`
 swaps all three for shared null twins, making every instrumentation site
-a single no-op method call — the zero-cost mode benchmarks run under
-(also reachable via the ``REPRO_OBS=0`` environment variable).
+a single no-op method call — the zero-cost mode (also reachable via
+the ``REPRO_OBS=0`` environment variable).
 :func:`scoped` installs fresh state for the duration of a ``with`` block
 so tests and differential experiments read counters in isolation.
 

@@ -77,9 +77,9 @@ class Guard:
         self.issued.append(delegation)
         return delegation
 
-    def certify_member(self, client: str, *, role_name: str = "Member") -> Delegation:
-        """User auth: [client -> domain.role] domain (Table 2 rows 1/11/15)."""
-        return self.certify(EntityRef(client), self.role(role_name))
+    def certify_member(self, client: str) -> Delegation:
+        """User auth: [client -> domain.Member] domain (Table 2 rows 1/11/15)."""
+        return self.certify(EntityRef(client), self.role("Member"))
 
     def map_role(
         self,

@@ -194,7 +194,7 @@ class Planner:
         By default that is the first plan :meth:`enumerate_plans` yields.
         With ``optimize=True`` it is the cheapest by :meth:`plan_cost` of
         the first ``limit`` — the Sekitei-flavoured quality/speed trade-off
-        ablated by ``benchmarks/bench_planner_quality.py``.
+        ablated by ``tests/paper/test_planner.py``.
         """
         obs.counter(metric_names.PLAN_ATTEMPTS).inc()
         with obs.span(

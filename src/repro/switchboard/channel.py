@@ -514,38 +514,39 @@ class SwitchboardConnection:
     def _transition(self, state: ChannelState, reason: str) -> None:
         if self.state is state:
             return
-        self.state = state
-        if state is ChannelState.REVOKED:
+        if state is ChannelState.DEAD:
+            self._teardown(state)
+        else:
+            self.state = state
             obs.counter(metric_names.SWB_CHANNELS_REVOKED).inc()
-        elif state is ChannelState.DEAD:
-            obs.counter(metric_names.SWB_CHANNELS_DEAD).inc()
-        if state in (ChannelState.DEAD, ChannelState.CLOSED):
-            self._go_down()
-        if state is not ChannelState.OPEN:
             self.endpoint._unlist(self)
-            self.streams.abort_all()
+        self.streams.abort_all()
         for callback in list(self._trust_callbacks):
             callback(reason)
 
     def _teardown(self, state: ChannelState) -> None:
-        self.stop_expiry_watch()
-        self.monitor.close()
-        self.state = state
-        obs.counter(metric_names.SWB_CHANNELS_CLOSED).inc()
-        self._go_down()
-        self.endpoint._unlist(self)
-        self.endpoint._forget(self.conn_id)
+        """The one way a channel stops carrying calls and leaves its
+        endpoint: ``CLOSED`` by either end, or ``DEAD`` when heartbeats
+        lapse or the initiator vanishes mid-handshake.
 
-    def _go_down(self) -> None:
-        """The one way a channel stops carrying calls.
-
-        Heartbeats stop, the live-channel gauge drops exactly once per
-        connection, and every in-flight call fails with a typed
+        Heartbeats and the expiry watch stop, the monitor closes, the
+        live-channel gauge drops exactly once per connection, and every
+        in-flight call fails with a typed
         :class:`~repro.errors.RpcAbortedError` (counted as an RPC
         failure) — a channel torn down mid-RPC must not leave callers
-        blocked on a future that can never complete.
+        blocked on a future that can never complete.  A frame that later
+        names this connection is dropped like any frame naming no
+        connection.
         """
+        self.stop_expiry_watch()
         self.stop_heartbeats()
+        self.monitor.close()
+        self.state = state
+        obs.counter(
+            metric_names.SWB_CHANNELS_DEAD
+            if state is ChannelState.DEAD
+            else metric_names.SWB_CHANNELS_CLOSED
+        ).inc()
         if self._live_counted:
             self._live_counted = False
             obs.gauge(metric_names.SWB_CHANNELS_LIVE).dec()
@@ -557,6 +558,8 @@ class SwitchboardConnection:
         )
         if aborted:
             obs.counter(metric_names.SWB_RPC_FAILURES).inc(aborted)
+        self.endpoint._unlist(self)
+        self.endpoint._forget(self.conn_id)
 
 
 class SwitchboardEndpoint:

@@ -151,12 +151,9 @@ class StreamManager:
 
     # -- sender API --------------------------------------------------------
 
-    def open(
-        self, *, chunk_size: int = DEFAULT_CHUNK_SIZE, stream_id: str | None = None
-    ) -> OutgoingStream:
-        if stream_id is None:
-            side = "i" if self.connection.is_initiator else "r"
-            stream_id = f"s{side}{next(_stream_ids)}"
+    def open(self, *, chunk_size: int = DEFAULT_CHUNK_SIZE) -> OutgoingStream:
+        side = "i" if self.connection.is_initiator else "r"
+        stream_id = f"s{side}{next(_stream_ids)}"
         stream = OutgoingStream(self.connection, stream_id, chunk_size=chunk_size)
         self._outgoing[stream_id] = stream
         return stream

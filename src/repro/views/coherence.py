@@ -107,13 +107,11 @@ class CoherencePolicy(enum.Enum):
 
     * ``ON_DEMAND`` — pull a fresh image on every acquire and push local
       updates on every release (strongest; the default).
-    * ``WRITE_THROUGH`` — push on release only; reads use the local image.
     * ``MANUAL`` — the application invokes the image methods explicitly
       (the paper's base behaviour, where coherence code is user-supplied).
     """
 
     ON_DEMAND = "on-demand"
-    WRITE_THROUGH = "write-through"
     MANUAL = "manual"
 
 
@@ -364,7 +362,7 @@ class CacheManager:
             return
         self.stats.releases += 1
         obs.counter(metric_names.COHERENCE_RELEASES).inc()
-        if self.policy in (CoherencePolicy.ON_DEMAND, CoherencePolicy.WRITE_THROUGH):
+        if self.policy is CoherencePolicy.ON_DEMAND:
             image = self.view.extractImageFromView()
             if image:
                 self.view.mergeImageIntoObj(image)

@@ -92,7 +92,7 @@ class TestShedding:
     def test_backlog_cap_sheds_when_slots_are_saturated(self):
         flow = _tight_flow(
             service_time_s=0.05, workers=1, max_backlog=2,
-            bucket_enabled=False,
+            bucket_rate=1e9, bucket_burst=1e9,
         )
         with hermetic_counters(), obs.scoped(enabled=True):
             scheduler, _t, server, client = _world(flow)
@@ -200,7 +200,7 @@ class TestRetryAfterHonored:
         the exhausted call surfaces a typed RpcShedError, not a generic
         no-response failure."""
         flow = _tight_flow(
-            bucket_enabled=False, service_time_s=10.0, workers=1,
+            bucket_rate=1e9, bucket_burst=1e9, service_time_s=10.0, workers=1,
             max_backlog=1,
         )
         with hermetic_counters(), obs.scoped(enabled=True):
@@ -312,7 +312,7 @@ class TestPipelineBackpressure:
 
     def test_served_latencies_feed_the_limiter(self):
         flow = _tight_flow(
-            bucket_enabled=False, service_time_s=0.2, workers=1,
+            bucket_rate=1e9, bucket_burst=1e9, service_time_s=0.2, workers=1,
             max_backlog=64,
         )
         with hermetic_counters(), obs.scoped(enabled=True):

@@ -110,7 +110,7 @@ class TestOptimalSelection:
         assert planner.plan_cost(direct) > 0  # WAN latency shows up
 
 
-# The E-PLAN ladder (benchmarks/bench_plan_success.py), loose to tight.
+# The E-PLAN ladder (tests/paper/test_planner.py), loose to tight.
 LADDER = {
     "unconstrained": EdgeRequirement(),
     "privacy": EdgeRequirement(privacy=True),

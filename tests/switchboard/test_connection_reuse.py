@@ -310,6 +310,38 @@ class TestDialStateLeak:
         assert set(client_ep._conn_suites) <= set(client_ep._connections)
         supervisor.stop()
 
+    def test_dead_connections_leave_the_endpoint(self, engine, world):
+        """Three partition-and-heal cycles leave the client endpoint only
+        the live connection, and a call from a stale server end is dropped
+        at the client like a frame naming no connection."""
+        transport, client_ep, server_ep = world
+        scheduler = transport.scheduler
+        supervisor = ChannelSupervisor(
+            client_ep, "s", "open", _suite(engine, "Alice"), heartbeat_interval=0.5
+        ).start()
+        link = transport.network.link("c", "s")
+        now = 1.0
+        scheduler.run_until(now)
+        for _ in range(3):
+            link.up = False
+            now += 4.0
+            scheduler.run_until(now)
+            link.up = True
+            now += 8.0
+            scheduler.run_until(now)
+        assert supervisor.reconnects == 3
+        assert [c.state.value for c in client_ep.connections()] == ["open"]
+        assert set(client_ep._conn_suites) == {supervisor.connection.conn_id}
+        stale = [
+            c for c in server_ep.connections()
+            if c.conn_id != supervisor.connection.conn_id
+        ]
+        assert len(stale) == 3
+        for end in stale:
+            end.call("echo", "ping", [1])
+        scheduler.run_until(now + 1.0)
+        supervisor.stop()
+
     def test_abandoned_dial_cannot_open_a_connection(self, engine, world):
         """A handshake slower than the supervisor's patience is given up;
         its late WELCOME must not open a connection nobody holds."""

@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,48 @@ class TestBenchBoundaries:
     )
     def test_every_boundary_resolves(self, module, attribute):
         assert self.layers._resolve(module, attribute)
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _third_party_imports(*dirs: str) -> dict[str, str]:
+    """Top-level module -> first importing file, for every absolute import
+    under ``dirs`` that is neither stdlib, ``repro``, nor a module or
+    package of those trees (``bench/`` imports its own files by name)."""
+    files = sorted(path for d in dirs for path in (_REPO / d).rglob("*.py"))
+    local = {"repro"} | {
+        part for path in files for part in path.relative_to(_REPO).with_suffix("").parts
+    }
+    found: dict[str, str] = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, str(path.relative_to(_REPO)))
+    return found
+
+
+class TestDeclaredTestDependencies:
+    """CI installs pyproject's ``test`` extra and nothing else, so every
+    third-party module the tests or the benchmark import must be in it."""
+
+    def test_every_third_party_import_is_declared(self):
+        pyproject = tomllib.loads((_REPO / "pyproject.toml").read_text())
+        declared = {
+            re.split(r"[\s<>=!~\[;]", requirement, maxsplit=1)[0].lower().replace("-", "_")
+            for requirement in pyproject["project"]["optional-dependencies"]["test"]
+        }
+        imported = _third_party_imports("tests", "bench")
+        undeclared = {m: f for m, f in imported.items() if m not in declared}
+        assert not undeclared, f"not in the test extra: {undeclared}"
 
 
 class TestStatsCommand:

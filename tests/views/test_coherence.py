@@ -90,15 +90,6 @@ class TestCacheManagerPolicies:
         manager.release_image()
         assert origin.x == 77  # pushed
 
-    def test_write_through_skips_pull(self, pair):
-        origin, view = pair
-        manager = CacheManager(view, policy=CoherencePolicy.WRITE_THROUGH)
-        manager.acquire_image()
-        assert view.state["x"] == 0  # no pull
-        view.state["x"] = 3
-        manager.release_image()
-        assert origin.x == 3
-
     def test_manual_does_nothing(self, pair):
         origin, view = pair
         manager = CacheManager(view, policy=CoherencePolicy.MANUAL)

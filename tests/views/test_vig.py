@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ViewGenerationError
 from repro.views import (
-    CoherencePolicy,
     InterfaceDef,
     InterfaceRegistry,
     MethodSig,
@@ -122,17 +121,6 @@ class TestGeneration:
         view = view_cls(ViewRuntime(local_objects={"Counter": origin}))
         origin.count = 41
         assert view.increment() == 42
-
-    def test_write_through_policy_does_not_pull(self, vig):
-        view_cls = vig.generate(local_spec(), Counter)
-        origin = Counter()
-        view = view_cls(
-            ViewRuntime(local_objects={"Counter": origin}),
-            policy=CoherencePolicy.WRITE_THROUGH,
-        )
-        origin.count = 100  # external change, view does not see it
-        assert view.increment() == 1
-        assert origin.count == 1  # but writes flow back
 
     def test_customized_method_overrides(self, vig):
         spec = local_spec(
