@@ -114,10 +114,6 @@ class IncrementalProofEngine:
         """Is the fast path still active (graph never left the regime)?"""
         return self._simple
 
-    @property
-    def tracked_principals(self) -> tuple[str, ...]:
-        return tuple(self._reach)
-
     def dependents_index(self) -> dict[str, frozenset[str]]:
         return {cid: frozenset(pks) for cid, pks in self._dependents.items()}
 

@@ -22,6 +22,9 @@ The views of ``MailClient``, one per access tier:
 replicated ``mailboxes``/``directory``/``delivered`` state, which the
 coherence machinery keeps synchronized with the origin ("PSF adapts to low
 available bandwidth by placing a *view mail server* close to the client").
+VIG's analysis of ``sendMail`` (``self.delivered += 1``) finds
+``delivered`` by itself; the document still declares it, so the spec and
+its digest stay as they were.
 """
 
 from __future__ import annotations

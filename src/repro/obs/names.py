@@ -73,6 +73,7 @@ SWB_TAMPER_REJECTED = "switchboard.tamper.rejected"
 SWB_RPC_CALLS = "switchboard.rpc.calls"
 SWB_RPC_FAILURES = "switchboard.rpc.failures"
 SWB_RPC_LATENCY = "switchboard.rpc.latency"
+RPC_FRAMES_REJECTED = "switchboard.rpc.frames_rejected"
 
 # -- PSF planning and deployment (psf/planner.py, psf/deployment.py) -------
 
@@ -249,6 +250,8 @@ CATALOGUE: tuple[MetricSpec, ...] = (
                "remote calls that failed or were aborted by teardown"),
     MetricSpec(SWB_RPC_LATENCY, "histogram",
                "virtual-time latency of completed channel RPCs"),
+    MetricSpec(RPC_FRAMES_REJECTED, "counter",
+               "malformed plain-RPC frames dropped"),
     MetricSpec(PLAN_ATTEMPTS, "counter", "planning requests"),
     MetricSpec(PLAN_SUCCESS, "counter", "planning requests that found a plan"),
     MetricSpec(PLAN_FAILURES, "counter", "planning requests that raised"),

@@ -837,14 +837,19 @@ class PlainRpcEndpoint:
     # -- server side ---------------------------------------------------------
 
     def _on_frame(self, payload: bytes, sender: str) -> None:
-        frame = decode_frame(payload)
+        try:
+            frame = decode_frame(payload)
+        except SwitchboardError:
+            frame = {}
         kind = frame.get("type")
         if kind == "call":
             self._serve(frame)
         elif kind == "result":
             self._complete(frame)
         else:
-            raise SwitchboardError(f"unknown RPC frame type {kind!r}")
+            # Any node can send anything: a bad frame is dropped and
+            # counted, never raised into the peer's event loop.
+            obs.counter(metric_names.RPC_FRAMES_REJECTED).inc()
 
     def _serve(self, frame: dict) -> None:
         if self.controller is not None:
@@ -935,10 +940,22 @@ def encode_frame(frame: dict) -> bytes:
 
 
 def decode_frame(payload: bytes) -> dict:
+    """A JSON frame; a plain-RPC ``call`` or ``result`` frame must also
+    carry every field its handler reads, with the right type."""
     try:
         frame = json.loads(payload.decode())
     except (ValueError, UnicodeDecodeError) as exc:
         raise SwitchboardError(f"undecodable RPC frame: {exc}") from exc
     if not isinstance(frame, dict):
         raise SwitchboardError("RPC frame must be a JSON object")
+    kind = frame.get("type")
+    if kind in ("call", "result") and not isinstance(frame.get("call_id"), int):
+        raise SwitchboardError(f"RPC {kind} frame without an integer call_id")
+    if kind == "call" and not (
+        isinstance(frame.get("reply_to"), str)
+        and isinstance(frame.get("target"), str)
+        and isinstance(frame.get("method"), str)
+        and isinstance(frame.get("args"), list)
+    ):
+        raise SwitchboardError("RPC call frame needs reply_to, target, method and args")
     return frame

@@ -42,7 +42,6 @@ from .vig import (
     VigStats,
     represented_fields,
     represented_methods,
-    self_attribute_refs,
     wrap_with_coherence,
 )
 
@@ -79,6 +78,5 @@ __all__ = [
     "parse_signature",
     "represented_fields",
     "represented_methods",
-    "self_attribute_refs",
     "wrap_with_coherence",
 ]

@@ -12,7 +12,9 @@ synthesizes a complete :class:`~repro.views.spec.ViewSpec`:
 * interfaces whose methods are all allowed become **local** (full copies);
 * interfaces listed in ``remote`` (or containing a state-*writing* method
   when ``prefer_remote_writes`` is set) route to the original over
-  **switchboard** (or ``rmi`` on request);
+  **switchboard** (or ``rmi`` on request).  :func:`method_writes_state`
+  is sound: it may call a read-only method writing (costing a remote
+  hop), never the reverse (running a write on an untrusted copy);
 * partially-allowed interfaces are included with the denied methods
   customized to raise ``PermissionError`` — method-granularity access
   control without hand-written XML;
@@ -22,8 +24,7 @@ synthesizes a complete :class:`~repro.views.spec.ViewSpec`:
 
 from __future__ import annotations
 
-import dis
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import ViewSpecError
@@ -34,7 +35,7 @@ from .spec import (
     MethodSpec,
     ViewSpec,
 )
-from .vig import represented_fields, represented_methods
+from .vig import method_effects, represented_methods
 
 
 @dataclass(slots=True)
@@ -67,50 +68,25 @@ class ViewHint:
             )
 
 
-_MUTATOR_NAMES = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "clear", "add",
-        "discard", "update", "setdefault", "popitem", "sort", "reverse",
-    }
-)
+def method_writes_state(represented: type, name: str) -> bool:
+    """Whether calling ``represented.<name>`` may change the instance.
 
-
-def method_writes_state(fn) -> bool:
-    """Heuristic: does the method mutate ``self`` state?
-
-    Detects both direct stores (``self.x = ...``, ``self.x[k] = ...``) and
-    mutating container calls (``self.x.append(...)`` and friends) via a
-    three-instruction bytecode window.
+    Sound, not exact: a True may be a false positive, a False is a
+    proof.  It reads :func:`~repro.views.vig.method_effects` of the
+    method and of every ``self`` method it calls, transitively; a call
+    through a field (``self.callback()``) counts as a write.
     """
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return False
-    arg_names = code.co_varnames[: code.co_argcount]
-    self_name = arg_names[0] if arg_names else "self"
-    window: list = [None, None]
-    for instr in dis.get_instructions(code):
-        prev2, prev = window
-        self_attr_loaded = (
-            prev2 is not None
-            and prev2.opname == "LOAD_FAST"
-            and prev2.argval == self_name
-            and prev is not None
-            and prev.opname == "LOAD_ATTR"
-        )
-        if (
-            prev is not None
-            and prev.opname == "LOAD_FAST"
-            and prev.argval == self_name
-            and instr.opname == "STORE_ATTR"
-        ):
+    methods = represented_methods(represented)
+    seen: set[str] = set()
+
+    def writes(current: str) -> bool:
+        seen.add(current)
+        if current not in methods:
             return True
-        if self_attr_loaded and instr.opname in ("LOAD_METHOD", "LOAD_ATTR"):
-            if instr.argval in _MUTATOR_NAMES:
-                return True
-        if self_attr_loaded and instr.opname == "STORE_SUBSCR":
-            return True
-        window = [prev, instr]
-    return False
+        effects = method_effects(methods[current])
+        return effects.writes or any(writes(callee) for callee in effects.calls - seen)
+
+    return writes(name)
 
 
 def infer_view_spec(
@@ -173,7 +149,7 @@ def infer_view_spec(
         remote = iface.name in hint.remote
         if not remote and prefer_remote_writes:
             remote = any(
-                method_writes_state(methods[sig.name]) for sig in iface.methods
+                method_writes_state(represented, sig.name) for sig in iface.methods
             )
         mode = hint.remote_mode if remote else InterfaceMode.LOCAL
         restrictions.append(

@@ -16,7 +16,8 @@ synthesizes a Python class.  The observable contract is preserved:
   methods they call (the paper follows the Java inheritance chain for the
   same reason) and the represented fields they touch, which are
   auto-enrolled in the replicated-field set ("VIG parses the method code
-  and copies the declarations of all used class fields").
+  and copies the declarations of all used class fields"): one AST pass
+  over each method's source, :func:`self_effects`.
 * **Validation** — a method body referencing a name defined neither on the
   original object nor in the view triggers
   :class:`~repro.errors.ViewGenerationError` naming the offender, so VIG
@@ -37,11 +38,11 @@ synthesizes a Python class.  The observable contract is preserved:
 from __future__ import annotations
 
 import ast
-import dis
 import functools
+import inspect
 import textwrap
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field, is_dataclass
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..errors import ViewGenerationError, ViewSpecError
 from .coherence import CacheManager, CoherencePolicy
@@ -68,46 +69,142 @@ _RUNTIME_ATTRS = {
 # Introspection helpers
 # --------------------------------------------------------------------------
 
-def self_attribute_refs(fn: Callable) -> set[str]:
-    """Names accessed as ``self.<name>`` inside a compiled function."""
-    refs: set[str] = set()
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return refs
-    arg_names = code.co_varnames[: code.co_argcount]
-    self_name = arg_names[0] if arg_names else "self"
-    prev = None
-    for instr in dis.get_instructions(code):
-        if (
-            prev is not None
-            and prev.opname == "LOAD_FAST"
-            and prev.argval == self_name
-            and instr.opname in ("LOAD_ATTR", "STORE_ATTR", "DELETE_ATTR", "LOAD_METHOD")
-        ):
-            refs.add(instr.argval)
-        prev = instr
-    return refs
+# Calls trusted to change neither their receiver nor their arguments.
+_PURE_BUILTINS = frozenset({
+    "abs", "all", "any", "bool", "dict", "enumerate", "float", "frozenset", "getattr",
+    "hasattr", "id", "int", "isinstance", "len", "list", "max", "min", "range", "repr",
+    "reversed", "set", "sorted", "str", "sum", "tuple", "type", "zip",
+})
+_READ_ONLY_METHODS = frozenset({"copy", "count", "get", "index", "items", "keys", "values"})
 
 
-def ast_self_attribute_refs(body_source: str) -> set[str]:
-    """Names accessed as ``self.<name>`` in spec-supplied Python source."""
-    refs: set[str] = set()
-    tree = ast.parse(body_source)
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            refs.add(node.attr)
-    return refs
+class SelfEffects(NamedTuple):
+    """What a method does to its ``self``: the names it reads, stores
+    (``=``, ``+=``, ``del``, ``setattr``) or mutates in place, and the
+    ``self`` methods it calls.  ``unnamed_write`` is a write through no
+    literal name: ``self[k] = v``, ``f(self)``, ``setattr(self, n, v)``."""
+
+    reads: frozenset[str]
+    stores: frozenset[str]
+    mutates: frozenset[str]
+    calls: frozenset[str]
+    unnamed_write: bool
+
+    @property
+    def names(self) -> frozenset[str]:
+        return self.reads | self.stores | self.mutates | self.calls
+
+    @property
+    def writes(self) -> bool:  # the body itself; ``calls`` are not followed
+        return bool(self.stores or self.mutates or self.unnamed_write)
+
+
+def self_effects(source: str) -> SelfEffects:
+    """VIG's one analysis of a method: what the first function defined in
+    ``source`` does to its first parameter.  Conservative: a reported
+    write may not happen, a missed one is a bug.  A computed name
+    (``setattr(self, name, v)``) is not seen, only marked ``unnamed_write``.
+    """
+    func = next(node for node in ast.walk(ast.parse(source)) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+    params = [*func.args.posonlyargs, *func.args.args]
+    if not params:  # ``self`` hides in ``*args``: assume the worst
+        return SelfEffects(frozenset(), frozenset(), frozenset(), frozenset(), True)
+    me, nodes = params[0].arg, list(ast.walk(func))
+
+    def is_self(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id == me
+
+    # Names that may alias self state -> the fields each may alias (none:
+    # self itself; ``super()`` is self).  Flow-insensitive, to a fixpoint.
+    aliases: dict[str, set[str]] = {me: set(), "super": set()}
+
+    def reached(expr: ast.AST) -> Optional[set[str]]:
+        """The fields ``expr`` may reach; None if no self state at all."""
+        inner = list(ast.walk(expr))
+        via = [aliases[n.id] for n in inner if isinstance(n, ast.Name) and n.id in aliases]
+        return set().union(*via, {
+            n.attr for n in inner if isinstance(n, ast.Attribute) and is_self(n.value)
+        }) if via else None
+
+    binders = [(node, target) for node in nodes for target in (
+        getattr(node, "targets", None)
+        or [getattr(node, "target", None) or getattr(node, "optional_vars", None)]
+    ) if target is not None]
+    changed = True
+    while changed:
+        changed = False
+        for node, target in binders:
+            fields = reached(node)
+            for name in ast.walk(target) if fields is not None else ():
+                if isinstance(name, ast.Name) and name.id not in (me, "super"):
+                    known = aliases.get(name.id)
+                    if known is None or not fields <= known:
+                        aliases[name.id] = fields | (known or set())
+                        changed = True
+
+    reads, stores, mutates, calls = set(), set(), set(), set()
+    unnamed = False
+
+    def mutate(expr: ast.AST) -> None:
+        nonlocal unnamed
+        fields = reached(expr)
+        if fields is not None:
+            mutates.update(fields)
+            unnamed = unnamed or not fields
+
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and is_self(node.value):
+            (reads if isinstance(node.ctx, ast.Load) else stores).add(node.attr)
+        elif isinstance(node, (ast.Attribute, ast.Subscript)):
+            if not isinstance(node.ctx, ast.Load):
+                mutate(node.value)
+        elif isinstance(node, ast.AugAssign):  # ``b += [x]`` extends an alias in place
+            mutate(node.target)
+        elif isinstance(node, ast.Call):
+            callee, args = node.func, [*node.args, *(k.value for k in node.keywords)]
+            builtin = getattr(callee, "id", None)
+            if builtin in ("setattr", "delattr", "getattr", "hasattr") and \
+                    len(node.args) > 1 and is_self(node.args[0]):
+                name = getattr(node.args[1], "value", None)
+                if isinstance(name, str):
+                    (reads if builtin in _PURE_BUILTINS else stores).add(name)
+                unnamed = unnamed or not (isinstance(name, str) or builtin in _PURE_BUILTINS)
+                args = args[2:]
+            if builtin in _PURE_BUILTINS:
+                args = [keyword.value for keyword in node.keywords]  # ``key=`` runs
+            elif isinstance(callee, ast.Attribute) and is_self(callee.value):
+                calls.add(callee.attr)
+            elif getattr(callee, "attr", None) in _READ_ONLY_METHODS:
+                args = []
+            else:
+                mutate(callee)
+            for arg in args:
+                mutate(arg)
+    return SelfEffects(*map(frozenset, (reads, stores, mutates, calls)), unnamed)
+
+
+@functools.cache
+def method_effects(fn: Callable) -> SelfEffects:
+    """:func:`self_effects` of a represented-class method, from its source;
+    memoised per function, since reading the source costs more than a
+    view build's other work (the cache keeps each analysed method alive)."""
+    try:
+        source = inspect.getsource(fn)
+    except (OSError, TypeError) as exc:
+        raise ViewGenerationError(
+            f"method {getattr(fn, '__qualname__', fn)!r} has no Python source, "
+            f"so VIG cannot tell what it touches; customize it in the XML rules"
+        ) from exc
+    # Unlike dedent, ``if 1:`` also parses a string with lines at column 0.
+    return self_effects(f"if 1:\n{source}" if source[:1].isspace() else source)
 
 
 def represented_fields(cls: type) -> set[str]:
     """Fields declared by a class hierarchy.
 
     Combines class-level annotations, non-callable class attributes, and
-    ``self.<name> = ...`` stores found in each ``__init__`` along the MRO.
+    the names each ``__init__`` along the MRO stores on ``self``.
     """
     fields: set[str] = set()
     for klass in reversed(cls.__mro__[:-1]):  # skip object
@@ -118,29 +215,13 @@ def represented_fields(cls: type) -> set[str]:
             if not callable(value):
                 fields.add(name)
         init = vars(klass).get("__init__")
-        if callable(init):
-            fields.update(_init_stores(init))
+        if inspect.isfunction(init):
+            try:
+                fields.update(method_effects(init).stores)
+            except ViewGenerationError:
+                if not is_dataclass(klass):  # a generated __init__ sets the annotations
+                    raise
     return fields
-
-
-def _init_stores(init: Callable) -> set[str]:
-    stores: set[str] = set()
-    code = getattr(init, "__code__", None)
-    if code is None:
-        return stores
-    arg_names = code.co_varnames[: code.co_argcount]
-    self_name = arg_names[0] if arg_names else "self"
-    prev = None
-    for instr in dis.get_instructions(code):
-        if (
-            prev is not None
-            and prev.opname == "LOAD_FAST"
-            and prev.argval == self_name
-            and instr.opname == "STORE_ATTR"
-        ):
-            stores.add(instr.argval)
-        prev = instr
-    return stores
 
 
 def represented_methods(cls: type) -> dict[str, Callable]:
@@ -287,13 +368,13 @@ class Vig:
             )
         gen.copied[method_name] = fn
         self.stats.methods_copied += 1
-        self._absorb_references(gen, method_name, self_attribute_refs(fn))
+        self._absorb_references(gen, method_name, method_effects(fn))
 
     def _absorb_references(
-        self, gen: _Generation, origin_method: str, refs: set[str]
+        self, gen: _Generation, origin_method: str, effects: SelfEffects
     ) -> None:
         """Copy helper methods and auto-replicate fields a method touches."""
-        for ref in sorted(refs):
+        for ref in sorted(effects.names):
             if ref in gen.copied or ref in gen.forwarders or ref in gen.stub_fields:
                 continue
             if ref in _RUNTIME_ATTRS or ref in COHERENCE_METHODS:
@@ -308,7 +389,7 @@ class Vig:
                 helper = gen.rep_methods[ref]
                 gen.copied[ref] = helper
                 self.stats.helpers_copied += 1
-                self._absorb_references(gen, ref, self_attribute_refs(helper))
+                self._absorb_references(gen, ref, method_effects(helper))
             elif ref in gen.rep_fields:
                 gen.replicated.add(ref)
                 self.stats.fields_auto_replicated += 1
@@ -351,20 +432,16 @@ class Vig:
             textwrap.dedent(body), "    "
         )
         try:
-            refs = ast_self_attribute_refs(textwrap.dedent(body))
+            effects = self_effects(source)
+            code = compile(source, f"<vig:{gen.spec.name}.{method.name}>", "exec")
         except SyntaxError as exc:
             raise ViewGenerationError(
                 f"view {gen.spec.name}: body of {method.name!r} is not valid "
-                f"Python (line {exc.lineno}: {exc.msg}); rectify the XML rules"
+                f"Python (line {exc.lineno - 1}: {exc.msg}); rectify the XML rules"
             ) from exc
-        self._absorb_references(gen, method.name, refs)
+        self._absorb_references(gen, method.name, effects)
         namespace: dict[str, Any] = {}
-        try:
-            exec(compile(source, f"<vig:{gen.spec.name}.{method.name}>", "exec"), namespace)
-        except SyntaxError as exc:  # signature-level syntax issues
-            raise ViewGenerationError(
-                f"view {gen.spec.name}: cannot compile {method.name!r}: {exc.msg}"
-            ) from exc
+        exec(code, namespace)
         self.stats.methods_compiled += 1
         return namespace[method.name]
 

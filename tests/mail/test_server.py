@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.mail.server import MailServer
@@ -63,3 +65,16 @@ class TestCacheView:
             "directory",
             "delivered",
         }
+
+    def test_analysis_finds_delivered_without_its_declaration(self, server, registrar):
+        """``sendMail`` runs ``self.delivered += 1``: VIG replicates the
+        counter even when the spec does not declare it."""
+        spec = dataclasses.replace(
+            registrar.view_spec("ViewMailServer"),
+            replicated_fields=("mailboxes", "directory"),
+        )
+        view_cls = Vig(registrar.interfaces).generate(spec, MailServer)
+        assert "delivered" in view_cls.__replicated_fields__
+        cache = view_cls(ViewRuntime(local_objects={"MailServer": server}))
+        cache.sendMail({"recipient": "bob", "body": "cached"})
+        assert server.delivered == 1

@@ -35,6 +35,7 @@ from repro.views import (
 )
 from repro.views.spec import InterfaceMode, InterfaceRestriction
 
+from ..views import exec_with_source
 from . import print_table
 
 # -- E-SSO -------------------------------------------------------------------
@@ -106,17 +107,17 @@ def test_cached_proof_checks_every_call(member_engine):
 
 
 def _make_class(n_methods: int) -> type:
-    # __init__ must assign via `self.state = ...` so VIG's field scan
-    # (which mirrors Javassist's declaration analysis) can see the field.
-    namespace: dict = {}
-    exec("def __init__(self):\n    self.state = 0", namespace)
-    for i in range(n_methods):
-        exec(
-            f"def m{i}(self):\n    self.state = self.state + {i}\n    return self.state",
-            namespace,
-        )
-    namespace.pop("__builtins__", None)
-    return type(f"Wide{n_methods}", (), namespace)
+    # VIG reads each copied method's source to find the fields it touches
+    # (Javassist's declaration analysis), so the class is built from text.
+    methods = "".join(
+        f"    def m{i}(self):\n"
+        f"        self.state = self.state + {i}\n"
+        f"        return self.state\n"
+        for i in range(n_methods)
+    )
+    name = f"Wide{n_methods}"
+    source = f"class {name}:\n    def __init__(self):\n        self.state = 0\n{methods}"
+    return exec_with_source(source, name.lower())[name]
 
 
 def _spec_and_vig(n_methods: int):

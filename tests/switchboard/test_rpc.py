@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.net import EventScheduler, Network, Transport
+from repro.obs import names as metric_names
 from repro.switchboard.rpc import (
+    PLAIN_RPC_SERVICE,
     ObjectExporter,
     PlainRpcEndpoint,
     RemoteError,
@@ -87,6 +90,28 @@ class TestCalls:
         transport, client, server = world
         client.exporter.export("echo", Calculator())
         assert server.call_sync("client", "echo", "add", [4, 4]) == 8
+
+
+class TestMalformedFrames:
+    """Any node can send any bytes to the RPC service: a frame that is not
+    a well-formed call or result is dropped and counted, and the
+    simulation and both endpoints carry on."""
+
+    @pytest.mark.parametrize("payload", [
+        b'{"type":"call"}',
+        b'{"type":"call","call_id":1}',
+        b'{"type":"result"}',
+        b'{"type":"nope"}',
+        b"\xff",
+    ])
+    def test_dropped_and_counted(self, world, payload):
+        transport, client, _ = world
+        with obs.scoped(enabled=True) as registry:
+            transport.send("client", "server", PLAIN_RPC_SERVICE, payload)
+            transport.send("server", "client", PLAIN_RPC_SERVICE, payload)
+            transport.scheduler.run_until(1.0)
+        assert registry.counter_value(metric_names.RPC_FRAMES_REJECTED) == 2
+        assert client.call_sync("server", "calc", "add", [2, 3]) == 5
 
 
 class TestVisibility:

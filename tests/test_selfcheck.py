@@ -297,6 +297,10 @@ def _method_callees(path: Path, class_name: str, method: str) -> list[str]:
         node for node in cls.body
         if isinstance(node, ast.FunctionDef) and node.name == method
     ]
+    return _callees(func)
+
+
+def _callees(func: ast.AST) -> list[str]:
     return [
         call.func.id if isinstance(call.func, ast.Name) else f".{call.func.attr}"
         for call in ast.walk(func)
@@ -363,6 +367,57 @@ class TestOneRoutingPath:
         assert callees.count(".route") == 1
         assert ".shortest_path" not in callees
         assert ".path_links" not in callees
+
+
+class TestOneSelfFieldAnalysis:
+    """What a method does to ``self`` is answered by one AST pass,
+    ``views.vig.self_effects`` (through ``method_effects`` for a method
+    with source), and no bytecode window survives anywhere."""
+
+    src = Path(repro.__file__).parent
+
+    def _functions(self, *names: str) -> dict[str, ast.AST]:
+        return {
+            f"{path.name}:{func.name}": func
+            for path in sorted((self.src / "views").glob("*.py"))
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (not names or func.name in names)
+        }
+
+    def test_no_module_imports_dis(self):
+        importers = sorted(
+            str(path.relative_to(self.src))
+            for path in self.src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "dis" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dis"
+        )
+        assert importers == []
+
+    def test_one_parser_and_one_source_reader(self):
+        def callers(module: str, attr: str) -> set[str]:
+            return {
+                name for name, func in self._functions().items()
+                if any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == attr and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == module
+                    for call in ast.walk(func)
+                )
+            }
+
+        assert callers("ast", "parse") == {"vig.py:self_effects"}
+        assert callers("inspect", "getsource") == {"vig.py:method_effects"}
+
+    @pytest.mark.parametrize("consumer", [
+        "vig.py:_absorb_references",
+        "vig.py:represented_fields",
+        "autoview.py:method_writes_state",
+    ])
+    def test_consumers_read_the_one_analysis(self, consumer):
+        func = self._functions(consumer.split(":")[1])[consumer]
+        assert "method_effects" in _callees(func)
 
 
 def _bench_layers():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ViewSpecError
-from repro.mail import MailClient, register_components
+from repro.mail import MailClient, MailServer, register_components
 from repro.psf import Registrar
 from repro.views import (
     InterfaceMode,
@@ -142,7 +142,70 @@ class TestGeneratedAutoViews:
             view.getPhone("a")
 
 
+class Shapes:
+    """One method per write shape the classifier must see, plus reads."""
+
+    def __init__(self):
+        self.n = 0
+        self.d = {"k": 0}
+        self.boxes = {"m": []}
+        self.x = 0
+        self.items = []
+        self.entries = [1, 2]
+
+    def augmented_store(self):
+        self.n += 1
+
+    def augmented_item(self, k):
+        self.d[k] += 1
+
+    def nested_mutator(self, m, x):
+        self.boxes[m].append(x)
+
+    def delete(self):
+        del self.x
+
+    def store_by_name(self, v):
+        setattr(self, "x", v)
+
+    def through_alias(self, x):
+        b = self.items
+        b.append(x)
+
+    def through_helper(self):
+        self._grow()
+
+    def _grow(self):
+        self.items.append(0)
+
+    def get(self, k):  # a method of self is followed, never trusted as dict.get
+        self.d[k] = 1
+
+    def through_own_get(self):
+        return self.get("k")
+
+    def total(self):
+        return sum(self.entries)
+
+
 class TestWriteDetection:
+    @pytest.mark.parametrize("method", [
+        "augmented_store", "augmented_item", "nested_mutator", "delete",
+        "store_by_name", "through_alias", "through_helper", "through_own_get",
+    ])
+    def test_write_shapes(self, method):
+        assert method_writes_state(Shapes, method)
+
+    @pytest.mark.parametrize("cls,method", [
+        (MailServer, "fetchMail"),
+        (MailServer, "listAccounts"),
+        (MailClient, "getPhone"),
+        (MailClient, "getEmail"),
+        (Shapes, "total"),
+    ])
+    def test_read_only(self, cls, method):
+        assert not method_writes_state(cls, method)
+
     def test_detects_attribute_store(self):
         class W:
             def set_x(self):
@@ -151,5 +214,5 @@ class TestWriteDetection:
             def read_x(self):
                 return self.x
 
-        assert method_writes_state(W.set_x)
-        assert not method_writes_state(W.read_x)
+        assert method_writes_state(W, "set_x")
+        assert not method_writes_state(W, "read_x")

@@ -3,6 +3,8 @@ coherence wrapping, caching, and the mirrored inheritance chain."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ViewGenerationError
@@ -20,7 +22,7 @@ from repro.views.spec import (
     FieldSpec,
     MethodSpec,
 )
-from repro.views.vig import represented_fields, represented_methods, self_attribute_refs
+from repro.views.vig import method_effects, represented_fields, represented_methods
 
 
 class Counter:
@@ -74,15 +76,62 @@ def local_spec(name="CounterView", interfaces=("CounterI",), **kwargs):
 
 class TestIntrospection:
     def test_self_attribute_refs(self):
-        refs = self_attribute_refs(Counter.increment)
+        refs = method_effects(Counter.increment).names
         assert {"count", "_record"} <= refs
 
     def test_represented_fields(self):
         assert {"count", "log"} <= represented_fields(Counter)
 
+    def test_dataclass_fields_come_from_annotations(self):
+        @dataclasses.dataclass
+        class Point:  # its generated __init__ has no source to read
+            x: int
+            y: int
+
+        assert represented_fields(Point) == {"x", "y"}
+
     def test_represented_methods(self):
         methods = represented_methods(Counter)
         assert {"increment", "current", "reset", "_record"} <= set(methods)
+
+
+class Tally:
+    """Writes VIG used to miss: an augmented store and a store by name."""
+
+    def __init__(self):
+        self.n = 0
+        self.tag = ""
+
+    def bump(self):
+        self.n += 1
+
+    def label(self, v):
+        setattr(self, "tag", v)
+
+
+class TestCopiedWritesReachTheOriginal:
+    def _view(self, method, params):
+        registry = InterfaceRegistry()
+        registry.register(InterfaceDef("TallyI", (MethodSig(method, params),)))
+        spec = ViewSpec(
+            name=f"Tally_{method}",
+            represents="Tally",
+            interfaces=(InterfaceRestriction("TallyI", InterfaceMode.LOCAL),),
+        )
+        origin = Tally()
+        view_cls = Vig(registry).generate(spec, Tally)
+        return view_cls(ViewRuntime(local_objects={"Tally": origin})), origin
+
+    def test_augmented_store(self):
+        view, origin = self._view("bump", ())
+        view.bump()
+        view.bump()
+        assert origin.n == 2
+
+    def test_store_by_name(self):
+        view, origin = self._view("label", ("v",))
+        view.label("seen")
+        assert origin.tag == "seen"
 
 
 class TestGeneration:
@@ -205,6 +254,25 @@ class TestValidationErrors:
         )
         with pytest.raises(ViewGenerationError, match="rectify the XML rules"):
             vig.generate(spec, Counter)
+
+    def test_compile_time_error_in_body(self, vig):
+        spec = local_spec(added_methods=(MethodSpec("bad", (), "nonlocal x"),))
+        with pytest.raises(ViewGenerationError, match="no binding for nonlocal"):
+            vig.generate(spec, Counter)
+
+    def test_method_without_source_is_named(self):
+        namespace: dict = {}
+        exec("def tick(self):\n    self.n += 1", namespace)
+        Opaque = type("Opaque", (), {"tick": namespace["tick"]})
+        registry = InterfaceRegistry()
+        registry.register(InterfaceDef("TickI", (MethodSig("tick", ()),)))
+        spec = ViewSpec(
+            name="OpaqueView",
+            represents="Opaque",
+            interfaces=(InterfaceRestriction("TickI", InterfaceMode.LOCAL),),
+        )
+        with pytest.raises(ViewGenerationError, match="'tick' has no Python source"):
+            Vig(registry).generate(spec, Opaque)
 
     def test_customizing_nonexistent_method(self, vig):
         spec = local_spec(
