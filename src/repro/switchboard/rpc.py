@@ -958,4 +958,17 @@ def decode_frame(payload: bytes) -> dict:
         and isinstance(frame.get("args"), list)
     ):
         raise SwitchboardError("RPC call frame needs reply_to, target, method and args")
+    tc = frame.get("tc")
+    if kind == "call" and tc is not None and not (
+        isinstance(tc, list) and len(tc) == 2 and all(isinstance(part, int) for part in tc)
+    ):
+        raise SwitchboardError("RPC call frame's tc must be a [trace_id, span_id] pair")
+    shed = frame.get("shed")
+    if kind == "result" and shed is not None and not (
+        isinstance(shed, dict)
+        and isinstance(shed.get("retry_after", 0.0), (int, float))
+    ):
+        raise SwitchboardError(
+            "RPC result frame's shed must be an object with a numeric retry_after"
+        )
     return frame

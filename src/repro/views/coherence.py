@@ -20,10 +20,19 @@ view holds in sync, answered by ops for the slots that differ) and at most one
 ``push`` (the slots the call changed).  The ops set a field, set or drop a
 key, and ``extend`` a list that only grew.  A failed pull or push forgets
 the view's snapshot, so the next pull is whole and overwrites the view.
+
+Both ends keep a JSON copy of each slot with its digest and advance the
+digests over the ops they exchange (:func:`_track`): a ``set`` digests the
+value it carries and an ``extend`` chains its items onto the old digest, so
+a sync costs what changed, not the whole image.  The origin finds writes
+that bypass the ops by comparing each live slot with its copy using ``==``;
+a change ``==`` cannot see (``1`` → ``True``, the key order of a nested
+dict) is no change to either end.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
@@ -59,6 +68,12 @@ def _digest(value: Any) -> str:
     return hashlib.sha256(_encode(value).encode()).hexdigest()
 
 
+def _chain(digest: str, items: list) -> str:
+    """A list slot's digest after ``extend(items)``: sha256 over its old
+    digest and the encoded items, so an append hashes only what it adds."""
+    return hashlib.sha256((digest + _encode(items)).encode()).hexdigest()
+
+
 def _apply_ops(ops: Any, read: Callable, write: Callable) -> None:
     """Apply image ops in order through ``read(field)``/``write(field, value)``.
 
@@ -91,6 +106,29 @@ def _apply_ops(ops: Any, read: Callable, write: Callable) -> None:
         if not isinstance(target, list) or not isinstance(op[-1], list):
             raise ViewError(f"extend: {op[1]!r} needs a list and a list of items")
         target.extend(op[-1])
+
+
+def _track(snapshot: dict, digests: dict, ops: Any) -> None:
+    """Apply ``ops`` to ``snapshot``, a dict of JSON copies, advancing the
+    ``digests`` of the slots each op touches right after it.  Both ends of
+    a sync run this over the same ops, so their digests agree exactly when
+    they started from the same slot."""
+    for op in ops if isinstance(ops, list) else [ops]:
+        _apply_ops([op], snapshot.get, snapshot.__setitem__)
+        name = op[1]
+        if op[0] == SET:
+            digests[name] = (
+                {key: _digest(item) for key, item in op[2].items()}
+                if isinstance(op[2], dict) else _digest(op[2])
+            )
+        elif op[0] == DROP_KEY:
+            digests[name].pop(op[2], None)
+        elif op[0] == SET_KEY:
+            digests[name][op[2]] = _digest(op[3])
+        elif len(op) == 4:
+            digests[name][op[2]] = _chain(digests[name][op[2]], op[3])
+        else:
+            digests[name] = _chain(digests[name], op[2])
 
 
 def _change(slot: list, value: Any, old: Any) -> list:
@@ -157,14 +195,19 @@ class ImageService:
 
     The deployment infrastructure exports one of these next to the
     original object; remote views call it through their rmi or switchboard
-    stubs.  ``extract_image``/``merge_image`` move whole images and
-    ``pull``/``push`` move deltas; the service keeps no per-view state.
+    stubs.  ``extract_image`` reads a whole image and ``pull``/``push``
+    move deltas.  The service keeps a shadow: a JSON copy of each slot it
+    last hashed, with its digest, shared by all its views.  A pull hashes
+    only the slots whose live value differs from the shadow (so writes that
+    bypass the service are seen) or whose digest differs from the view's.
     Every name it is given must pass :meth:`_field`, so a caller can
     neither read the original's internals nor replace a method.
     """
 
     def __init__(self, obj: Any) -> None:
         self._obj = obj
+        self._shadow: dict[str, Any] = {}
+        self._digests: dict[str, Any] = {}
 
     def _field(self, name: Any) -> str:
         """``name`` if it is an instance attribute or a non-callable class
@@ -195,9 +238,14 @@ class ImageService:
     def extract_image(self, fields: list[str]) -> dict:
         return {name: getattr(self._obj, name) for name in self._fields(fields)}
 
-    def merge_image(self, image: dict) -> None:
-        for name in self._fields(list(image) if isinstance(image, dict) else None):
-            self._write(name, image[name])
+    @staticmethod
+    def _stale(shadow: dict, digests: dict, key: str, item: Any, prev: Any) -> bool:
+        """Whether a holder of digest ``prev`` lacks slot ``key``, whose live
+        value is ``item``.  The slot is copied and hashed again only if
+        ``item`` differs from its shadow or its digest from ``prev``."""
+        if digests.get(key) != prev or shadow.get(key, _MISSING) != item:
+            shadow[key], digests[key] = _fresh(item), _digest(item)
+        return digests[key] != prev
 
     def pull(self, fields: list[str], since: dict) -> list:
         """Ops for the slots whose digest differs from ``since``, which maps
@@ -207,23 +255,37 @@ class ImageService:
         for name in self._fields(fields):
             value = getattr(self._obj, name)
             prev = since.get(name) if isinstance(since, dict) else None
-            if not (_str_keyed(value) and isinstance(prev, dict)):
-                if prev != _digest(value):
+            if not isinstance(value, dict):
+                if self._stale(self._shadow, self._digests, name, value, prev):
                     ops.append([SET, name, value])
-            elif [k for k in prev if k in value] + [
+                continue
+            if not _str_keyed(value):
+                value = _fresh(value)  # as the wire carries it
+            if not isinstance(self._digests.get(name), dict):
+                self._shadow[name], self._digests[name] = {}, {}
+            shadow, digests = self._shadow[name], self._digests[name]
+            for key in [key for key in shadow if key not in value]:
+                del shadow[key], digests[key]
+            whole = not isinstance(prev, dict) or [k for k in prev if k in value] + [
                 k for k in value if k not in prev
-            ] != list(value):
+            ] != list(value)
+            # A view digests every key of a dict sent whole afresh.
+            stale = [key for key, item in value.items() if self._stale(
+                shadow, digests, key, item, None if whole else prev.get(key))]
+            if whole:
                 ops.append([SET, name, value])
-            else:
-                ops.extend([DROP_KEY, name, key] for key in prev if key not in value)
-                ops.extend(
-                    [SET_KEY, name, key, item] for key, item in value.items()
-                    if prev.get(key) != _digest(item)
-                )
+                continue
+            ops.extend([DROP_KEY, name, key] for key in prev if key not in value)
+            ops.extend([SET_KEY, name, key, value[key]] for key in stale)
         return ops
 
     def push(self, ops: list) -> None:
+        """Apply ``ops`` to the original, then to the shadow.  Where the
+        shadow cannot take an op, it falls behind and the next pull re-takes
+        what differs."""
         _apply_ops(ops, self._read, self._write)
+        with contextlib.suppress(ViewError):
+            _track(self._shadow, self._digests, _fresh(ops))
 
 
 class RemoteOrigin:
@@ -232,7 +294,8 @@ class RemoteOrigin:
     ``stub`` reaches the original's :class:`ImageService` over a wire that
     copies arguments and results, as rmi and switchboard stubs do.  The
     port keeps a private snapshot of the image it last synced (deep
-    copies, never shared with the view) and its slot digests.  A field
+    copies, never shared with the view) and its slot digests, advanced
+    over the ops it exchanges as the origin advances its own.  A field
     whose value in ``view`` no longer equals the snapshot is resent whole;
     without a view, every pull is whole.  So ``extract_image`` is a delta:
     it returns only the fields the view does not hold in sync.
@@ -280,23 +343,12 @@ class RemoteOrigin:
             self._sync(lambda: self._stub.push(ops) or ops)
 
     def _sync(self, call: Callable, *args: Any) -> set[str]:
-        """Apply the ops ``call`` returns to the snapshot, re-digest the
-        slots they touched and return the touched fields.  On any failure
-        forget the snapshot, so the next pull is whole."""
+        """Apply the ops ``call`` returns to the snapshot, advancing its
+        digests, and return the touched fields.  On any failure forget the
+        snapshot, so the next pull is whole."""
         try:
             ops = call(*args)
-            _apply_ops(ops, self._snapshot.get, self._snapshot.__setitem__)
-            for op in ops:
-                name, value = op[1], self._snapshot[op[1]]
-                if op[0] == SET or op[0] == EXTEND and len(op) == 3:
-                    self._digests[name] = (
-                        {key: _digest(item) for key, item in value.items()}
-                        if isinstance(value, dict) else _digest(value)
-                    )
-                elif op[0] == DROP_KEY:
-                    self._digests[name].pop(op[2], None)
-                else:
-                    self._digests[name][op[2]] = _digest(value[op[2]])
+            _track(self._snapshot, self._digests, ops)
         except BaseException:
             self._snapshot, self._digests = {}, {}
             raise

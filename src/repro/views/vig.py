@@ -374,6 +374,14 @@ class Vig:
         self, gen: _Generation, origin_method: str, effects: SelfEffects
     ) -> None:
         """Copy helper methods and auto-replicate fields a method touches."""
+        # A copied method whose self hides in ``*args`` (a wrapper) is opaque, not refused.
+        code = getattr(gen.copied.get(origin_method), "__code__", None)
+        if effects.unnamed_write and code and code.co_argcount and not gen.spec.replicated_fields:
+            raise ViewGenerationError(
+                f"view {gen.spec.name}: method {origin_method!r} writes self through a "
+                f"computed name, which the view cannot sync to the original; declare "
+                f"the fields it writes in <Replicates_Fields> or customize it"
+            )
         for ref in sorted(effects.names):
             if ref in gen.copied or ref in gen.forwarders or ref in gen.stub_fields:
                 continue

@@ -113,6 +113,28 @@ class TestMalformedFrames:
         assert registry.counter_value(metric_names.RPC_FRAMES_REJECTED) == 2
         assert client.call_sync("server", "calc", "add", [2, 3]) == 5
 
+    @pytest.mark.parametrize("shed", [b'"busy"', b'{"retry_after":"soon"}'])
+    def test_an_ill_typed_shed_is_refused(self, world, shed):
+        transport, client, _ = world
+        pending = client.call("server", "calc", "add", [1, 1])
+        payload = b'{"type":"result","call_id":%d,"shed":%s}' % (pending.call_id, shed)
+        with obs.scoped(enabled=True) as registry:
+            transport.send("server", "client", PLAIN_RPC_SERVICE, payload)
+            transport.scheduler.run_until(1.0)
+        assert registry.counter_value(metric_names.RPC_FRAMES_REJECTED) == 1
+        assert pending.value == 2
+
+    @pytest.mark.parametrize("tc", [b"7", b"[1]", b'["a",2]'])
+    def test_an_ill_typed_trace_context_is_refused(self, world, tc):
+        transport, client, _ = world
+        payload = (b'{"type":"call","call_id":1,"reply_to":"client","target":"calc",'
+                   b'"method":"add","args":[1,2],"tc":%s}' % tc)
+        with obs.scoped(enabled=True) as registry:
+            transport.send("client", "server", PLAIN_RPC_SERVICE, payload)
+            transport.scheduler.run_until(1.0)
+        assert registry.counter_value(metric_names.RPC_FRAMES_REJECTED) == 1
+        assert client.call_sync("server", "calc", "add", [2, 3]) == 5
+
 
 class TestVisibility:
     def test_plaintext_arguments_visible_on_insecure_link(self, world):

@@ -76,7 +76,7 @@ class TestImageService:
         origin = Origin()
         service = ImageService(origin)
         assert service.extract_image(["x"]) == {"x": 10}
-        service.merge_image({"x": 5})
+        service.push([["set", "x", 5]])
         assert origin.x == 5
 
 
@@ -182,9 +182,9 @@ class TestImageServiceConfinement:
         server = MailServer()
         service = ImageService(server)
         with pytest.raises(ViewError):
-            service.merge_image({"sendMail": "x"})
-        with pytest.raises(ViewError):
             service.push([["set", "sendMail", "x"]])
+        with pytest.raises(ViewError):
+            service.push([["extend", "sendMail", ["x"]]])
         assert server.sendMail({"recipient": "bob", "subject": "hi"}) is True
 
     def test_private_fields_are_not_data(self):
@@ -193,20 +193,13 @@ class TestImageServiceConfinement:
         for call in (
             lambda: service.extract_image(["_cipher"]),
             lambda: service.pull(["_upstream"], {}),
-            lambda: service.merge_image({"_cipher": None}),
+            lambda: service.push([["set", "_cipher", None]]),
             lambda: service.push([["set", "_upstream", "x"]]),
         ):
             with pytest.raises(ViewError):
                 call()
         blob = encryptor.fetchMailEnc("bob")
         assert isinstance(blob, str)
-
-    def test_a_bad_name_leaves_the_whole_image_unmerged(self):
-        server = MailServer()
-        with pytest.raises(ViewError):
-            ImageService(server).merge_image({"delivered": 5, "ghost": 1})
-        assert server.delivered == 0
-        assert not hasattr(server, "ghost")
 
     def test_non_callable_class_attributes_are_data(self):
         class Tuned:
@@ -215,7 +208,7 @@ class TestImageServiceConfinement:
         tuned = Tuned()
         service = ImageService(tuned)
         assert service.extract_image(["limit"]) == {"limit": 5}
-        service.merge_image({"limit": 7})
+        service.push([["set", "limit", 7]])
         assert tuned.limit == 7 and Tuned.limit == 5
 
     @pytest.mark.parametrize(
@@ -249,10 +242,6 @@ class TestImageServiceConfinement:
     def test_ops_must_be_a_list(self):
         with pytest.raises(ViewError):
             ImageService(MailServer()).push({"set": 1})
-
-    def test_an_image_must_be_a_dict(self):
-        with pytest.raises(ViewError):
-            ImageService(MailServer()).merge_image(["delivered"])
 
 
 _FIELDS = ["mailboxes", "directory", "delivered"]

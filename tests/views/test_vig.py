@@ -134,6 +134,53 @@ class TestCopiedWritesReachTheOriginal:
         assert origin.tag == "seen"
 
 
+class Box:
+    """A write through a computed name, which no analysis can name."""
+
+    def __init__(self):
+        self.lid = None
+
+    def put(self, name, v):
+        setattr(self, name, v)
+
+
+class TestComputedNameWrites:
+    def _spec(self, **kwargs):
+        return ViewSpec(
+            name="BoxView",
+            represents="Box",
+            interfaces=(InterfaceRestriction("BoxI", InterfaceMode.LOCAL),),
+            **kwargs,
+        )
+
+    def _vig(self):
+        registry = InterfaceRegistry()
+        registry.register(InterfaceDef("BoxI", (MethodSig("put", ("name", "v")),)))
+        return Vig(registry)
+
+    def test_a_copied_computed_name_write_is_refused(self):
+        with pytest.raises(ViewGenerationError, match="'put'.*computed name"):
+            self._vig().generate(self._spec(), Box)
+
+    def test_a_wrapper_whose_self_hides_in_args_is_not_refused(self):
+        def wrap(fn):
+            def shim(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return shim
+
+        class Wrapped(Box):
+            put = wrap(Box.put)
+
+        assert self._vig().generate(self._spec(), Wrapped).__name__ == "BoxView"
+
+    def test_declared_fields_are_the_contract(self):
+        view_cls = self._vig().generate(self._spec(replicated_fields=("lid",)), Box)
+        origin = Box()
+        view = view_cls(ViewRuntime(local_objects={"Box": origin}))
+        view.put("lid", "shut")
+        assert origin.lid == "shut"
+
+
 class TestGeneration:
     def test_local_methods_copied_and_work(self, vig):
         view_cls = vig.generate(local_spec(), Counter)
