@@ -9,9 +9,10 @@ of the engine's :class:`~repro.drbac.log.CredentialLog`) and the monitor
 index: a :class:`ProofMonitor` watches every credential in a proof graph
 and fires its callbacks on the first revocation — after every fold has
 applied it, so a callback that re-authorizes is denied.  The index is
-not fold state, so a log restore keeps it.  This is the authorization
-monitor the paper's Switchboard relies on for *continuous*
-authorization (§4.3).
+not fold state, so a log restore keeps it.  Expiry is the monitor's
+other event, at one deadline that an owner with a clock fires.  This is
+the authorization monitor the paper's Switchboard relies on for
+*continuous* authorization (§4.3).
 """
 
 from __future__ import annotations
@@ -97,18 +98,23 @@ class RevocationDirectory:
 class ProofMonitor:
     """Watches every credential used by a proof.
 
-    The monitor is *valid* until any watched credential is revoked; at that
-    moment it detaches from the directory and every registered callback
-    fires exactly once with the offending credential id.  Expiry is
-    checked on demand via :meth:`check_expiry` because expiry is a
-    function of the clock, not an event.  A monitor over no credentials
-    (an accept-all policy) is valid forever.
+    The monitor is *valid* until any watched credential is revoked or
+    :meth:`check_expiry` finds the clock past :attr:`expires_at` (the
+    earliest ``expires_at`` in the proof, ``None`` if nothing expires); at
+    that moment it detaches from the directory and every registered
+    callback fires exactly once with the offending credential id — for
+    expiry, the one that lapsed first.  A monitor over no credentials (an
+    accept-all policy) is valid forever.
     """
 
     def __init__(
         self, delegations: list[Delegation], directory: RevocationDirectory
     ) -> None:
         self._delegations = list(delegations)
+        expiring = [d for d in self._delegations if d.expires_at is not None]
+        first = min(expiring, key=lambda d: d.expires_at, default=None)
+        self.expires_at: float | None = None if first is None else first.expires_at
+        self._first_to_lapse = None if first is None else first.credential_id
         self._callbacks: list[RevocationCallback] = []
         self._invalidated_by: str | None = None
         self._detaches: list[Callable[[], None]] = []
@@ -137,17 +143,13 @@ class ProofMonitor:
             callback(self._invalidated_by)
 
     def check_expiry(self, now: float) -> bool:
-        """Invalidate the proof if any credential has expired at ``now``.
+        """Invalidate the proof if ``now`` is past its deadline.
 
         Returns the (possibly updated) validity.
         """
-        if self._invalidated_by is not None:
-            return False
-        for delegation in self._delegations:
-            if delegation.is_expired(now):
-                self._on_revoked(delegation.credential_id)
-                return False
-        return True
+        if self.expires_at is not None and now > self.expires_at:
+            self._on_revoked(self._first_to_lapse)
+        return self._invalidated_by is None
 
     def close(self) -> None:
         for detach in self._detaches:

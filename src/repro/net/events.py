@@ -44,16 +44,19 @@ class EventScheduler(Clock):
         """Schedule ``action`` at ``now + delay``; returns a cancel function."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        event = _Event(time=self._now + delay, seq=next(self._seq), action=action)
+        return self.schedule_at(self._now + delay, action)
+
+    def schedule_at(self, timestamp: float, action: Callable[[], None]) -> Callable[[], None]:
+        """Schedule ``action`` at exactly ``timestamp``; returns a cancel function."""
+        if timestamp < self._now:
+            raise ValueError("cannot schedule into the past")
+        event = _Event(time=timestamp, seq=next(self._seq), action=action)
         heapq.heappush(self._queue, event)
 
         def cancel() -> None:
             event.cancelled = True
 
         return cancel
-
-    def schedule_at(self, timestamp: float, action: Callable[[], None]) -> Callable[[], None]:
-        return self.schedule(timestamp - self._now, action)
 
     def schedule_every(
         self,

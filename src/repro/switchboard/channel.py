@@ -25,9 +25,10 @@ from abstractions like SSL/TLS".  The implementation:
 * **Heartbeats** — replay-resistant pings measure round-trip latency and
   drive liveness: missing too many pongs marks the channel ``DEAD``.
 * **Continuous authorization** — a revocation anywhere in either partner's
-  proof graph fires the monitor, flips the channel to ``REVOKED``, notifies
-  the peer, and blocks further calls until :meth:`SwitchboardConnection.
-  revalidate` succeeds with fresh credentials.
+  proof graph, or a timer at the proof's deadline, fires the monitor, flips
+  the channel to ``REVOKED``, notifies the peer, and blocks further calls
+  until :meth:`SwitchboardConnection.revalidate` succeeds with fresh
+  credentials.
 * **Reuse** — a channel is continuously authorized, so while it stays
   ``OPEN`` it can serve the next dial of the same principal: each endpoint
   keeps one connection table keyed by :func:`_table_key`, and
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import secrets
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -182,7 +184,6 @@ class SwitchboardConnection:
         self.peer_node = peer_node
         self.peer_identity = peer_identity
         self.cipher = cipher
-        self.monitor = monitor
         self.exporter = exporter
         self.is_initiator = is_initiator
         self.state = ChannelState.OPEN
@@ -200,7 +201,7 @@ class SwitchboardConnection:
         self.calls = CallTable(endpoint.transport.scheduler)
         self._trust_callbacks: list[Callable[[str], None]] = []
         self._heartbeat_cancel: Callable[[], None] = lambda: None
-        self._expiry_cancel: Callable[[], None] = lambda: None
+        self._deadline_cancel: Callable[[], None] = lambda: None
         from .stream import StreamManager  # local import avoids a cycle
 
         self.streams = StreamManager(self)
@@ -208,7 +209,7 @@ class SwitchboardConnection:
         self._live_counted = True
         obs.counter(metric_names.SWB_CHANNELS_OPENED).inc()
         obs.gauge(metric_names.SWB_CHANNELS_LIVE).inc()
-        monitor.on_invalidated(self._on_trust_change)
+        self._watch(monitor)
 
     # -- calls -------------------------------------------------------------
 
@@ -280,30 +281,6 @@ class SwitchboardConnection:
     def stop_heartbeats(self) -> None:
         self._heartbeat_cancel()
         self._heartbeat_cancel = lambda: None
-
-    # -- expiry watching -----------------------------------------------------
-
-    def watch_expiry(self, interval: float) -> None:
-        """Periodically re-check credential expiry for this channel.
-
-        Expiration is a clock condition, not an event, so unlike
-        revocations it must be polled; a lapsed credential in the peer's
-        proof flips the channel to ``REVOKED`` exactly like a revocation
-        (and revalidation with fresh credentials restores it).
-        """
-        scheduler = self.endpoint.transport.scheduler
-
-        def check() -> None:
-            if self.state is not ChannelState.OPEN:
-                self.stop_expiry_watch()
-                return
-            self.monitor.check_expiry(scheduler.now())
-
-        self._expiry_cancel = scheduler.schedule_every(interval, check)
-
-    def stop_expiry_watch(self) -> None:
-        self._expiry_cancel()
-        self._expiry_cancel = lambda: None
 
     # -- trust lifecycle ---------------------------------------------------------
 
@@ -479,8 +456,7 @@ class SwitchboardConnection:
             response["error"] = str(exc)
         else:
             self.monitor.close()
-            self.monitor = new_monitor
-            new_monitor.on_invalidated(self._on_trust_change)
+            self._watch(new_monitor)
             self.state = ChannelState.OPEN
             response["ok"] = True
         self._reply(inner, response)
@@ -498,6 +474,20 @@ class SwitchboardConnection:
         else:
             self.state = ChannelState.OPEN
             pending.resolve(True)
+
+    def _watch(self, monitor: ProofMonitor) -> None:
+        """Make ``monitor`` this channel's: its revocation, or the first
+        instant past its deadline (when ``Delegation.is_expired`` and a
+        fresh proof search start to fail), flips the channel to ``REVOKED``."""
+        self._deadline_cancel()
+        self.monitor = monitor
+        monitor.on_invalidated(self._on_trust_change)
+        if monitor.expires_at is not None:
+            scheduler = self.endpoint.transport.scheduler
+            self._deadline_cancel = scheduler.schedule_at(
+                max(math.nextafter(monitor.expires_at, math.inf), scheduler.now()),
+                lambda: monitor.check_expiry(scheduler.now()),
+            )
 
     def _on_trust_change(self, credential_id: str) -> None:
         if self.state in (ChannelState.CLOSED, ChannelState.DEAD):
@@ -529,7 +519,7 @@ class SwitchboardConnection:
         endpoint: ``CLOSED`` by either end, or ``DEAD`` when heartbeats
         lapse or the initiator vanishes mid-handshake.
 
-        Heartbeats and the expiry watch stop, the monitor closes, the
+        Heartbeats and the deadline timer stop, the monitor closes, the
         live-channel gauge drops exactly once per connection, and every
         in-flight call fails with a typed
         :class:`~repro.errors.RpcAbortedError` (counted as an RPC
@@ -538,7 +528,7 @@ class SwitchboardConnection:
         names this connection is dropped like any frame naming no
         connection.
         """
-        self.stop_expiry_watch()
+        self._deadline_cancel()
         self.stop_heartbeats()
         self.monitor.close()
         self.state = state
@@ -643,18 +633,18 @@ class SwitchboardEndpoint:
     def _still_current(
         self, listed: SwitchboardConnection, suite: AuthorizationSuite
     ) -> bool:
-        """Redo the clock checks a fresh handshake would make before a
-        listed connection serves another dial.  Revocation needs no check
-        here (it unlists the connection as it lands), but expiry is not an
-        event: a lapse in the peer's proof flips the connection to
-        ``REVOKED`` as :meth:`SwitchboardConnection.watch_expiry` would,
-        and a lapse in our own presented credentials unlists it, so the
-        redial goes back to the peer's authorizer."""
+        """Redo the one clock check a fresh handshake would make here
+        before a listed connection serves another dial.  A revocation or a
+        lapse in the peer's proof needs no check (the monitor's event
+        unlists the connection as it lands), but a lapse in our own
+        presented credentials is only seen by the peer, whose ``revoked``
+        frame a partition may lose: it unlists the connection here, so
+        the redial goes back to the peer's authorizer."""
         now = self.transport.scheduler.now()
         if any(c.is_expired(now) for c in suite.credentials):
             self._unlist(listed)
             return False
-        return listed.monitor.check_expiry(now)
+        return True
 
     def _unlist(self, connection: SwitchboardConnection) -> None:
         """Take ``connection`` out of the connection table, if listed."""

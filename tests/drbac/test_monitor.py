@@ -145,6 +145,23 @@ class TestProofMonitor:
         assert not monitor.check_expiry(11.0)
         assert not monitor.valid
 
+    def test_expiry_names_the_credential_that_lapsed_first(self, store):
+        directory = RevocationDirectory()
+        late = cred(store, issuer="A", expires_at=20.0)
+        early = cred(store, issuer="B", expires_at=10.0)
+        monitor = ProofMonitor([late, cred(store, issuer="C"), early], directory)
+        assert monitor.expires_at == 10.0
+        fired = []
+        monitor.on_invalidated(fired.append)
+        assert not monitor.check_expiry(30.0)
+        assert monitor.invalidated_by == early.credential_id
+        assert fired == [early.credential_id]
+
+    def test_no_deadline_without_expiring_credentials(self, store):
+        monitor = ProofMonitor([cred(store)], RevocationDirectory())
+        assert monitor.expires_at is None
+        assert monitor.check_expiry(1e18)
+
     def test_closed_monitor_ignores_revocation(self, store):
         directory = RevocationDirectory()
         c = cred(store)

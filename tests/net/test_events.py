@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.net.events import EventScheduler
@@ -62,6 +64,19 @@ class TestScheduling:
         scheduler.schedule_at(7.0, lambda: seen.append(scheduler.now()))
         scheduler.run()
         assert seen == [7.0]
+        # Exactly the timestamp given, not now + (t - now): from 2.2 that
+        # sum rounds the float after 15.0 back onto 15.0.
+        scheduler = EventScheduler(start=2.2)
+        deadline = math.nextafter(15.0, math.inf)
+        scheduler.schedule_at(deadline, lambda: seen.append(scheduler.now()))
+        scheduler.run()
+        assert seen == [7.0, deadline]
+        assert seen[-1] > 15.0
+
+    def test_schedule_at_past_rejected(self):
+        scheduler = EventScheduler(start=5.0)
+        with pytest.raises(ValueError):
+            scheduler.schedule_at(4.0, lambda: None)
 
 
 class TestRunUntil:

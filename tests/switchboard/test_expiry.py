@@ -1,6 +1,12 @@
-"""Channel expiry-watch tests: time-limited credentials on live channels."""
+"""Channel expiry tests: time-limited credentials on live channels.
+
+A credential's ``expires_at`` is a deadline on the channel's proof
+monitor: the channel lapses at the first instant past it, with no
+opt-in call, exactly as it would on a revocation."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -37,9 +43,10 @@ def world(key_store):
     return engine, scheduler, transport, client_ep, server_ep
 
 
-def _connect(engine, client_ep, server_ep, *, expires_at):
+def _connect(engine, client_ep, server_ep, *, expires_at, publish=True):
     cred = engine.delegate(
-        "Comp.NY", "Short", "Comp.NY.Member", expires_at=expires_at
+        "Comp.NY", "Short", "Comp.NY.Member", expires_at=expires_at,
+        publish=publish,
     )
     server_ep.listen(
         "clock",
@@ -60,7 +67,6 @@ class TestExpiryWatch:
         engine, scheduler, transport, client_ep, server_ep = world
         connection = _connect(engine, client_ep, server_ep, expires_at=10.0)
         server_conn = server_ep.connections()[0]
-        server_conn.watch_expiry(1.0)
         assert connection.call_sync("clock", "tick") == "tock"
         scheduler.run_until(15.0)
         assert server_conn.state is ChannelState.REVOKED
@@ -70,7 +76,6 @@ class TestExpiryWatch:
         engine, scheduler, transport, client_ep, server_ep = world
         connection = _connect(engine, client_ep, server_ep, expires_at=100.0)
         server_conn = server_ep.connections()[0]
-        server_conn.watch_expiry(1.0)
         scheduler.run_until(50.0)
         assert server_conn.state is ChannelState.OPEN
         assert connection.call_sync("clock", "tick") == "tock"
@@ -78,7 +83,6 @@ class TestExpiryWatch:
     def test_calls_blocked_after_lapse(self, world):
         engine, scheduler, transport, client_ep, server_ep = world
         connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
-        server_ep.connections()[0].watch_expiry(1.0)
         scheduler.run_until(10.0)
         with pytest.raises(ChannelClosedError):
             connection.call("clock", "tick")
@@ -86,7 +90,6 @@ class TestExpiryWatch:
     def test_revalidation_after_lapse(self, world):
         engine, scheduler, transport, client_ep, server_ep = world
         connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
-        server_ep.connections()[0].watch_expiry(1.0)
         scheduler.run_until(10.0)
         fresh = engine.delegate("Comp.NY", "Short", "Comp.NY.Member")
         assert connection.revalidate([fresh]).wait() is True
@@ -96,9 +99,89 @@ class TestExpiryWatch:
         engine, scheduler, transport, client_ep, server_ep = world
         connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
         server_conn = server_ep.connections()[0]
-        server_conn.watch_expiry(1.0)
         scheduler.run_until(10.0)
-        # After the flip, the periodic check unregisters itself: the
-        # event queue drains instead of ticking forever.
+        # After the flip nothing is left to tick: the event queue drains.
         scheduler.run()
         assert server_conn.state is ChannelState.REVOKED
+
+    def test_channel_closed_before_deadline_stays_closed(self, world):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
+        server_conn = server_ep.connections()[0]
+        connection.close()
+        scheduler.run_until(1.0)
+        assert server_conn.state is ChannelState.CLOSED
+        # The cancelled deadline timer never reaches the closed monitor.
+        scheduler.run_until(10.0)
+        assert scheduler.pending == 0
+        assert server_conn.state is ChannelState.CLOSED
+        assert connection.state is ChannelState.CLOSED
+        assert server_conn.monitor.valid
+
+
+class TestExpiryIsAnEvent:
+    """A held channel lapses on its own: no poll, no redial."""
+
+    def test_held_channel_lapses_without_opt_in(self, world):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
+        server_conn = server_ep.connections()[0]
+        connection.start_heartbeats(1.0)
+        scheduler.run_until(50.0)
+        assert engine.prove("Short", "Comp.NY.Member") is None
+        assert server_conn.state is ChannelState.REVOKED
+        assert connection.state is ChannelState.REVOKED
+        with pytest.raises(ChannelClosedError):
+            connection.call("clock", "tick")
+
+    def test_channel_lapses_when_the_proof_does(self, world):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
+        server_conn = server_ep.connections()[0]
+        scheduler.run_until(5.0)
+        assert engine.prove("Short", "Comp.NY.Member") is not None
+        assert server_conn.state is ChannelState.OPEN
+        assert connection.state is ChannelState.OPEN
+        scheduler.run_until(math.nextafter(5.0, math.inf))
+        assert engine.prove("Short", "Comp.NY.Member") is None
+        assert server_conn.state is ChannelState.REVOKED
+        assert server_conn.monitor.invalidated_by is not None
+        # The initiator learns from the ``revoked`` frame one link
+        # latency later.
+        scheduler.run_until(5.0 + 0.0011)
+        assert connection.state is ChannelState.REVOKED
+
+    def test_revalidation_moves_the_deadline(self, world):
+        # Presented, unpublished credentials: the revalidated proof can
+        # only use the fresh one, and the timer at 5 must not fire.
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection = _connect(
+            engine, client_ep, server_ep, expires_at=5.0, publish=False
+        )
+        server_conn = server_ep.connections()[0]
+        scheduler.run_until(2.0)
+        fresh = engine.delegate(
+            "Comp.NY", "Short", "Comp.NY.Member", expires_at=20.0, publish=False
+        )
+        assert connection.revalidate([fresh]).wait() is True
+        scheduler.run_until(15.0)
+        assert server_conn.state is ChannelState.OPEN
+        assert connection.call_sync("clock", "tick") == "tock"
+        scheduler.run_until(20.0)
+        assert server_conn.state is ChannelState.OPEN
+        scheduler.run_until(math.nextafter(20.0, math.inf))
+        assert server_conn.state is ChannelState.REVOKED
+        assert server_conn.monitor.invalidated_by == fresh.credential_id
+        scheduler.run_until(20.0011)
+        assert connection.state is ChannelState.REVOKED
+
+    def test_deadline_already_past_on_the_channel_clock(self, world, key_store):
+        # An authorizer on its own clock can grant a proof whose deadline
+        # the transport's clock has passed: the channel lapses at once.
+        _, scheduler, transport, client_ep, server_ep = world
+        engine = DrbacEngine(key_store=key_store)  # clock stays at 0
+        scheduler.run_until(10.0)
+        connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
+        scheduler.run_until(10.1)
+        assert server_ep.connections()[0].state is ChannelState.REVOKED
+        assert connection.state is ChannelState.REVOKED

@@ -247,6 +247,48 @@ class TestOneCredentialLog:
         assert not offenders, f"{name} is back in {offenders}"
 
 
+def _schedule_every_callers(package: str) -> list[str]:
+    """``file:Class.method`` for every ``schedule_every`` call in a package."""
+    found = []
+    for path in sorted((Path(repro.__file__).parent / package).glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                found.extend(
+                    f"{path.name}:{cls.name}.{method.name}"
+                    for call in ast.walk(method)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "schedule_every"
+                )
+    return found
+
+
+class TestOneExpiryMechanism:
+    """Credential expiry reaches a channel through one mechanism: the
+    deadline on its :class:`~repro.drbac.monitor.ProofMonitor`."""
+
+    @pytest.mark.parametrize(
+        "name", ["watch_expiry", "stop_expiry_watch", "_expiry_cancel"]
+    )
+    def test_retired_mechanism_is_gone(self, name):
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if name in path.read_text()
+        ]
+        assert not offenders, f"{name} is back in {offenders}"
+
+    def test_the_only_periodic_switchboard_task_is_the_heartbeat(self):
+        assert _schedule_every_callers("switchboard") == [
+            "channel.py:SwitchboardConnection.start_heartbeats"
+        ]
+
+
 _APP_MODEL_TYPES = {
     "InterfaceDef", "MethodSig", "ViewSpec", "ComponentType", "Port",
     "Constraint", "ViewAccessPolicy",
