@@ -45,7 +45,7 @@ class AuthorizationError(DrbacError):
 
 
 class RevocationError(DrbacError):
-    """A credential in an active proof has been revoked."""
+    """A credential in an active proof has been revoked or has expired."""
 
 
 class ViewError(ReproError):
@@ -92,13 +92,12 @@ class RpcTimeoutError(SwitchboardError):
 
 
 class RpcShedError(SwitchboardError):
-    """A call was refused by overload protection (server-side admission
-    control or a client-side circuit breaker) rather than attempted.
+    """The server's admission control refused a call rather than serve it.
 
-    Carries a ``retry_after`` hint in virtual seconds — the earliest time
-    a retry has a chance of being admitted — which
-    :meth:`~repro.switchboard.rpc.PlainRpcEndpoint.call_with_retry`
-    honors by delaying its next retransmission past the hint."""
+    Carries the server's ``retry_after`` hint in virtual seconds — the
+    earliest time a retry has a chance of being admitted.  A shed ends a
+    plain and a retried call alike; whether and when to try again is the
+    caller's decision."""
 
     def __init__(self, message: str, *, retry_after: float = 0.0) -> None:
         super().__init__(message)

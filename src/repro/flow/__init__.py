@@ -1,21 +1,21 @@
 """repro.flow — deterministic overload protection for the serving path.
 
-Admission control, priority load shedding, and adaptive backpressure,
-all over virtual time so every decision replays byte-identically:
+Server-side admission control and priority load shedding, over virtual
+time so every decision replays byte-identically:
 
 * :class:`TokenBucket` — per-principal/per-domain rate limiting with
   lazy deterministic refill.
 * :class:`WeightedFairQueue` — priority classes with weighted service
   shares (revocation/monitor > authorization checks > view reads >
   bulk puts) that never starve the lowest class.
-* :class:`AimdLimiter` — AIMD concurrency window driven by observed
-  virtual-time latency; clamps :class:`~repro.switchboard.rpc.RpcPipeline`
-  issue windows for client-side backpressure.
-* :class:`CircuitBreaker` — per-endpoint failure gate with half-open
-  probing; refusals are local and instant.
-* :class:`FlowController` — the server-side pipeline (bucket → WFQ →
+* :class:`FlowController` — the admission pipeline (bucket → WFQ →
   service slots) that :class:`~repro.switchboard.rpc.PlainRpcEndpoint`
   consults when built with a :class:`FlowConfig`.
+
+A refused call is answered with a shed frame carrying a retry-after
+hint; the calling endpoint completes the call with
+:class:`~repro.errors.RpcShedError` and leaves the retry to its caller.
+There is no client-side overload control.
 
 Everything defaults **off**: an endpoint without a :class:`FlowConfig`
 is byte-for-byte the pre-flow serving path, so the chaos, load, simtest,
@@ -23,7 +23,6 @@ and trace harness reports are untouched.  ``python -m repro
 bench-overload`` drives the whole stack under 1x/3x/10x offered load.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .bucket import TokenBucket
 from .config import (
     DEFAULT_WEIGHTS,
@@ -35,17 +34,11 @@ from .config import (
     classify_priority,
 )
 from .controller import FlowController, Shed
-from .limiter import AimdLimiter
 from .wfq import WeightedFairQueue
 
 __all__ = [
     "TokenBucket",
     "WeightedFairQueue",
-    "AimdLimiter",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "FlowController",
     "Shed",
     "FlowConfig",

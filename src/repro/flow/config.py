@@ -52,7 +52,7 @@ def classify_priority(target: str, method: str) -> int:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Knobs for one endpoint's overload protection.
+    """Knobs for one endpoint's server-side admission control.
 
     ``service_time_s`` models the virtual-time cost of serving one
     admitted request (the resource the concurrency limit guards); it
@@ -80,10 +80,6 @@ class FlowConfig:
     max_backlog: int = 64
     """Total queued requests before arrivals above :data:`EXEMPT_CLASS`
     are shed (class 0 is admitted regardless)."""
-
-    # -- client-side circuit breaker -----------------------------------------
-    breaker_failures: int = 5
-    breaker_open_s: float = 1.0
 
     # -- shedding -------------------------------------------------------------
     retry_after_s: float = 0.05

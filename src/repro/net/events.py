@@ -59,13 +59,10 @@ class EventScheduler(Clock):
         return cancel
 
     def schedule_every(
-        self,
-        interval: float,
-        action: Callable[[], None],
-        *,
-        start_delay: float | None = None,
+        self, interval: float, action: Callable[[], None]
     ) -> Callable[[], None]:
-        """Schedule a repeating action; returns a cancel function."""
+        """Schedule a repeating action, first firing one ``interval`` from
+        now; returns a cancel function."""
         if interval <= 0:
             raise ValueError("interval must be positive")
         cancelled = False
@@ -79,9 +76,7 @@ class EventScheduler(Clock):
             if not cancelled:
                 inner_cancel = self.schedule(interval, fire)
 
-        inner_cancel = self.schedule(
-            interval if start_delay is None else start_delay, fire
-        )
+        inner_cancel = self.schedule(interval, fire)
 
         def cancel() -> None:
             nonlocal cancelled

@@ -101,6 +101,10 @@ def _finish_wire_span(span: obs.Span, deliver_at: float) -> None:
 
 _BATCH_MAGIC = b"RBAT1"
 
+#: Times a frame whose route died in flight is re-sent along a fresh one
+#: before it is dropped.
+MAX_REROUTES = 2
+
 
 def encode_batch(entries: list[tuple[str, bytes]]) -> bytes:
     """Length-prefixed concatenation of (service, payload) frames."""
@@ -195,14 +199,13 @@ class Transport:
         payload: bytes,
         *,
         on_dropped: Callable[[Exception], None] | None = None,
-        max_reroutes: int = 2,
     ) -> float:
         """Queue a frame for delivery; returns the scheduled delay.
 
         Raises :class:`LinkDownError` (or :class:`NodeDownError`)
         immediately when no route exists at send time.  The route is
         re-checked at *delivery* time: a frame whose path died while in
-        flight is re-sent along a fresh route (up to ``max_reroutes``
+        flight is re-sent along a fresh route (up to :data:`MAX_REROUTES`
         times, charging the new path's delay) instead of being delivered
         over a dead link; with no surviving route it is dropped and
         ``on_dropped`` fires with the routing error.
@@ -223,7 +226,7 @@ class Transport:
             if current is not None:
                 entry.ctx = current.context()
         if self.batching is None:
-            return self._transmit(src, dst, [entry], max_reroutes, route)
+            return self._transmit(src, dst, [entry], route)
         return self._enqueue(src, dst, entry)
 
     # -- batching internals -------------------------------------------------
@@ -267,7 +270,7 @@ class Transport:
             self.stats.frames_coalesced += len(entries)
             obs.counter(metric_names.NET_BATCH_FRAMES_COALESCED).inc(len(entries))
         try:
-            self._transmit(src, dst, entries, 2, self.network.route(src, dst))
+            self._transmit(src, dst, entries, self.network.route(src, dst))
         except NetworkError as exc:
             # The route died between enqueue and flush; the frames were
             # never on the wire, so fail them like an in-flight drop.
@@ -288,7 +291,6 @@ class Transport:
         src: str,
         dst: str,
         entries: list[_Entry],
-        max_reroutes: int,
         route: Route,
     ) -> float:
         """Charge one wire transfer for ``entries`` along ``route`` (live,
@@ -345,7 +347,7 @@ class Transport:
 
         self.scheduler.schedule(
             delay,
-            lambda: self._deliver(src, dst, entries, route, max_reroutes),
+            lambda: self._deliver(src, dst, entries, route, MAX_REROUTES),
         )
         if span is not None:
             _finish_wire_span(span, deliver_at)

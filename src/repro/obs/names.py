@@ -165,7 +165,7 @@ RECOVER_SHARD_REBUILDS = "recover.shard_rebuilds"
 
 TRACE_DROPPED = "obs.trace.dropped"
 
-# -- Flow control / overload protection (flow/*.py, switchboard/rpc.py) -----
+# -- Flow control / server admission (flow/*.py) ----------------------------
 
 FLOW_ADMITTED = "flow.admitted"
 FLOW_SHED = "flow.shed"
@@ -173,13 +173,6 @@ FLOW_BUCKET_DENIED = "flow.bucket.denied"
 FLOW_QUEUE_DEPTH = "flow.queue.depth"
 FLOW_QUEUE_WAIT = "flow.queue.wait"
 FLOW_SERVICE_BUSY = "flow.service.busy"
-FLOW_LIMITER_LIMIT = "flow.limiter.limit"
-FLOW_LIMITER_BACKOFFS = "flow.limiter.backoffs"
-FLOW_LIMITER_RAISES = "flow.limiter.raises"
-FLOW_BREAKER_OPENS = "flow.breaker.opens"
-FLOW_BREAKER_SHORT_CIRCUITS = "flow.breaker.short_circuits"
-FLOW_BREAKER_PROBES = "flow.breaker.probes"
-FLOW_RETRY_AFTER_HONORED = "flow.retry_after.honored"
 
 # -- Simulation testing (check/executor.py, check/shrink.py) ----------------
 
@@ -366,20 +359,6 @@ CATALOGUE: tuple[MetricSpec, ...] = (
                "virtual seconds admitted requests spent queued"),
     MetricSpec(FLOW_SERVICE_BUSY, "gauge",
                "service worker slots currently occupied"),
-    MetricSpec(FLOW_LIMITER_LIMIT, "gauge",
-               "current AIMD concurrency window"),
-    MetricSpec(FLOW_LIMITER_BACKOFFS, "counter",
-               "multiplicative decreases of an AIMD window"),
-    MetricSpec(FLOW_LIMITER_RAISES, "counter",
-               "additive increases of an AIMD window"),
-    MetricSpec(FLOW_BREAKER_OPENS, "counter",
-               "circuit-breaker trips into the OPEN state"),
-    MetricSpec(FLOW_BREAKER_SHORT_CIRCUITS, "counter",
-               "calls refused locally by an open circuit breaker"),
-    MetricSpec(FLOW_BREAKER_PROBES, "counter",
-               "half-open probe calls admitted through a breaker"),
-    MetricSpec(FLOW_RETRY_AFTER_HONORED, "counter",
-               "retransmissions delayed to honor a shed retry-after hint"),
     MetricSpec(CHECK_OPS, "counter", "simtest operations executed"),
     MetricSpec(CHECK_COMPARISONS, "counter",
                "simtest oracle comparisons performed"),

@@ -66,6 +66,7 @@ from ..errors import (
     HandshakeError,
     NetworkError,
     ReproError,
+    RevocationError,
     RpcAbortedError,
     SwitchboardError,
 )
@@ -471,9 +472,21 @@ class SwitchboardConnection:
         self.calls.settle(pending.call_id)
         if "error" in inner:
             pending.fail(inner["error"])
-        else:
+        elif self.monitor.check_expiry(self.endpoint.transport.scheduler.now()):
             self.state = ChannelState.OPEN
             pending.resolve(True)
+        else:
+            # The peer re-accepted us, but this end's monitor watches the
+            # *peer's* proof, and that is gone: stay revoked and send the
+            # peer back to revoked with us.
+            credential_id = self.monitor.invalidated_by
+            self._on_trust_change(credential_id)
+            pending.abort(
+                RevocationError(
+                    f"channel {self.conn_id}: peer's proof invalidated by "
+                    f"{credential_id}; revalidation cannot reopen it"
+                )
+            )
 
     def _watch(self, monitor: ProofMonitor) -> None:
         """Make ``monitor`` this channel's: its revocation, or the first
@@ -962,7 +975,6 @@ class ChannelSupervisor:
         heartbeat_interval: float = 0.5,
         max_missed: int = 3,
         policy: RetryPolicy | None = None,
-        on_established: Callable[[SwitchboardConnection, bool], None] | None = None,
     ) -> None:
         self.endpoint = endpoint
         self.remote_node = remote_node
@@ -975,10 +987,6 @@ class ChannelSupervisor:
             max_attempts=8,
             max_delay=4 * heartbeat_interval,
         )
-        self.on_established = on_established
-        """Called as ``on_established(connection, is_reconnect)`` after
-        every successful (re-)establishment — the hook for re-exporting
-        session state onto the fresh channel."""
         self.connection: SwitchboardConnection | None = None
         self.reconnects = 0
         self.gave_up = False
@@ -1071,8 +1079,6 @@ class ChannelSupervisor:
                     self._scheduler.now() - self._died_at
                 )
                 self._died_at = None
-        if self.on_established is not None:
-            self.on_established(connection, is_reconnect)
 
     def _on_channel_event(self, reason: str) -> None:
         connection = self.connection

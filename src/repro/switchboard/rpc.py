@@ -34,7 +34,7 @@ from typing import Any, Callable, Optional
 from .. import obs
 from ..errors import NetworkError, RpcShedError, RpcTimeoutError, SwitchboardError
 from ..faults.retry import RetryPolicy
-from ..flow import AimdLimiter, CircuitBreaker, FlowConfig, FlowController, Shed
+from ..flow import FlowConfig, FlowController, Shed
 from ..net.events import EventScheduler
 from ..net.transport import Transport
 from ..obs import names as metric_names
@@ -102,13 +102,6 @@ class PendingCall:
     """Client-side span covering issue → completion (the shared no-op
     span unless dist tracing is on); settling finishes it and tags
     failures ``error=<type>``."""
-    on_shed: Optional[Callable[[float, dict], None]] = field(
-        default=None, repr=False
-    )
-    """Overload hook: a shed response normally aborts the call with a
-    typed :class:`~repro.errors.RpcShedError`; a retry loop installs this
-    to consume ``(retry_after, shed_info)`` and keep the call pending so
-    the same call id can be retransmitted after the hint expires."""
     _value: Any = None
     _error: Optional[str] = None
     _exception: Optional[Exception] = field(default=None, repr=False)
@@ -246,7 +239,8 @@ class CallTable:
         return pending
 
     def get(self, call_id: int) -> PendingCall | None:
-        """The registered call, left in place (a shed a retry loop owns)."""
+        """The registered call, left in place (a ``revalidated`` frame
+        checks what it answers before settling it)."""
         return self._pending.get(call_id)
 
     def settle(self, call_id: int) -> PendingCall | None:
@@ -344,27 +338,15 @@ class RpcPipeline:
         scheduler: EventScheduler,
         *,
         depth: int = 8,
-        limiter: AimdLimiter | None = None,
     ) -> None:
         if depth < 1:
             raise SwitchboardError(f"pipeline depth must be >= 1, got {depth}")
         self._caller = caller
         self._scheduler = scheduler
         self.depth = depth
-        self.limiter = limiter
         self.in_flight = 0
         self._order: list[PendingCall] = []
         self._backlog: deque[tuple[PendingCall, tuple, dict]] = deque()
-
-    @property
-    def window(self) -> int:
-        """The current issue window: ``depth`` is the hard cap, and an
-        attached AIMD limiter clamps it further — client-side
-        backpressure, where rising observed latency shrinks how much the
-        client offers instead of piling more onto a struggling server."""
-        if self.limiter is None:
-            return self.depth
-        return max(1, min(self.depth, self.limiter.limit))
 
     def call(self, *args, **kwargs) -> PendingCall:
         """Issue (or queue) one call; returns its future immediately.
@@ -385,7 +367,7 @@ class RpcPipeline:
         return shell
 
     def _pump(self) -> None:
-        while self._backlog and self.in_flight < self.window:
+        while self._backlog and self.in_flight < self.depth:
             shell, args, kwargs = self._backlog.popleft()
             try:
                 inner = self._caller(*args, **kwargs)
@@ -394,25 +376,12 @@ class RpcPipeline:
                 continue
             self.in_flight += 1
             obs.histogram(metric_names.RPC_PIPELINE_DEPTH).observe(self.in_flight)
-            issued_at = self._scheduler.now()
             inner.add_done_callback(
-                lambda done, shell=shell, issued_at=issued_at: self._settle(
-                    shell, done, issued_at
-                )
+                lambda done, shell=shell: self._settle(shell, done)
             )
 
-    def _settle(
-        self, shell: PendingCall, inner: PendingCall, issued_at: float
-    ) -> None:
+    def _settle(self, shell: PendingCall, inner: PendingCall) -> None:
         self.in_flight -= 1
-        if self.limiter is not None:
-            # A served call — even one whose method raised remotely — is
-            # proof the server is keeping up; sheds, short-circuits, and
-            # transport failures are not.
-            self.limiter.observe(
-                self._scheduler.now() - issued_at,
-                ok=inner._exception is None,
-            )
         if inner._exception is not None:
             shell.abort(inner._exception)
         elif inner._error is not None:
@@ -507,14 +476,14 @@ class PlainRpcEndpoint:
     The Java-RMI stand-in: method name, arguments, and results cross the
     network as readable JSON.
 
-    Built with a :class:`~repro.flow.FlowConfig`, the endpoint grows an
-    overload-protection layer on both sides of the wire: arriving calls
-    pass through a :class:`~repro.flow.FlowController` (rate limit →
-    weighted fair queue → service slots) and may be *shed* with a
-    retry-after hint; outgoing calls pass a per-remote-node
-    :class:`~repro.flow.CircuitBreaker` that refuses locally while the
-    peer is failing.  Without a config (the default) the serving path is
-    byte-for-byte the pre-flow behaviour.
+    Built with a :class:`~repro.flow.FlowConfig`, the endpoint admits
+    arriving calls through a :class:`~repro.flow.FlowController` (rate
+    limit → weighted fair queue → service slots), which may *shed* one
+    with a retry-after hint.  Without a config (the default) a call is
+    dispatched the moment it arrives.  Outgoing calls have no overload
+    control: a shed completes the call with
+    :class:`~repro.errors.RpcShedError`, and the caller decides what to
+    do with the hint.
     """
 
     def __init__(
@@ -533,48 +502,12 @@ class PlainRpcEndpoint:
             if flow is not None
             else None
         )
-        self._breakers: dict[str, CircuitBreaker] = {}
         self.calls = CallTable(transport.scheduler)
         transport.network.node(node_name).bind(PLAIN_RPC_SERVICE, self._on_frame)
 
     def call_tables(self) -> list[tuple[str, CallTable]]:
         """``(label, table)`` for every call table this endpoint owns."""
         return [(self.node_name, self.calls)]
-
-    # -- flow control ---------------------------------------------------------
-
-    def _breaker_for(self, remote_node: str) -> CircuitBreaker | None:
-        cfg = self.flow
-        if cfg is None or not cfg.enabled:
-            return None
-        breaker = self._breakers.get(remote_node)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.transport.scheduler,
-                failure_threshold=cfg.breaker_failures,
-                open_s=cfg.breaker_open_s,
-                name=f"{self.node_name}->{remote_node}",
-            )
-            self._breakers[remote_node] = breaker
-        return breaker
-
-    def _short_circuit(
-        self, remote_node: str, method: str, breaker: CircuitBreaker
-    ) -> PendingCall:
-        """Refuse a call locally: nothing touches the wire while the
-        breaker is open, which is the whole point — give the failing peer
-        its recovery window instead of feeding it more traffic."""
-        obs.counter(metric_names.FLOW_BREAKER_SHORT_CIRCUITS).inc()
-        pending = PendingCall(
-            call_id=0, method=method, _scheduler=self.transport.scheduler
-        )
-        pending.abort(
-            RpcShedError(
-                f"circuit open for {remote_node}: call {method!r} refused locally",
-                retry_after=breaker.retry_after(),
-            )
-        )
-        return pending
 
     # -- client side --------------------------------------------------------
 
@@ -586,19 +519,15 @@ class PlainRpcEndpoint:
         args: list | None,
         *,
         retrying: bool = False,
-    ) -> tuple[PendingCall, dict | None, CircuitBreaker | None]:
+    ) -> tuple[PendingCall, dict]:
         """The client-open step under :meth:`call` and
-        :meth:`call_with_retry`: breaker gate, call-table entry, base
-        frame, ``rpc.client`` span.  The frame is ``None`` when the
-        breaker refused the call locally (the future is already aborted).
+        :meth:`call_with_retry`: call-table entry, base frame,
+        ``rpc.client`` span.
 
         A retried call takes a non-reusable id: the remote may answer
         more than once, and a late duplicate must never complete a newer
         call that recycled it.
         """
-        breaker = self._breaker_for(remote_node)
-        if breaker is not None and not breaker.allow():
-            return self._short_circuit(remote_node, method, breaker), None, breaker
         tags = {"retrying": True} if retrying else {}
         pending = self.calls.open(
             method, reusable=not retrying,
@@ -612,14 +541,12 @@ class PlainRpcEndpoint:
             "method": method,
             "args": args or [],
         }
-        return pending, frame, breaker
+        return pending, frame
 
     def call(
         self, remote_node: str, target: str, method: str, args: list | None = None
     ) -> PendingCall:
-        pending, frame, breaker = self._open(remote_node, target, method, args)
-        if frame is None:
-            return pending
+        pending, frame = self._open(remote_node, target, method, args)
         span = pending.span
 
         def dropped(exc: Exception) -> None:
@@ -643,19 +570,7 @@ class PlainRpcEndpoint:
         except NetworkError as exc:
             self.calls.settle(pending.call_id)
             span.set_error("NetworkError")
-            if breaker is not None:
-                breaker.on_failure()
             pending.fail(str(exc))
-            return pending
-        if breaker is not None:
-            # Typed aborts — shed responses, dropped frames, teardown —
-            # count against the breaker; a remote *response* of any kind
-            # (even a remote exception) is proof of service.
-            pending.add_done_callback(
-                lambda done: breaker.on_failure()
-                if done._exception is not None
-                else breaker.on_success()
-            )
         return pending
 
     def call_sync(
@@ -669,19 +584,15 @@ class PlainRpcEndpoint:
         target: str,
         *,
         depth: int = 8,
-        limiter: AimdLimiter | None = None,
     ) -> RpcPipeline:
         """A pipelined caller for one remote object: ``p.call(method, args)``.
 
         Keeps up to ``depth`` requests in flight; see :class:`RpcPipeline`.
-        Pass an :class:`~repro.flow.AimdLimiter` to let observed latency
-        clamp the window below ``depth`` (client-side backpressure).
         """
         return RpcPipeline(
             lambda method, args=None: self.call(remote_node, target, method, args),
             self.transport.scheduler,
             depth=depth,
-            limiter=limiter,
         )
 
     def call_with_retry(
@@ -706,53 +617,21 @@ class PlainRpcEndpoint:
         for idempotent operations; exactly-once semantics belong to the
         Switchboard layer's sequencing.
 
-        Under flow control two extra behaviours kick in: a shed response
-        from an overloaded server defers the next retransmission until
-        its retry-after hint expires (instead of hammering the usual
-        schedule), and an open circuit breaker refuses the call locally
-        before anything touches the wire.
+        A shed is an answer, not a lost frame: it ends the call at once
+        with :class:`~repro.errors.RpcShedError` carrying the server's
+        ``retry_after``, exactly as it ends a plain :meth:`call`, and
+        the caller decides whether and when to try again.
         """
-        pending, frame, breaker = self._open(
+        pending, frame = self._open(
             remote_node, target, method, args, retrying=True
         )
-        if frame is None:
-            return pending
         call_id, span = pending.call_id, pending.span
         schedule = policy.schedule()
         attempts = 0
-        earliest = 0.0  # virtual time before which retransmission must wait
-        last_shed: Optional[float] = None
-        gave_up = False
-
-        def on_shed(retry_after: float, info: dict) -> None:
-            # The server is alive but refusing work: honor its hint by
-            # pushing the next retransmission past ``now + retry_after``
-            # rather than re-sending on the usual cadence into a queue
-            # that already refused us once.
-            nonlocal earliest, last_shed
-            last_shed = retry_after
-            earliest = max(
-                earliest, self.transport.scheduler.now() + retry_after
-            )
-            obs.counter(metric_names.FLOW_RETRY_AFTER_HONORED).inc()
-            if breaker is not None:
-                breaker.on_failure()
-
-        pending.on_shed = on_shed
-        if breaker is not None:
-            pending.add_done_callback(
-                # give_up and on_shed record their own failures; any other
-                # completion means the remote actually served the call.
-                lambda done: breaker.on_success()
-                if done._exception is None and not gave_up
-                else None
-            )
 
         def give_up() -> None:
-            nonlocal gave_up
             if pending.done:
                 return
-            gave_up = True
             self.calls.settle(call_id)
             obs.counter(metric_names.RPC_RETRIES_EXHAUSTED).inc()
             obs.event(
@@ -761,24 +640,10 @@ class PlainRpcEndpoint:
                 attempts=schedule.attempts_made,
             )
             span.set_error("RetriesExhausted")
-            if breaker is not None:
-                breaker.on_failure()
-            if last_shed is not None:
-                # Every attempt that got an answer was refused: surface
-                # the overload as a typed error with the freshest hint,
-                # not a generic no-response failure.
-                pending.abort(
-                    RpcShedError(
-                        f"{remote_node}/{target}.{method} shed after "
-                        f"{schedule.attempts_made} attempts",
-                        retry_after=last_shed,
-                    )
-                )
-            else:
-                pending.fail(
-                    f"no response from {remote_node}/{target}.{method} after "
-                    f"{schedule.attempts_made} attempts"
-                )
+            pending.fail(
+                f"no response from {remote_node}/{target}.{method} after "
+                f"{schedule.attempts_made} attempts"
+            )
 
         def transmit(*, is_retry: bool) -> None:
             nonlocal attempts
@@ -807,8 +672,6 @@ class PlainRpcEndpoint:
             except NetworkError:
                 # No route right now; keep the schedule ticking — the
                 # fault may heal before the attempts run out.
-                if breaker is not None:
-                    breaker.on_failure()
                 attempt.set_error("NetworkError")
             finally:
                 attempt.finish()
@@ -821,15 +684,8 @@ class PlainRpcEndpoint:
                 self.transport.scheduler.schedule(wait, check)
 
         def check() -> None:
-            if pending.done:
-                return
-            now = self.transport.scheduler.now()
-            if now < earliest:
-                # A shed pushed the next attempt out past this wake-up;
-                # park until the server's hint expires.
-                self.transport.scheduler.schedule(earliest - now, check)
-                return
-            transmit(is_retry=True)
+            if not pending.done:
+                transmit(is_retry=True)
 
         transmit(is_retry=False)
         return pending
@@ -902,37 +758,23 @@ class PlainRpcEndpoint:
         )
 
     def _complete(self, frame: dict) -> None:
-        shed = frame.get("shed")
-        if shed is not None:
-            self._complete_shed(frame, shed)
-            return
         pending = self.calls.settle(frame["call_id"])
         if pending is None:
             return  # response for a forgotten call
-        if "error" in frame:
+        shed = frame.get("shed")
+        if shed is not None:
+            retry_after = float(shed.get("retry_after", 0.0))
+            pending.abort(
+                RpcShedError(
+                    f"call {pending.method!r} shed by remote "
+                    f"({shed.get('reason', '?')}); retry after {retry_after}s",
+                    retry_after=retry_after,
+                )
+            )
+        elif "error" in frame:
             pending.fail(frame["error"])
         else:
             pending.resolve(frame.get("value"))
-
-    def _complete_shed(self, frame: dict, shed: dict) -> None:
-        pending = self.calls.get(frame["call_id"])
-        if pending is None or pending.done:
-            return  # refusal for a forgotten (or already-failed) call
-        retry_after = float(shed.get("retry_after", 0.0))
-        if pending.on_shed is not None:
-            # A retry loop owns this call: leave it registered — the same
-            # call id will be retransmitted once the hint expires — and
-            # hand the hint over.
-            pending.on_shed(retry_after, shed)
-            return
-        self.calls.settle(frame["call_id"])
-        pending.abort(
-            RpcShedError(
-                f"call {pending.method!r} shed by remote "
-                f"({shed.get('reason', '?')}); retry after {retry_after}s",
-                retry_after=retry_after,
-            )
-        )
 
 
 def encode_frame(frame: dict) -> bytes:

@@ -1,6 +1,6 @@
-"""End-to-end flow control over the RPC wire: sheds with retry-after,
-exempt monitor class, retrying clients that honor the hint, and the
-client-side circuit breaker."""
+"""End-to-end server admission over the RPC wire: sheds with
+retry-after, the exempt monitor class, and a shed ending a retried call
+as it ends a plain one."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.errors import RpcShedError
 from repro.faults.retry import RetryPolicy
-from repro.flow import PRIO_MONITOR, AimdLimiter, FlowConfig
+from repro.flow import PRIO_MONITOR, FlowConfig
 from repro.hermetic import hermetic_counters
 from repro.net.events import EventScheduler
 from repro.net.simnet import Network
@@ -35,7 +35,7 @@ class Service:
         return size
 
 
-def _world(flow: FlowConfig | None, *, client_flow: FlowConfig | None = None):
+def _world(flow: FlowConfig | None):
     scheduler = EventScheduler()
     obs.set_tracer_clock(scheduler)
     network = Network()
@@ -48,7 +48,7 @@ def _world(flow: FlowConfig | None, *, client_flow: FlowConfig | None = None):
     service = Service()
     for name in ("RevocationMonitor", "Authorizer", "Registry", "BlobStore"):
         server.exporter.export(name, service)
-    client = PlainRpcEndpoint(transport, "client", flow=client_flow)
+    client = PlainRpcEndpoint(transport, "client")
     return scheduler, transport, server, client
 
 
@@ -158,175 +158,30 @@ class TestShedding:
             assert server.flow is None
 
 
-class TestRetryAfterHonored:
-    def test_call_with_retry_waits_out_the_hint_and_succeeds(self):
+class TestShedEndsARetriedCall:
+    def test_at_once_with_the_servers_hint(self):
+        """A shed is an answer: it ends a retried call at once, exactly
+        as it ends a plain one, with the server's retry-after hint, and
+        no retransmission follows."""
         with hermetic_counters(), obs.scoped(enabled=True) as registry:
-            scheduler, _t, _server, client = _world(
-                _tight_flow(bucket_rate=10.0, bucket_burst=1.0)
+            scheduler, transport, _server, client = _world(
+                _tight_flow(bucket_rate=0.5, bucket_burst=1.0)
             )
-            # Drain the burst allowance so the retried call is shed first.
+            # Drain the burst allowance so the retried call is shed.
             first = client.call("server", "Registry", "get_entry", ["warm"])
             retried = client.call_with_retry(
                 "server", "Registry", "get_entry", ["wanted"],
-                policy=RetryPolicy.fixed(0.02, 8),
-            )
-            scheduler.run()
-            assert first.value == "v-warm"
-            assert retried.value == "v-wanted"
-            assert registry.counter_value(
-                metric_names.FLOW_RETRY_AFTER_HONORED
-            ) >= 1
-
-    def test_bucket_shed_hint_is_honest_so_the_parked_retry_succeeds(self):
-        """A bucket shed's retry-after is the exact refill time: the
-        retried call parks that long, retransmits once, and lands."""
-        with hermetic_counters(), obs.scoped(enabled=True):
-            scheduler, _t, _server, client = _world(
-                _tight_flow(bucket_rate=0.5, bucket_burst=1.0)
-            )
-            client.call("server", "Registry", "get_entry", ["warm"])
-            retried = client.call_with_retry(
-                "server", "Registry", "get_entry", ["parked"],
-                policy=RetryPolicy.fixed(0.01, 3),
-            )
-            scheduler.run()
-            assert retried.value == "v-parked"
-            # The park dominated the makespan: ~2s until the refill, far
-            # beyond the 0.01s retry cadence.
-            assert scheduler.now() >= 2.0
-
-    def test_exhausted_retries_after_sheds_raise_typed_error(self):
-        """Against a server that stays saturated, every retry is shed and
-        the exhausted call surfaces a typed RpcShedError, not a generic
-        no-response failure."""
-        flow = _tight_flow(
-            bucket_rate=1e9, bucket_burst=1e9, service_time_s=10.0, workers=1,
-            max_backlog=1,
-        )
-        with hermetic_counters(), obs.scoped(enabled=True):
-            scheduler, _t, _server, client = _world(flow)
-            # One call serving for 10s, one parked in the only backlog slot.
-            client.call("server", "BlobStore", "put_blob", ["a", 1])
-            client.call("server", "BlobStore", "put_blob", ["b", 1])
-            retried = client.call_with_retry(
-                "server", "BlobStore", "put_blob", ["c", 1],
-                policy=RetryPolicy.fixed(0.01, 2),
+                policy=RetryPolicy.fixed(0.01, 8),
             )
             retried.wait_done()
+            # One round trip, well inside the first 0.01 s retry interval.
+            assert scheduler.now() < 0.01
             with pytest.raises(RpcShedError) as excinfo:
                 retried.value
-            assert excinfo.value.retry_after > 0
-
-
-class TestCircuitBreaker:
-    def test_transport_failures_trip_the_breaker(self):
-        client_cfg = FlowConfig(
-            enabled=True, breaker_failures=3, breaker_open_s=0.5
-        )
-        with hermetic_counters(), obs.scoped(enabled=True) as registry:
-            scheduler = EventScheduler()
-            obs.set_tracer_clock(scheduler)
-            network = Network()
-            network.add_node("client", domain="T")
-            # No route to "server" at all: every send raises NetworkError.
-            transport = Transport(network, scheduler, loss_seed=1)
-            client = PlainRpcEndpoint(transport, "client", flow=client_cfg)
-            for _ in range(3):
-                pending = client.call("server", "Registry", "get_entry", ["k"])
-                assert pending.done
-            before = transport.stats.messages_sent
-            refused = client.call("server", "Registry", "get_entry", ["k"])
-            assert isinstance(refused._exception, RpcShedError)
-            assert refused._exception.retry_after > 0
-            # Refused locally: nothing new touched the wire.
-            assert transport.stats.messages_sent == before
-            assert registry.counter_value(
-                metric_names.FLOW_BREAKER_SHORT_CIRCUITS
-            ) == 1
-            assert registry.counter_value(metric_names.FLOW_BREAKER_OPENS) == 1
-
-    def test_half_open_probe_recovers_after_the_link_heals(self):
-        client_cfg = FlowConfig(
-            enabled=True, breaker_failures=2, breaker_open_s=0.1
-        )
-        with hermetic_counters(), obs.scoped(enabled=True):
-            scheduler = EventScheduler()
-            obs.set_tracer_clock(scheduler)
-            network = Network()
-            network.add_node("client", domain="T")
-            network.add_node("server", domain="T")
-            transport = Transport(network, scheduler, loss_seed=1)
-            client = PlainRpcEndpoint(transport, "client", flow=client_cfg)
-            for _ in range(2):
-                client.call("server", "Registry", "get_entry", ["k"])
-            assert isinstance(
-                client.call("server", "Registry", "get_entry", ["k"])._exception,
-                RpcShedError,
-            )
-            # Heal: add the missing link, let the open interval expire.
-            network.add_link("client", "server", latency_s=0.001,
-                             bandwidth_bps=8e6, secure=False)
-            server = PlainRpcEndpoint(transport, "server")
-            server.exporter.export("Registry", Service())
-            scheduler.schedule(0.2, lambda: None)
+            # The bucket refills one token in 1 / 0.5 s.
+            assert excinfo.value.retry_after == pytest.approx(2.0, abs=0.01)
             scheduler.run()
-            probe = client.call("server", "Registry", "get_entry", ["back"])
-            scheduler.run()
-            assert probe.value == "v-back"
-            # Closed again: the next call flows normally.
-            follow_up = client.call("server", "Registry", "get_entry", ["again"])
-            scheduler.run()
-            assert follow_up.value == "v-again"
-
-    def test_plain_calls_without_flow_never_consult_a_breaker(self):
-        with hermetic_counters(), obs.scoped(enabled=True) as registry:
-            scheduler = EventScheduler()
-            obs.set_tracer_clock(scheduler)
-            network = Network()
-            network.add_node("client", domain="T")
-            transport = Transport(network, scheduler, loss_seed=1)
-            client = PlainRpcEndpoint(transport, "client")
-            for _ in range(10):
-                client.call("server", "Registry", "get_entry", ["k"])
-            assert registry.counter_value(
-                metric_names.FLOW_BREAKER_SHORT_CIRCUITS
-            ) == 0
-            assert not client._breakers
-
-
-class TestPipelineBackpressure:
-    def test_limiter_clamps_the_issue_window(self):
-        with hermetic_counters(), obs.scoped(enabled=True):
-            scheduler, _t, _server, client = _world(None)
-            limiter = AimdLimiter(
-                scheduler, initial=4, min_limit=1, max_limit=8,
-                target_latency_s=1.0,
-            )
-            pipeline = client.pipeline(
-                "server", "Registry", depth=8, limiter=limiter
-            )
-            assert pipeline.window == 4
-            limiter.observe(0.01, ok=False)
-            assert limiter.limit == 2
-            assert pipeline.window == 2
-
-    def test_served_latencies_feed_the_limiter(self):
-        flow = _tight_flow(
-            bucket_rate=1e9, bucket_burst=1e9, service_time_s=0.2, workers=1,
-            max_backlog=64,
-        )
-        with hermetic_counters(), obs.scoped(enabled=True):
-            scheduler, _t, _server, client = _world(flow)
-            limiter = AimdLimiter(
-                scheduler, initial=8, min_limit=1, max_limit=8,
-                # Queue wait behind the 0.2s slot blows this budget.
-                target_latency_s=0.05,
-            )
-            pipeline = client.pipeline(
-                "server", "Registry", depth=8, limiter=limiter
-            )
-            for n in range(12):
-                pipeline.call("get_entry", [f"k{n}"])
-            pipeline.drain()
-            assert limiter.backoffs >= 1
-            assert limiter.limit < 8
+            assert first.value == "v-warm"
+            assert registry.counter_value(metric_names.RPC_RETRIES) == 0
+            assert transport.stats.messages_sent == 4  # two calls, two answers
+            assert len(client.calls) == 0

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.drbac import DrbacEngine
-from repro.errors import ChannelClosedError
+from repro.errors import ChannelClosedError, RevocationError
 from repro.net import EventScheduler, Network, Transport
 from repro.switchboard import (
     AuthorizationSuite,
@@ -185,3 +185,70 @@ class TestExpiryIsAnEvent:
         scheduler.run_until(10.1)
         assert server_ep.connections()[0].state is ChannelState.REVOKED
         assert connection.state is ChannelState.REVOKED
+
+
+def _connect_authorizing_the_server(engine, client_ep, server_ep, *, expires_at):
+    """A channel whose *client* end watches the server's proof: the server
+    presents ``ClockSvc → Comp.NY.Server`` (expiring at ``expires_at``)."""
+    server_cred = engine.delegate(
+        "Comp.NY", "ClockSvc", "Comp.NY.Server", expires_at=expires_at
+    )
+    engine.delegate("Comp.NY", "Short", "Comp.NY.Member")
+    server_ep.listen(
+        "clock",
+        AuthorizationSuite(
+            identity=engine.identity("ClockSvc"),
+            credentials=[server_cred],
+            authorizer=RoleAuthorizer(engine, "Comp.NY.Member"),
+        ),
+    )
+    pending = client_ep.connect(
+        "s", "clock",
+        AuthorizationSuite(
+            identity=engine.identity("Short"),
+            authorizer=RoleAuthorizer(engine, "Comp.NY.Server"),
+        ),
+    )
+    return pending.wait(), server_cred
+
+
+class TestRevalidationKeepsAnInvalidEndShut:
+    """The responder re-accepting the initiator cannot reopen an initiator
+    end whose own monitor — over the responder's proof — is invalid."""
+
+    def _assert_revalidation_refused(self, scheduler, connection, server_conn,
+                                     credential_id):
+        assert server_conn.state is ChannelState.REVOKED
+        assert connection.state is ChannelState.REVOKED
+        pending = connection.revalidate([])
+        with pytest.raises(RevocationError, match=credential_id):
+            pending.wait()
+        scheduler.run_until(scheduler.now() + 0.01)
+        assert connection.state is ChannelState.REVOKED
+        assert server_conn.state is ChannelState.REVOKED
+        with pytest.raises(ChannelClosedError):
+            connection.call_sync("clock", "tick")
+
+    def test_expired_server_credential(self, world):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection, server_cred = _connect_authorizing_the_server(
+            engine, client_ep, server_ep, expires_at=5.0
+        )
+        server_conn = server_ep.connections()[0]
+        assert connection.call_sync("clock", "tick") == "tock"
+        scheduler.run_until(10.0)
+        self._assert_revalidation_refused(
+            scheduler, connection, server_conn, server_cred.credential_id
+        )
+
+    def test_revoked_server_credential(self, world):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection, server_cred = _connect_authorizing_the_server(
+            engine, client_ep, server_ep, expires_at=None
+        )
+        server_conn = server_ep.connections()[0]
+        engine.revoke(server_cred)
+        scheduler.run_until(10.0)
+        self._assert_revalidation_refused(
+            scheduler, connection, server_conn, server_cred.credential_id
+        )

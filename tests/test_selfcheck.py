@@ -77,11 +77,11 @@ class TestMetricCatalogue:
         assert not mismatched, f"metric kind conflicts: {mismatched}"
 
     def test_flow_metrics_are_catalogued_with_matching_kinds(self):
-        """Drive the overload-protection stack — admission, shedding,
-        limiter adaptation, breaker trips — and check every ``flow.*``
-        metric it emits against the catalogue.  An uncatalogued flow
-        metric name fails here, same as any other subsystem."""
-        from repro.flow import AimdLimiter, CircuitBreaker, FlowConfig, FlowController
+        """Drive the admission stack — token bucket, fair queue,
+        shedding — and check every ``flow.*`` metric it emits against the
+        catalogue.  An uncatalogued flow metric name fails here, same as
+        any other subsystem."""
+        from repro.flow import FlowConfig, FlowController
         from repro.net.events import EventScheduler
 
         by_name = catalogue_by_name()
@@ -94,12 +94,6 @@ class TestMetricCatalogue:
             )
             for n in range(4):
                 controller.submit("p", "BlobStore", "put_blob", lambda: None)
-            limiter = AimdLimiter(scheduler, initial=4)
-            limiter.observe(0.01, ok=False)
-            for _ in range(4):
-                limiter.observe(0.01)
-            breaker = CircuitBreaker(scheduler, failure_threshold=1)
-            breaker.on_failure()
             live_kinds = registry.kinds()
         flow_metrics = {
             name: kind for name, kind in live_kinds.items()
@@ -267,6 +261,16 @@ def _schedule_every_callers(package: str) -> list[str]:
     return found
 
 
+def _files_naming(name: str) -> list[str]:
+    """Every module under ``repro`` whose source contains ``name``."""
+    root = Path(repro.__file__).parent
+    return [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if name in path.read_text()
+    ]
+
+
 class TestOneExpiryMechanism:
     """Credential expiry reaches a channel through one mechanism: the
     deadline on its :class:`~repro.drbac.monitor.ProofMonitor`."""
@@ -275,18 +279,38 @@ class TestOneExpiryMechanism:
         "name", ["watch_expiry", "stop_expiry_watch", "_expiry_cancel"]
     )
     def test_retired_mechanism_is_gone(self, name):
-        root = Path(repro.__file__).parent
-        offenders = [
-            str(path.relative_to(root))
-            for path in sorted(root.rglob("*.py"))
-            if name in path.read_text()
-        ]
+        offenders = _files_naming(name)
         assert not offenders, f"{name} is back in {offenders}"
 
     def test_the_only_periodic_switchboard_task_is_the_heartbeat(self):
         assert _schedule_every_callers("switchboard") == [
             "channel.py:SwitchboardConnection.start_heartbeats"
         ]
+
+
+class TestOneFlowPath:
+    """Flow control is the server's admission and nothing else: a shed
+    completes the call, and the caller decides what to do with it."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["CircuitBreaker", "AimdLimiter", "on_shed", "_breaker_for", "limiter",
+         "on_established"],
+    )
+    def test_retired_mechanism_is_gone(self, name):
+        offenders = _files_naming(name)
+        assert not offenders, f"{name} is back in {offenders}"
+
+    def test_rpc_takes_only_server_admission_from_flow(self):
+        path = Path(repro.__file__).parent / "switchboard" / "rpc.py"
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "flow"
+            for alias in node.names
+        }
+        assert imported == {"FlowConfig", "FlowController", "Shed"}
 
 
 _APP_MODEL_TYPES = {
