@@ -26,10 +26,10 @@ from ..errors import AuthorizationError
 from ..obs import names as metric_names
 from .delegation import Delegation, issue
 from .incremental import IncrementalProofEngine
-from .log import CredentialLog
+from .log import CredentialLog, LogRecord
 from .model import Attributes, Role, Subject, parse_subject
 from .monitor import ProofMonitor, RevocationDirectory
-from .proof import Proof, ProofEngine, SearchDirection
+from .proof import Authentic, Proof, ProofEngine, SearchDirection
 from .query import Constraint
 from .repository import DistributedRepository
 
@@ -75,10 +75,15 @@ class DrbacEngine:
         self.clock = clock if clock is not None else ManualClock()
         self.log = CredentialLog()
         """The one record of credential state; the repository, revoked
-        sets, incremental engine and cache all fold it, in that order."""
+        sets, authentic set, incremental engine and cache all fold it, in
+        that order."""
         self.repository = DistributedRepository(self.log)
         self.revocations = RevocationDirectory(self.log)
         self._verify_signatures = verify_signatures
+        self._authentic: dict[str, Authentic] = {}
+        """Credentials whose signature this engine checked when it folded
+        their publish record (see :class:`~repro.drbac.proof.Authentic`)."""
+        self.log.subscribe(self._fold_authentic, clear=self._authentic.clear)
         self.search_work = 0
         """Deterministic cost counter: credential edges inspected by full
         proof searches issued through this engine (the full arm's
@@ -142,6 +147,20 @@ class DrbacEngine:
         """Revoke a credential at its home; live monitors fire."""
         self.revocations.revoke(delegation)
 
+    def _fold_authentic(self, record: LogRecord) -> None:
+        """Authenticate each credential once, as its publish record enters
+        the log (§3.1: "first authenticates the signatures"); a search then
+        trusts the verdict for that very object under that very key."""
+        if record.kind != "publish":
+            self._authentic.pop(record.credential_id, None)
+        elif self._verify_signatures:
+            delegation = record.delegation
+            identity = self.key_store.get(delegation.issuer)
+            if identity is not None and delegation.verify_signature(identity):
+                self._authentic[record.credential_id] = Authentic(
+                    delegation, identity.public_key, dict(delegation.attributes)
+                )
+
     # -- authorization -------------------------------------------------------
 
     def proof_engine(self) -> ProofEngine:
@@ -150,6 +169,7 @@ class DrbacEngine:
             self.revocations,
             now=self.clock.now(),
             verify_signatures=self._verify_signatures,
+            authentic=self._authentic,
         )
 
     def find_proof(
@@ -186,12 +206,15 @@ class DrbacEngine:
         *,
         required_attributes: Attributes | None = None,
     ) -> Optional[Proof]:
-        """Full search over the repository's harvest overlaid, by
-        credential id, with what the subject ``presented``: the partner
-        supplies its leaf credentials, the repository holds the
-        cross-domain mapping delegations they chain through."""
-        pool = {c.credential_id: c for c in self.repository.collect(subject, role)}
-        pool.update((c.credential_id, c) for c in presented)
+        """Full search over what the subject ``presented``, then the
+        repository's harvest for every credential id not presented: the
+        partner supplies its leaf credentials, the repository holds the
+        cross-domain mapping delegations they chain through.  Presented
+        credentials come first, so a revalidation with a fresh credential
+        wins over an older one still published."""
+        pool = {c.credential_id: c for c in presented}
+        for c in self.repository.collect(subject, role):
+            pool.setdefault(c.credential_id, c)
         return self.find_proof(
             subject, role, list(pool.values()), required_attributes=required_attributes
         )

@@ -14,7 +14,7 @@ reachability instead:
   current reach chains actually used the dead credential, tracked via a
   per-credential dependents index.
 
-The engine is the third fold of the engine's
+The engine is the fourth fold of the engine's
 :class:`~repro.drbac.log.CredentialLog`: publish and revoke records
 arrive in sequence order, and the expiry drain appends ``expire``
 records to that same log rather than mutating state on the side.  The
@@ -211,8 +211,9 @@ class IncrementalProofEngine:
         if cred_id in self._all_creds:
             return  # republish of an already-indexed credential: no new edge
         if not self._engine.proof_engine().usable(delegation):
-            # Authenticity is settled once at publish instead of on every
-            # search: the full path can never use this credential either.
+            # DrbacEngine._fold_authentic, which folds each record just
+            # before this one, settled the signature and usable() reads
+            # its verdict; what fails here the full path cannot use either.
             return
         obs.counter(metric_names.INCR_PUBLISHES).inc()
         if self._simple and not self._is_simple(delegation):

@@ -6,7 +6,8 @@ append-only list of those events — plus the ``expire`` records the
 incremental engine derives from the clock — numbered ``1, 2, 3, ...``.
 Publishing and revoking only append; every structure holding credential
 state *folds* the log, in subscription order: the repository shards, the
-per-home revoked sets, the incremental engine, the cache's watch table.
+per-home revoked sets, the signatures checked at publish, the incremental
+engine, the cache's watch table.
 
 A record is delivered synchronously to every fold before the call that
 appended it returns.  A fold may itself append (the expiry drain does);

@@ -38,10 +38,11 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, Optional
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Optional
 
 from .. import obs
 from ..crypto.keys import KeyStore, PublicIdentity
+from ..crypto.rsa import RsaPublicKey
 from ..obs import names as metric_names
 from .delegation import Delegation, DelegationType
 from .model import (
@@ -57,6 +58,16 @@ from .model import (
 from .monitor import RevocationDirectory
 
 SearchDirection = Literal["regression", "progression"]
+
+
+class Authentic(NamedTuple):
+    """A signature verdict taken when a publish record was folded: it holds
+    for exactly this object, checked under this key, while its one mutable
+    field still equals the copy taken then."""
+
+    delegation: Delegation
+    key: RsaPublicKey
+    attributes: Attributes
 
 
 @dataclass(slots=True)
@@ -99,6 +110,10 @@ class ProofEngine:
             established).
         revocations: revocation state; revoked credentials are unusable.
         now: evaluation time for expiry checks.
+        authentic: the verdicts a :class:`~repro.drbac.engine.DrbacEngine`
+            took when it folded each publish record; every credential
+            without one — presented, decoded, copied, re-keyed — is
+            verified here, on every search.
     """
 
     def __init__(
@@ -108,11 +123,13 @@ class ProofEngine:
         *,
         now: float = 0.0,
         verify_signatures: bool = True,
+        authentic: Mapping[str, Authentic] | None = None,
     ) -> None:
         self._identities = identities
         self._revocations = revocations or RevocationDirectory()
         self._now = now
         self._verify_signatures = verify_signatures
+        self._authentic = authentic if authentic is not None else {}
         self.edges_visited = 0
 
     # -- public API ------------------------------------------------------
@@ -213,7 +230,15 @@ class ProofEngine:
             return False
         if self._verify_signatures:
             identity = self._identities.get(delegation.issuer)
-            if identity is None or not delegation.verify_signature(identity):
+            if identity is None:
+                return False
+            known = self._authentic.get(delegation.credential_id)
+            if (
+                known is None
+                or known.delegation is not delegation
+                or known.key != identity.public_key
+                or known.attributes != delegation.attributes
+            ) and not delegation.verify_signature(identity):
                 return False
         return True
 

@@ -294,11 +294,17 @@ class SwitchboardConnection:
 
         On success both sides return to ``OPEN`` (the peer answers through
         the still-keyed channel; the cipher never changed, only the trust
-        state did).
+        state did).  While this end's own monitor — over the peer's proof —
+        is invalid, nothing is sent: the call fails at once, so the peer
+        is never reopened for a round trip this end would refuse.
         """
         if self.state not in (ChannelState.REVOKED, ChannelState.OPEN):
             raise ChannelClosedError(f"cannot revalidate from state {self.state}")
         pending = self.calls.open(REVALIDATE)
+        if not self.monitor.check_expiry(self.endpoint.transport.scheduler.now()):
+            self.calls.settle(pending.call_id)
+            pending.abort(self._cannot_reopen())
+            return pending
         self._send(
             {
                 "kind": "revalidate",
@@ -479,14 +485,14 @@ class SwitchboardConnection:
             # The peer re-accepted us, but this end's monitor watches the
             # *peer's* proof, and that is gone: stay revoked and send the
             # peer back to revoked with us.
-            credential_id = self.monitor.invalidated_by
-            self._on_trust_change(credential_id)
-            pending.abort(
-                RevocationError(
-                    f"channel {self.conn_id}: peer's proof invalidated by "
-                    f"{credential_id}; revalidation cannot reopen it"
-                )
-            )
+            self._on_trust_change(self.monitor.invalidated_by)
+            pending.abort(self._cannot_reopen())
+
+    def _cannot_reopen(self) -> RevocationError:
+        return RevocationError(
+            f"channel {self.conn_id}: peer's proof invalidated by "
+            f"{self.monitor.invalidated_by}; revalidation cannot reopen it"
+        )
 
     def _watch(self, monitor: ProofMonitor) -> None:
         """Make ``monitor`` this channel's: its revocation, or the first

@@ -10,9 +10,11 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.drbac import DrbacEngine
 from repro.errors import ChannelClosedError, RevocationError
 from repro.net import EventScheduler, Network, Transport
+from repro.obs import names as metric_names
 from repro.switchboard import (
     AuthorizationSuite,
     ChannelState,
@@ -252,3 +254,63 @@ class TestRevalidationKeepsAnInvalidEndShut:
         self._assert_revalidation_refused(
             scheduler, connection, server_conn, server_cred.credential_id
         )
+
+
+class TestRefusedRevalidationSendsNothing:
+    """An initiator whose own monitor is invalid refuses to revalidate
+    before sending, so the responder never reopens, not even for the round
+    trip it would take the initiator to send it back."""
+
+    @pytest.mark.parametrize("lapse", ["expired", "revoked"])
+    def test_the_responder_stays_shut(self, world, lapse):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection, server_cred = _connect_authorizing_the_server(
+            engine, client_ep, server_ep,
+            expires_at=5.0 if lapse == "expired" else None,
+        )
+        server_conn = server_ep.connections()[0]
+        fired = []
+        server_conn.on_trust_change(fired.append)
+        if lapse == "revoked":
+            engine.revoke(server_cred)
+        scheduler.run_until(10.0)
+        assert server_conn.state is ChannelState.REVOKED
+        assert len(fired) == 1
+        registry = obs.get_registry()
+        revoked = registry.counter_value(metric_names.SWB_CHANNELS_REVOKED)
+        frames = connection.stats.frames_sent
+
+        pending = connection.revalidate([])
+        assert pending.done
+        assert connection.stats.frames_sent == frames
+        deadline = scheduler.now() + 0.01
+        while scheduler.pending and scheduler.now() < deadline:
+            scheduler.step()
+            assert server_conn.state is ChannelState.REVOKED
+        with pytest.raises(RevocationError, match=server_cred.credential_id):
+            pending.wait()
+        assert server_conn.state is ChannelState.REVOKED
+        assert registry.counter_value(metric_names.SWB_CHANNELS_REVOKED) == revoked
+        assert len(fired) == 1
+
+
+class TestRevalidationExtendsAPublishedGrant:
+    """Presented credentials come first in the responder's proof search, so
+    a fresh credential moves the deadline even while the old one is still
+    published."""
+
+    def test_published_fresh_credential_moves_the_deadline(self, world):
+        engine, scheduler, transport, client_ep, server_ep = world
+        connection = _connect(engine, client_ep, server_ep, expires_at=5.0)
+        server_conn = server_ep.connections()[0]
+        scheduler.run_until(2.0)
+        fresh = engine.delegate(
+            "Comp.NY", "Short", "Comp.NY.Member", expires_at=20.0
+        )
+        assert connection.revalidate([fresh]).wait() is True
+        assert server_conn.monitor.expires_at == 20.0
+        scheduler.run_until(15.0)
+        assert server_conn.state is ChannelState.OPEN
+        assert connection.call_sync("clock", "tick") == "tock"
+        scheduler.run_until(math.nextafter(20.0, math.inf))
+        assert server_conn.state is ChannelState.REVOKED

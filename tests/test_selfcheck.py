@@ -288,6 +288,45 @@ class TestOneExpiryMechanism:
         ]
 
 
+def _enclosing_callers(attr: str) -> list[str]:
+    """``file:Class.method`` (or ``file:function``) for every ``x.attr(...)``
+    call under ``repro``."""
+    root = Path(repro.__file__).parent
+    found = []
+
+    def visit(node: ast.AST, path: Path, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, path, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr
+            ):
+                found.append(f"{path.relative_to(root)}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, [])
+    return found
+
+
+class TestOneVerifyPath:
+    """A credential signature is checked in four places: once when the
+    engine folds its publish record, at search time for what that fold did
+    not vouch for, by the standalone proof verifier, and by the explicit
+    authenticity check.  A search-time memo would be a fifth."""
+
+    def test_only_the_four_verify_sites_check_signatures(self):
+        assert sorted(_enclosing_callers("verify_signature")) == [
+            "drbac/delegation.py:require_authentic",
+            "drbac/engine.py:DrbacEngine._fold_authentic",
+            "drbac/proof.py:ProofEngine.usable",
+            "drbac/verify.py:ProofVerifier._check_credentials",
+        ]
+
+
 class TestOneFlowPath:
     """Flow control is the server's admission and nothing else: a shed
     completes the call, and the caller decides what to do with it."""
