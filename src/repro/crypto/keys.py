@@ -34,10 +34,14 @@ class Identity:
 
     name: str
     private_key: RsaPrivateKey
+    public: PublicIdentity = field(init=False, compare=False, repr=False)
+    """The public half, built once: :meth:`KeyStore.get` hands it to every
+    signature check."""
 
-    @property
-    def public(self) -> PublicIdentity:
-        return PublicIdentity(name=self.name, public_key=self.private_key.public_key)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "public", PublicIdentity(self.name, self.private_key.public_key)
+        )
 
     def sign(self, message: bytes) -> bytes:
         return self.private_key.sign(message)

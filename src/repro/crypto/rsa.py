@@ -86,10 +86,11 @@ class RsaPrivateKey:
     dp: int = field(repr=False)
     dq: int = field(repr=False)
     qinv: int = field(repr=False)
+    public_key: RsaPublicKey = field(init=False, compare=False, repr=False)
+    """The public half, built once: every signature check in a search reads it."""
 
-    @property
-    def public_key(self) -> RsaPublicKey:
-        return RsaPublicKey(n=self.n, e=self.e)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "public_key", RsaPublicKey(n=self.n, e=self.e))
 
     @property
     def byte_length(self) -> int:

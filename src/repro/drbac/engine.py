@@ -150,16 +150,26 @@ class DrbacEngine:
     def _fold_authentic(self, record: LogRecord) -> None:
         """Authenticate each credential once, as its publish record enters
         the log (§3.1: "first authenticates the signatures"); a search then
-        trusts the verdict for that very object under that very key."""
+        trusts the verdict, pass or fail, for that very object under that
+        very key."""
         if record.kind != "publish":
             self._authentic.pop(record.credential_id, None)
         elif self._verify_signatures:
             delegation = record.delegation
             identity = self.key_store.get(delegation.issuer)
-            if identity is not None and delegation.verify_signature(identity):
-                self._authentic[record.credential_id] = Authentic(
-                    delegation, identity.public_key, dict(delegation.attributes)
-                )
+            if identity is None:
+                return
+            verdict = Authentic(
+                delegation,
+                identity.public_key,
+                dict(delegation.attributes),
+                delegation.verify_signature(identity),
+            )
+            known = self._authentic.get(record.credential_id)
+            # A forgery that reuses an authentic credential's id must not
+            # cost that credential a verify on every later search.
+            if verdict.valid or known is None or not known.valid:
+                self._authentic[record.credential_id] = verdict
 
     # -- authorization -------------------------------------------------------
 

@@ -63,11 +63,14 @@ SearchDirection = Literal["regression", "progression"]
 class Authentic(NamedTuple):
     """A signature verdict taken when a publish record was folded: it holds
     for exactly this object, checked under this key, while its one mutable
-    field still equals the copy taken then."""
+    field still equals the copy taken then.  A failed verdict is kept too,
+    so a forged publish is refused without another RSA verify, unless it
+    reuses the id of an authentic credential, whose verdict stays."""
 
     delegation: Delegation
     key: RsaPublicKey
     attributes: Attributes
+    valid: bool
 
 
 @dataclass(slots=True)
@@ -234,12 +237,13 @@ class ProofEngine:
                 return False
             known = self._authentic.get(delegation.credential_id)
             if (
-                known is None
-                or known.delegation is not delegation
-                or known.key != identity.public_key
-                or known.attributes != delegation.attributes
-            ) and not delegation.verify_signature(identity):
-                return False
+                known is not None
+                and known.delegation is delegation
+                and known.key == identity.public_key
+                and known.attributes == delegation.attributes
+            ):
+                return known.valid
+            return delegation.verify_signature(identity)
         return True
 
     # -- issuer authority --------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.crypto import Identity, KeyStore
 
 
@@ -17,6 +21,22 @@ class TestIdentity:
     def test_generate_standalone(self):
         ident = Identity.generate("Solo", bits=512)
         assert ident.public.verify(b"m", ident.sign(b"m"))
+
+    def test_public_halves_are_built_once(self, key_store):
+        ident = key_store.identity("Once")
+        assert ident.public is ident.public
+        assert ident.public.public_key is ident.private_key.public_key
+        assert key_store.get("Once") is key_store.get("Once")
+
+    def test_public_halves_stay_out_of_equality_repr_and_replace(self, key_store):
+        ident = key_store.identity("Once")
+        twin = Identity(name="Once", private_key=dataclasses.replace(ident.private_key))
+        assert twin == ident and hash(twin) == hash(ident)
+        assert twin.public == ident.public and twin.public is not ident.public
+        assert repr(twin) == repr(ident) and "public" not in repr(ident)
+        assert dataclasses.replace(ident, name="Twice").public.name == "Twice"
+        with pytest.raises(ValueError):
+            dataclasses.replace(ident, public=ident.public)
 
 
 class TestKeyStore:

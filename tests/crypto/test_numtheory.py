@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import numtheory
 from repro.crypto.numtheory import (
     bytes_to_int,
     egcd,
     generate_distinct_primes,
     generate_prime,
+    generated_prime_rounds,
     int_to_bytes,
     is_probable_prime,
     modinv,
@@ -96,6 +101,90 @@ class TestPrimeGeneration:
 
     def test_generated_primes_are_odd(self):
         assert generate_prime(24) % 2 == 1
+
+
+class CountingRandom(random.Random):
+    """A seeded generator that counts Miller-Rabin rounds (one base drawn
+    per round) and refuses to draw more than ``max_candidates`` candidates."""
+
+    def __init__(self, seed: int, max_candidates: int = 100_000) -> None:
+        super().__init__(seed)
+        self.rounds = 0
+        self.candidates = 0
+        self.max_candidates = max_candidates
+
+    def randrange(self, *args, **kwargs):
+        self.rounds += 1
+        return super().randrange(*args, **kwargs)
+
+    def getrandbits(self, k: int) -> int:
+        self.candidates += 1
+        assert self.candidates <= self.max_candidates, "generation does not terminate"
+        return super().getrandbits(k)
+
+
+@pytest.fixture()
+def seeded(monkeypatch):
+    def install(seed: int, **kwargs) -> CountingRandom:
+        rng = CountingRandom(seed, **kwargs)
+        monkeypatch.setattr(numtheory, "_rng", rng)
+        return rng
+
+    return install
+
+
+def _dlp_bound(k: int, t: int) -> float:
+    """Damgard-Landrock-Pomerance (1993): p_{k,t} for k >= 21, 3 <= t <= k/9."""
+    return k**1.5 * 2.0**t * t**-0.5 * 4.0 ** (2 - math.sqrt(t * k))
+
+
+def _is_prime_by_trial(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestGeneratedPrimeRounds:
+    """Generated primes take their rounds from the average-case bound;
+    everything else keeps the worst-case 40."""
+
+    @pytest.mark.parametrize("bits, rounds", [(256, 17), (512, 8), (1024, 4)])
+    def test_rounds_are_the_fewest_reaching_2_to_the_minus_100(self, bits, rounds):
+        t = generated_prime_rounds(bits)
+        assert t == rounds
+        assert 3 <= t <= bits / 9  # inside the bound's range of validity
+        assert _dlp_bound(bits, t) <= 2.0**-100
+        assert _dlp_bound(bits, t - 1) > 2.0**-100
+
+    @pytest.mark.parametrize("bits", [8, 20, 21, 64, 128, 206])
+    def test_sizes_the_bound_cannot_cover_keep_40(self, bits):
+        assert generated_prime_rounds(bits) == 40
+
+    def test_arbitrary_input_keeps_40_rounds(self, seeded):
+        rng = seeded(7)
+        assert is_probable_prime(2**61 - 1)
+        assert rng.rounds == 40
+
+    @pytest.mark.parametrize("bits", range(8, 21))
+    def test_small_sizes_terminate_with_exact_primes(self, seeded, bits):
+        # Below 14 bits every candidate is itself under the sieve limit, so
+        # a sieve that rejected its own primes would never return.
+        for seed in range(8):
+            seeded(seed, max_candidates=10_000)
+            p = generate_prime(bits)
+            assert p.bit_length() == bits
+            assert _is_prime_by_trial(p)
+
+    def test_every_sieve_prime_is_prime(self):
+        assert all(is_probable_prime(p) for p in range(2, 10_000) if _is_prime_by_trial(p))
+        assert not any(
+            is_probable_prime(n) for n in range(10_000) if not _is_prime_by_trial(n)
+        )
+
+    def test_seeded_rounds_per_512_bit_prime(self, seeded):
+        # 8 rounds confirm the prime; each composite the sieve passes costs ~1.
+        rng = seeded(2003)
+        primes = [generate_prime(512) for _ in range(64)]
+        assert all(p.bit_length() == 512 for p in primes)
+        assert rng.rounds / len(primes) <= 35
 
 
 class TestByteCodec:

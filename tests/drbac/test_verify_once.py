@@ -265,3 +265,46 @@ class TestRestore:
         engine.prove("Bob", "Comp.NY.Member")  # drains the expiry
         assert engine._authentic == {}
         assert verifies.of(leaf, short) == 2
+
+
+class TestForgedPublish:
+    """A publish whose signature fails keeps its failed verdict: the fold
+    spends the one verify, and every later use refuses that very object
+    without RSA until the issuer's key changes."""
+
+    @staticmethod
+    def _publish_forgery(engine: DrbacEngine) -> Delegation:
+        guest = engine.delegate("Comp.NY", "Mallory", "Comp.NY.Guest", publish=False)
+        forged = dataclasses.replace(guest, role=Role.parse("Comp.NY.Admin"))
+        engine.repository.publish(forged)
+        return forged
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_one_verify_and_never_usable(self, key_store, clock, verifies, incremental):
+        engine = DrbacEngine(key_store=key_store, clock=clock, incremental=incremental)
+        forged = self._publish_forgery(engine)
+        for _ in range(3):
+            assert engine.find_proof("Mallory", "Comp.NY.Admin") is None
+        assert engine.prove("Mallory", "Comp.NY.Admin") is None
+        assert not engine.proof_engine().usable(forged)
+        assert verifies.total == verifies.of(forged) == 1
+
+    def test_forgery_reusing_an_id_keeps_the_authentic_verdict(self, engine, verifies):
+        guest = engine.delegate("Comp.NY", "Mallory", "Comp.NY.Guest")
+        forged = dataclasses.replace(guest, role=Role.parse("Comp.NY.Admin"))
+        engine.repository.publish(forged)
+        for _ in range(3):
+            assert engine.find_proof("Mallory", "Comp.NY.Guest").chain == [guest]
+        assert verifies.of(guest) == 1
+        assert not engine.proof_engine().usable(forged)
+
+    def test_reissued_issuer_key_verifies_again(self, verifies):
+        store = KeyStore(key_bits=KEY_BITS)
+        engine = DrbacEngine(key_store=store)
+        forged = self._publish_forgery(engine)
+        assert engine.find_proof("Mallory", "Comp.NY.Admin") is None
+        assert verifies.of(forged) == 1
+        store._identities["Comp.NY"] = Identity.generate("Comp.NY", KEY_BITS)
+        for searches in (1, 2):
+            assert engine.find_proof("Mallory", "Comp.NY.Admin") is None
+            assert verifies.of(forged) == 1 + searches

@@ -288,9 +288,9 @@ class TestOneExpiryMechanism:
         ]
 
 
-def _enclosing_callers(attr: str) -> list[str]:
-    """``file:Class.method`` (or ``file:function``) for every ``x.attr(...)``
-    call under ``repro``."""
+def _enclosing_callers(name: str, passes=lambda call: True) -> list[str]:
+    """``file:Class.method`` (or ``file:function``) for every ``x.name(...)``
+    or ``name(...)`` call under ``repro`` for which ``passes(call)`` holds."""
     root = Path(repro.__file__).parent
     found = []
 
@@ -301,8 +301,8 @@ def _enclosing_callers(attr: str) -> list[str]:
                 continue
             if (
                 isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == attr
+                and getattr(child.func, "attr", getattr(child.func, "id", None)) == name
+                and passes(child)
             ):
                 found.append(f"{path.relative_to(root)}:{'.'.join(scope)}")
             visit(child, path, scope)
@@ -324,6 +324,19 @@ class TestOneVerifyPath:
             "drbac/engine.py:DrbacEngine._fold_authentic",
             "drbac/proof.py:ProofEngine.usable",
             "drbac/verify.py:ProofVerifier._check_credentials",
+        ]
+
+
+class TestOneReducedRoundsCaller:
+    """Fewer than 40 Miller-Rabin rounds are sound only for a uniformly
+    random candidate, so only prime generation may ask for them."""
+
+    def test_only_generate_prime_passes_rounds(self):
+        def passes_rounds(call: ast.Call) -> bool:
+            return len(call.args) > 1 or any(k.arg == "rounds" for k in call.keywords)
+
+        assert _enclosing_callers("is_probable_prime", passes_rounds) == [
+            "crypto/numtheory.py:generate_prime"
         ]
 
 
