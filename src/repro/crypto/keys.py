@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from ..errors import KeyBindingError
 from .rsa import DEFAULT_KEY_BITS, RsaPrivateKey, RsaPublicKey, generate_keypair
 
 
@@ -57,6 +58,8 @@ class KeyStore:
 
     Scenario builders create dozens of entities; generating each RSA keypair
     once and caching it keeps construction costs linear in distinct names.
+    A name is bound once: a signature verdict taken under a name's key then
+    holds for as long as the store does.
     """
 
     key_bits: int = DEFAULT_KEY_BITS
@@ -71,6 +74,12 @@ class KeyStore:
                 ident = Identity.generate(name, bits=self.key_bits)
                 self._identities[name] = ident
             return ident
+
+    def bind(self, identity: Identity) -> None:
+        """Bind an identity made elsewhere; a name bound to another one raises."""
+        with self._lock:
+            if self._identities.setdefault(identity.name, identity) != identity:
+                raise KeyBindingError(f"{identity.name!r} is already bound to another key")
 
     def public(self, name: str) -> PublicIdentity:
         return self.identity(name).public

@@ -12,7 +12,7 @@ Public API::
 """
 
 from .cache import CacheStats, CachedAuthorizer
-from .delegation import Delegation, DelegationType, classify, issue, require_authentic
+from .delegation import Delegation, DelegationType, classify, issue
 from .engine import AuthorizationResult, DrbacEngine
 from .model import (
     AttrRange,
@@ -90,6 +90,5 @@ __all__ = [
     "meet_attributes",
     "parse_attribute",
     "parse_subject",
-    "require_authentic",
     "subject_key",
 ]

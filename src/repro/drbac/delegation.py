@@ -23,11 +23,11 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..crypto.keys import Identity, PublicIdentity
-from ..errors import CredentialError
 from .model import (
     AttrRange,
     AttrScalar,
@@ -51,19 +51,24 @@ class DelegationType(enum.Enum):
     ASSIGNMENT = "assignment"
 
 
+def _number(value) -> bool:
+    return type(value) in (int, float) and value == value  # a bool or NaN is not
+
+
 def _attr_to_json(value: AttributeValue):
     if isinstance(value, AttrSet):
         return {"kind": "set", "values": sorted(map(repr, value.values))}
-    if isinstance(value, AttrRange):
+    if isinstance(value, AttrRange) and _number(value.low) and _number(value.high):
         return {"kind": "range", "low": value.low, "high": value.high}
-    if isinstance(value, AttrScalar):
+    if isinstance(value, AttrScalar) and _number(value.value):
         return {"kind": "scalar", "value": value.value}
-    raise TypeError(f"unknown attribute value type: {type(value).__name__}")
+    raise TypeError(f"ill-typed attribute value: {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Delegation:
-    """One signed dRBAC credential.
+    """One signed dRBAC credential, and a hashable value: no field changes
+    after construction, so a wire-decoded copy equals its original.
 
     Attributes:
         subject: the entity or role receiving the rights.
@@ -72,25 +77,48 @@ class Delegation:
         delegation_type: one of the Table 1 types.  ``ASSIGNMENT`` conveys
             the right of assignment (the paper's trailing ``'``) rather
             than membership itself.
-        attributes: valued attributes attached ``with Attr=Val ...``.
+        attributes: valued attributes attached ``with Attr=Val ...``, as a
+            read-only mapping over a private copy.
         expires_at: absolute expiry on the virtual clock, or ``None``.
         requires_monitoring: when True, verifiers must hold an online
             validity monitor from the credential's home.
         home: entity responsible for revocation state (defaults to issuer).
         credential_id: unique id used by repositories and revocation.
         signature: issuer's RSA signature over :meth:`signing_bytes`.
+
+    An ill-typed field raises :class:`TypeError`, so a malformed credential
+    off the wire is refused when decoded, not in the middle of a search.
     """
 
     subject: Subject
     role: Role
     issuer: str
     delegation_type: DelegationType
-    attributes: Attributes = field(default_factory=dict)
+    attributes: Mapping[str, AttributeValue] = field(default_factory=dict)
     expires_at: Optional[float] = None
     requires_monitoring: bool = False
     home: Optional[str] = None
     credential_id: str = ""
     signature: bytes = b""
+    _signed: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, ok in (
+            ("issuer", isinstance(self.issuer, str)),
+            ("expires_at", self.expires_at is None or _number(self.expires_at)),
+            ("requires_monitoring", isinstance(self.requires_monitoring, bool)),
+            ("home", self.home is None or isinstance(self.home, str)),
+            ("credential_id", isinstance(self.credential_id, str)),
+            ("signature", isinstance(self.signature, bytes)),
+        ):
+            if not ok:
+                raise TypeError(f"delegation {name}: {getattr(self, name)!r}")
+        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
+        # Encoding the attributes type-checks their values.
+        object.__setattr__(self, "_signed", self._canonical_bytes())
+
+    def __hash__(self) -> int:
+        return hash((self._signed, self.signature))
 
     @property
     def home_entity(self) -> str:
@@ -102,6 +130,9 @@ class Delegation:
 
     def signing_bytes(self) -> bytes:
         """Canonical byte encoding covering every semantic field."""
+        return self._signed
+
+    def _canonical_bytes(self) -> bytes:
         payload = {
             "v": 1,
             "subject": subject_key(self.subject),
@@ -120,9 +151,9 @@ class Delegation:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
-    def verify_signature(self, issuer_identity: PublicIdentity) -> bool:
-        """Check the issuer signature against the issuer's public identity."""
-        if issuer_identity.name != self.issuer:
+    def verify_signature(self, issuer_identity: PublicIdentity | None) -> bool:
+        """Check the issuer signature; an unknown issuer (``None``) fails."""
+        if issuer_identity is None or issuer_identity.name != self.issuer:
             return False
         return issuer_identity.verify(self.signing_bytes(), self.signature)
 
@@ -173,39 +204,10 @@ def issue(
         role=role,
         issuer=issuer_identity.name,
         delegation_type=delegation_type,
-        attributes=dict(attributes or {}),
+        attributes=attributes or {},
         expires_at=expires_at,
         requires_monitoring=requires_monitoring,
         home=home,
         credential_id=credential_id,
-        signature=b"",
     )
-    signature = issuer_identity.sign(unsigned.signing_bytes())
-    return Delegation(
-        subject=unsigned.subject,
-        role=unsigned.role,
-        issuer=unsigned.issuer,
-        delegation_type=unsigned.delegation_type,
-        attributes=unsigned.attributes,
-        expires_at=unsigned.expires_at,
-        requires_monitoring=unsigned.requires_monitoring,
-        home=unsigned.home,
-        credential_id=unsigned.credential_id,
-        signature=signature,
-    )
-
-
-def require_authentic(
-    delegation: Delegation,
-    issuer_identity: PublicIdentity,
-    *,
-    now: float = 0.0,
-) -> None:
-    """Raise :class:`CredentialError` unless the delegation is authentic
-    (valid signature) and unexpired at ``now``."""
-    if not delegation.verify_signature(issuer_identity):
-        raise CredentialError(f"bad signature on {delegation}")
-    if delegation.is_expired(now):
-        raise CredentialError(
-            f"credential {delegation.credential_id} expired at {delegation.expires_at}"
-        )
+    return replace(unsigned, signature=issuer_identity.sign(unsigned.signing_bytes()))

@@ -29,7 +29,7 @@ from .incremental import IncrementalProofEngine
 from .log import CredentialLog, LogRecord
 from .model import Attributes, Role, Subject, parse_subject
 from .monitor import ProofMonitor, RevocationDirectory
-from .proof import Authentic, Proof, ProofEngine, SearchDirection
+from .proof import Authentic, Proof, ProofEngine, SearchDirection, recorded_verdict
 from .query import Constraint
 from .repository import DistributedRepository
 
@@ -64,7 +64,6 @@ class DrbacEngine:
         key_store: KeyStore | None = None,
         key_bits: int | None = None,
         clock: Clock | None = None,
-        verify_signatures: bool = True,
         incremental: bool = True,
     ) -> None:
         # `is None` check: an empty KeyStore is falsy (it has __len__),
@@ -79,7 +78,6 @@ class DrbacEngine:
         that order."""
         self.repository = DistributedRepository(self.log)
         self.revocations = RevocationDirectory(self.log)
-        self._verify_signatures = verify_signatures
         self._authentic: dict[str, Authentic] = {}
         """Credentials whose signature this engine checked when it folded
         their publish record (see :class:`~repro.drbac.proof.Authentic`)."""
@@ -150,26 +148,20 @@ class DrbacEngine:
     def _fold_authentic(self, record: LogRecord) -> None:
         """Authenticate each credential once, as its publish record enters
         the log (§3.1: "first authenticates the signatures"); a search then
-        trusts the verdict, pass or fail, for that very object under that
-        very key."""
+        trusts the verdict, pass or fail, for that credential and every
+        copy equal to it.  An issuer the store does not know fails it."""
         if record.kind != "publish":
             self._authentic.pop(record.credential_id, None)
-        elif self._verify_signatures:
-            delegation = record.delegation
-            identity = self.key_store.get(delegation.issuer)
-            if identity is None:
-                return
-            verdict = Authentic(
-                delegation,
-                identity.public_key,
-                dict(delegation.attributes),
-                delegation.verify_signature(identity),
-            )
-            known = self._authentic.get(record.credential_id)
-            # A forgery that reuses an authentic credential's id must not
-            # cost that credential a verify on every later search.
-            if verdict.valid or known is None or not known.valid:
-                self._authentic[record.credential_id] = verdict
+            return
+        delegation = record.delegation
+        if recorded_verdict(self._authentic, delegation) is not None:
+            return  # a republished copy: the verdict follows the value
+        valid = delegation.verify_signature(self.key_store.get(delegation.issuer))
+        known = self._authentic.get(record.credential_id)
+        # A forgery that reuses an authentic credential's id must not
+        # cost that credential a verify on every later search.
+        if valid or known is None or not known.valid:
+            self._authentic[record.credential_id] = Authentic(delegation, valid)
 
     # -- authorization -------------------------------------------------------
 
@@ -178,7 +170,6 @@ class DrbacEngine:
             self.key_store,
             self.revocations,
             now=self.clock.now(),
-            verify_signatures=self._verify_signatures,
             authentic=self._authentic,
         )
 

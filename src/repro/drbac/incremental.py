@@ -53,7 +53,7 @@ from ..obs import names as metric_names
 from .delegation import Delegation, DelegationType
 from .log import LogRecord
 from .model import Attributes, Role, Subject, subject_key
-from .proof import Proof
+from .proof import Proof, recorded_verdict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import DrbacEngine
@@ -206,14 +206,18 @@ class IncrementalProofEngine:
         obs.gauge(metric_names.INCR_TRACKED).set(0)
 
     def _fold_publish(self, record: LogRecord) -> None:
+        """Index a publish the full search could use: unexpired, unrevoked,
+        and passed by the verdict ``DrbacEngine._fold_authentic`` just took."""
         delegation = record.delegation
         cred_id = record.credential_id
         if cred_id in self._all_creds:
             return  # republish of an already-indexed credential: no new edge
-        if not self._engine.proof_engine().usable(delegation):
-            # DrbacEngine._fold_authentic, which folds each record just
-            # before this one, settled the signature and usable() reads
-            # its verdict; what fails here the full path cannot use either.
+        engine = self._engine
+        if (
+            not recorded_verdict(engine._authentic, delegation)
+            or delegation.is_expired(engine.clock.now())
+            or engine.revocations.is_revoked(delegation)
+        ):
             return
         obs.counter(metric_names.INCR_PUBLISHES).inc()
         if self._simple and not self._is_simple(delegation):

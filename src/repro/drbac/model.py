@@ -42,6 +42,8 @@ class Role:
     name: str
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.owner, str) and isinstance(self.name, str)):
+            raise TypeError(f"invalid role: owner={self.owner!r} name={self.name!r}")
         if not self.owner or not self.name or "." in self.name:
             raise ValueError(f"invalid role: owner={self.owner!r} name={self.name!r}")
 

@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Optional
 
 from .. import obs
 from ..crypto.keys import KeyStore, PublicIdentity
-from ..crypto.rsa import RsaPublicKey
 from ..obs import names as metric_names
 from .delegation import Delegation, DelegationType
 from .model import (
@@ -61,16 +60,26 @@ SearchDirection = Literal["regression", "progression"]
 
 
 class Authentic(NamedTuple):
-    """A signature verdict taken when a publish record was folded: it holds
-    for exactly this object, checked under this key, while its one mutable
-    field still equals the copy taken then.  A failed verdict is kept too,
-    so a forged publish is refused without another RSA verify, unless it
-    reuses the id of an authentic credential, whose verdict stays."""
+    """A signature verdict taken when a publish record was folded.  A
+    credential is a value and its issuer's key is bound once, so the
+    verdict holds for that object and for every delegation equal to it.
+    A failed verdict is kept too (a forgery, or an issuer unknown at
+    publish), so it is refused without another RSA verify, unless it reuses
+    the id of an authentic credential, whose verdict stays."""
 
     delegation: Delegation
-    key: RsaPublicKey
-    attributes: Attributes
     valid: bool
+
+
+def recorded_verdict(
+    authentic: Mapping[str, Authentic], delegation: Delegation
+) -> Optional[bool]:
+    """The verdict recorded for this credential value, or ``None``."""
+    known = authentic.get(delegation.credential_id)
+    same = known is not None and (
+        known.delegation is delegation or known.delegation == delegation
+    )
+    return known.valid if same else None
 
 
 @dataclass(slots=True)
@@ -92,10 +101,7 @@ class Proof:
 
     def all_delegations(self) -> list[Delegation]:
         """Every credential the proof depends on (chain + support), deduped."""
-        seen: dict[str, Delegation] = {}
-        for delegation in self.chain + self.support:
-            seen[delegation.credential_id] = delegation
-        return list(seen.values())
+        return list(dict.fromkeys(self.chain + self.support))
 
     def __str__(self) -> str:
         steps = " ; ".join(str(d) for d in self.chain)
@@ -114,9 +120,11 @@ class ProofEngine:
         revocations: revocation state; revoked credentials are unusable.
         now: evaluation time for expiry checks.
         authentic: the verdicts a :class:`~repro.drbac.engine.DrbacEngine`
-            took when it folded each publish record; every credential
-            without one — presented, decoded, copied, re-keyed — is
+            took when it folded each publish record; a credential equal to
+            none of them (presented and never published, or altered) is
             verified here, on every search.
+        verify_signatures: ``False`` skips every signature check, so a
+            test can search unsigned random graphs.
     """
 
     def __init__(
@@ -231,20 +239,12 @@ class ProofEngine:
             return False
         if self._revocations.is_revoked(delegation):
             return False
-        if self._verify_signatures:
-            identity = self._identities.get(delegation.issuer)
-            if identity is None:
-                return False
-            known = self._authentic.get(delegation.credential_id)
-            if (
-                known is not None
-                and known.delegation is delegation
-                and known.key == identity.public_key
-                and known.attributes == delegation.attributes
-            ):
-                return known.valid
-            return delegation.verify_signature(identity)
-        return True
+        if not self._verify_signatures:
+            return True
+        verdict = recorded_verdict(self._authentic, delegation)
+        if verdict is not None:
+            return verdict
+        return delegation.verify_signature(self._identities.get(delegation.issuer))
 
     # -- issuer authority --------------------------------------------------
 

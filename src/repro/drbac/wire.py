@@ -92,7 +92,7 @@ def delegation_from_wire(data: dict[str, Any]) -> Delegation:
             delegation_type=DelegationType(data["type"]),
             attributes=attributes,
             expires_at=data.get("expires_at"),
-            requires_monitoring=bool(data.get("requires_monitoring", False)),
+            requires_monitoring=data.get("requires_monitoring", False),
             home=data.get("home"),
             credential_id=data["id"],
             signature=bytes.fromhex(data["signature"]),

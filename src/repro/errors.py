@@ -20,6 +20,10 @@ class SignatureError(CryptoError):
     """A signature failed to verify (forgery, tampering, or wrong key)."""
 
 
+class KeyBindingError(CryptoError):
+    """A key store name is already bound to another identity."""
+
+
 class KeyExchangeError(CryptoError):
     """A Diffie-Hellman key exchange received invalid parameters."""
 

@@ -62,16 +62,11 @@ class PSF:
         *,
         key_bits: int | None = None,
         key_store: KeyStore | None = None,
-        verify_signatures: bool = True,
     ) -> None:
         self.scheduler = EventScheduler()
         if key_store is None:
             key_store = KeyStore(key_bits=key_bits) if key_bits else KeyStore()
-        self.engine = DrbacEngine(
-            key_store=key_store,
-            clock=self.scheduler,
-            verify_signatures=verify_signatures,
-        )
+        self.engine = DrbacEngine(key_store=key_store, clock=self.scheduler)
         self.network = Network()
         self.transport = Transport(self.network, self.scheduler)
         self.registrar = Registrar()

@@ -82,21 +82,13 @@ class QosPolicy:
         credentials: Iterable[Delegation] | None = None,
     ) -> Optional[ServiceLevel]:
         """The best tier the client's credentials prove."""
-        presented = list(credentials) if credentials is not None else None
+        presented = list(credentials or ())
+        subject = EntityRef(client)
         for rule in self._rules:
             if rule.is_default:
                 return rule.level
             assert rule.role is not None
-            pool = presented
-            if pool is None:
-                pool = engine.repository.collect(EntityRef(client), rule.role)
-            else:
-                harvested = engine.repository.collect(EntityRef(client), rule.role)
-                merged = {c.credential_id: c for c in harvested}
-                for cred in pool:
-                    merged[cred.credential_id] = cred
-                pool = list(merged.values())
-            if engine.find_proof(EntityRef(client), rule.role, pool) is not None:
+            if engine.find_proof_presenting(subject, rule.role, presented) is not None:
                 return rule.level
         return None
 

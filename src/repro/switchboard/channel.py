@@ -132,13 +132,13 @@ def _table_key(
     remote_node: str, remote_service: str, suite: AuthorizationSuite
 ) -> tuple:
     """What a reused connection must share with the dial it stands in for:
-    the remote end, the local identity, the presented credentials down to
-    their signature bytes, and the policy applied to the peer."""
+    the remote end, the local identity, the presented credentials (equal
+    as values, field by field) and the policy applied to the peer."""
     return (
         remote_node,
         remote_service,
         suite.identity.public,
-        tuple((c.credential_id, c.signature) for c in suite.credentials),
+        tuple(suite.credentials),
         suite.authorizer,
     )
 

@@ -5,16 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto import KeyStore
-from repro.drbac.delegation import (
-    Delegation,
-    DelegationType,
-    classify,
-    issue,
-    require_authentic,
-)
+from repro.drbac.delegation import Delegation, DelegationType, classify, issue
+from repro.drbac.log import LogRecord
 from repro.drbac.model import AttrScalar, AttrSet, EntityRef, Role
 from repro.drbac.wire import delegation_from_wire, delegation_to_wire
-from repro.errors import CredentialError
+from repro.errors import CredentialError, LogRecordError
 
 
 @pytest.fixture(scope="module")
@@ -102,16 +97,6 @@ class TestIssueAndVerify:
         assert not d.is_expired(5.0)
         assert d.is_expired(10.5)
 
-    def test_require_authentic_raises_on_expired(self, store):
-        d = issue(store.identity("X"), EntityRef("u"), Role("X", "R"), expires_at=1.0)
-        with pytest.raises(CredentialError):
-            require_authentic(d, store.public("X"), now=2.0)
-
-    def test_require_authentic_raises_on_bad_signature(self, store):
-        d = issue(store.identity("X"), EntityRef("u"), Role("X", "R"))
-        with pytest.raises(CredentialError):
-            require_authentic(d, store.public("Y"))
-
     def test_home_defaults_to_issuer(self, store):
         d = issue(store.identity("X"), EntityRef("u"), Role("X", "R"))
         assert d.home_entity == "X"
@@ -168,6 +153,34 @@ class TestWireCodec:
     def test_malformed_wire_rejected(self):
         with pytest.raises(CredentialError):
             delegation_from_wire({"bogus": True})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("issuer", 7),
+            ("id", None),
+            ("home", ["x"]),
+            ("expires_at", "soon"),
+            ("expires_at", True),
+            ("expires_at", float("nan")),
+            ("requires_monitoring", "false"),
+            ("requires_monitoring", 1),
+            ("role", {"owner": ["Comp"], "name": "Member"}),
+            ("attributes", {"CPU": {"kind": "scalar", "value": "lots"}}),
+            ("attributes", {"CPU": {"kind": "scalar", "value": False}}),
+            ("attributes", {"Trust": {"kind": "range", "low": "a", "high": "b"}}),
+        ],
+    )
+    def test_ill_typed_field_refused_when_decoded(self, store, key, value):
+        """Each of these decoded at one time and failed later, inside a
+        search (``'>' not supported``, ``unhashable type``)."""
+        d = issue(store.identity("Comp.NY"), EntityRef("Alice"), Role("Comp.NY", "Member"))
+        wire = {**delegation_to_wire(d), key: value}
+        with pytest.raises(CredentialError):
+            delegation_from_wire(wire)
+        record = {"seq": 1, "kind": "publish", "payload": {"cred": wire, "tags": []}}
+        with pytest.raises(LogRecordError):
+            LogRecord.from_wire(record)
 
     def test_roundtrip_entity_subject(self, store):
         d = issue(store.identity("X"), EntityRef("u"), Role("X", "R"))

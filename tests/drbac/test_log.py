@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import ManualClock
-from repro.drbac import CachedAuthorizer, DrbacEngine, EntityRef, Role
+from repro.drbac import CachedAuthorizer, DrbacEngine, EntityRef, ProofEngine, Role
 from repro.drbac.log import BOTH_TAGS, KINDS, CredentialLog, DiscoveryTag, LogRecord
 from repro.errors import LogRecordError
 
@@ -264,7 +264,13 @@ _JSON = st.recursive(
 _PATHS = {
     "publish": [("seq",), ("kind",), ("payload",), ("payload", "cred"),
                 ("payload", "tags")]
-    + [("payload", "cred", key) for key in ("id", "home", "subject", "role", "type")],
+    + [
+        ("payload", "cred", key)
+        for key in (
+            "id", "home", "subject", "role", "type", "issuer", "expires_at",
+            "requires_monitoring", "attributes", "signature",
+        )
+    ],
     "revoke": [("seq",), ("kind",), ("payload",), ("payload", "id"),
                ("payload", "home")],
 }
@@ -275,7 +281,8 @@ _PATHS = {
 def test_mutated_record_is_refused_or_valid(publish_wire, kind, data):
     """Replace or drop one field of a record with arbitrary JSON: decoding
     either raises the typed error or yields a well-formed record that
-    round-trips — never any other exception."""
+    round-trips and whose credential a search takes — never any other
+    exception."""
     path = data.draw(st.sampled_from(_PATHS[kind]), label="path")
     value = data.draw(st.just(_DROPPED) | _JSON, label="value")
     wire = _mutate(publish_wire if kind == "publish" else REVOKE_WIRE, path, value)
@@ -286,3 +293,6 @@ def test_mutated_record_is_refused_or_valid(publish_wire, kind, data):
     assert type(record.seq) is int and record.kind in KINDS
     assert isinstance(record.credential_id, str) and isinstance(record.home, str)
     assert LogRecord.from_wire(record.to_wire()) == record
+    if record.delegation is not None:
+        d = record.delegation
+        ProofEngine({}, verify_signatures=False).find_proof(d.subject, d.role, [d])

@@ -1,8 +1,10 @@
 """Verify once, at publish: the engine checks a credential's signature when
-it folds the publish record, and a search trusts that verdict only for the
-very object it was taken on, under the issuer's same key, with unchanged
-attributes.  Everything else — presented, decoded, copied, re-keyed — is
-verified on every use.
+it folds the publish record, and a search trusts that verdict for that
+credential and for every copy equal to it.  A credential is a value (its
+attributes are read-only) and a key store binds each name once, so the
+verdict cannot go stale; ``prove`` and ``find_proof`` read the same one.
+A credential equal to no published one — presented and never published,
+or altered — is verified on every use.
 
 RSA verifies are counted per credential by wrapping
 :meth:`RsaPublicKey.verify` and matching the signed message against each
@@ -12,9 +14,13 @@ credential's canonical bytes.
 from __future__ import annotations
 
 import dataclasses
+import json
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import KeyStore
 from repro.crypto.keys import Identity
@@ -22,11 +28,13 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.drbac import DrbacEngine, ProofEngine
 from repro.drbac.delegation import Delegation, issue
 from repro.drbac.log import LogRecord
-from repro.drbac.model import AttrSet, EntityRef, Role
+from repro.drbac.model import AttrRange, AttrScalar, AttrSet, EntityRef, Role
+from repro.drbac.wire import delegation_from_wire, delegation_to_wire
+from repro.errors import KeyBindingError
 from repro.net import EventScheduler, Network, Transport
 from repro.switchboard import AuthorizationSuite, RoleAuthorizer, SwitchboardEndpoint
 
-KEY_BITS = 512  # a private store for the tests that rewrite one
+KEY_BITS = 512  # a private store for the tests that bind names into one
 
 
 class Verifies:
@@ -107,17 +115,11 @@ class TestOneVerifyPerPublish:
         assert engine.prove("Alice", "Comp.NY.Member").chain == [leaf]
         assert verifies.of(leaf) == 1
 
-    def test_verify_signatures_false_verifies_nothing(self, key_store, clock, verifies):
-        engine = DrbacEngine(key_store=key_store, clock=clock, verify_signatures=False)
-        _federation(engine)
-        proofs = _search_all(engine)
-        assert proofs[0] is not None
-        assert verifies.total == 0
-
 
 class TestEverythingElseIsVerified:
-    """Each case costs a verify on every search, and the forged ones are
-    refused."""
+    """A credential equal to no published one costs a verify on every
+    search, and the forged ones are refused.  What used to slip past the
+    publish verdict (an in-place edit, a re-key) is now refused outright."""
 
     def test_replace_copy_with_the_same_id_and_signature(self, engine, verifies):
         guest = engine.delegate("Comp.NY", "Mallory", "Comp.NY.Guest")
@@ -141,24 +143,23 @@ class TestEverythingElseIsVerified:
             "Mail", "ny-pc", "Mail.Node", attributes={"Secure": AttrSet([False])}
         )
         secure = {"Secure": AttrSet([True])}
+        with pytest.raises(TypeError):
+            node.attributes["Secure"] = AttrSet([True])
+        assert node.attributes == {"Secure": AttrSet([False])}
         assert engine.find_proof("ny-pc", "Mail.Node", required_attributes=secure) is None
-        node.attributes["Secure"] = AttrSet([True])
-        assert engine.find_proof("ny-pc", "Mail.Node", required_attributes=secure) is None
-        assert engine.find_proof("ny-pc", "Mail.Node") is None
-        # One verify at publish under the signed attributes, then one per
-        # search under the edited ones.
-        assert verifies.total == 1 + 2
+        assert engine.find_proof("ny-pc", "Mail.Node").chain == [node]
+        assert verifies.total == 1
 
     def test_reissued_issuer_key(self, verifies):
         store = KeyStore(key_bits=KEY_BITS)
         engine = DrbacEngine(key_store=store)
         leaf = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member")
-        assert engine.find_proof("Alice", "Comp.NY.Member") is not None
+        with pytest.raises(KeyBindingError):
+            store.bind(Identity.generate("Comp.NY", KEY_BITS))
+        for _ in range(2):
+            assert engine.find_proof("Alice", "Comp.NY.Member").chain == [leaf]
+            assert engine.prove("Alice", "Comp.NY.Member").chain == [leaf]
         assert verifies.of(leaf) == 1
-        store._identities["Comp.NY"] = Identity.generate("Comp.NY", KEY_BITS)
-        assert engine.find_proof("Alice", "Comp.NY.Member") is None
-        assert engine.find_proof("Alice", "Comp.NY.Member") is None
-        assert verifies.of(leaf) == 1 + 2
 
     def test_issuer_unknown_at_publish(self, key_store, verifies):
         store = KeyStore(key_bits=KEY_BITS)
@@ -167,12 +168,14 @@ class TestEverythingElseIsVerified:
         stranger = key_store.identity("Comp.NY")
         leaf = issue(stranger, EntityRef("Alice"), Role.parse("Comp.NY.Member"))
         engine.repository.publish(leaf)
+        store.bind(stranger)
+        # The publish verdict failed for want of a key, and it follows the
+        # value: both paths refuse it, and neither spends a verify on it.
+        for _ in range(2):
+            assert engine.find_proof("Alice", "Comp.NY.Member") is None
+            assert engine.find_proof("Alice", "Comp.NY.Member", [leaf]) is None
+            assert engine.prove("Alice", "Comp.NY.Member") is None
         assert verifies.of(leaf) == 0
-        assert engine.find_proof("Alice", "Comp.NY.Member") is None
-        store._identities["Comp.NY"] = stranger
-        for searches in (1, 2):
-            assert engine.find_proof("Alice", "Comp.NY.Member") is not None
-            assert verifies.of(leaf) == searches
 
     def test_proof_engine_without_the_engines_verdicts(self, engine, verifies):
         leaf = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member")
@@ -212,7 +215,8 @@ class TestPresentedCredentials:
             assert proof is not None
             assert verifies.of(leaf) == uses
 
-    def test_role_authorizer_handshake_verifies_on_every_dial(self, key_store, verifies):
+    @staticmethod
+    def _dial_twice(key_store, verifies, *, publish: bool) -> None:
         net = Network()
         net.add_node("c")
         net.add_node("s")
@@ -220,7 +224,7 @@ class TestPresentedCredentials:
         scheduler = EventScheduler()
         transport = Transport(net, scheduler)
         engine = DrbacEngine(key_store=key_store, clock=scheduler)
-        leaf = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member")
+        leaf = engine.delegate("Comp.NY", "Alice", "Comp.NY.Member", publish=publish)
         client_ep = SwitchboardEndpoint(transport, "c")
         server_ep = SwitchboardEndpoint(transport, "s")
         server_ep.export("svc", object())
@@ -235,9 +239,17 @@ class TestPresentedCredentials:
         for dials in (1, 2):
             connection = client_ep.connect("s", "svc", suite).wait()
             connection.close()
-            # The wire-decoded copy is verified; the published object was
-            # verified once, at publish.
-            assert verifies.of(leaf) == 1 + dials
+            # The wire-decoded copy equals the published credential and
+            # shares its verdict; a copy of an unpublished one is verified.
+            assert verifies.of(leaf) == (1 if publish else dials)
+
+    def test_role_authorizer_handshake_verifies_on_every_dial(self, key_store, verifies):
+        self._dial_twice(key_store, verifies, publish=False)
+
+    def test_role_authorizer_handshake_shares_the_published_verdict(
+        self, key_store, verifies
+    ):
+        self._dial_twice(key_store, verifies, publish=True)
 
 
 class TestRestore:
@@ -269,8 +281,8 @@ class TestRestore:
 
 class TestForgedPublish:
     """A publish whose signature fails keeps its failed verdict: the fold
-    spends the one verify, and every later use refuses that very object
-    without RSA until the issuer's key changes."""
+    spends the one verify, and every later use refuses that credential
+    without RSA."""
 
     @staticmethod
     def _publish_forgery(engine: DrbacEngine) -> Delegation:
@@ -298,13 +310,98 @@ class TestForgedPublish:
         assert verifies.of(guest) == 1
         assert not engine.proof_engine().usable(forged)
 
-    def test_reissued_issuer_key_verifies_again(self, verifies):
+
+class TestCredentialsAreValues:
+    """``prove`` (the incremental engine) and ``find_proof`` (the full
+    search) read one verdict per credential value, so nothing done after a
+    publish can make them disagree."""
+
+    def test_attribute_edit_raises(self, engine):
+        attributes = {"Secure": AttrSet([False])}
+        leaf = engine.delegate(
+            "Comp.NY", "Alice", "Comp.NY.Member", attributes=attributes
+        )
+        attributes["Secure"] = AttrSet([True])
+        with pytest.raises(TypeError):
+            leaf.attributes["Secure"] = AttrSet([True])
+        with pytest.raises(TypeError):
+            del leaf.attributes["Secure"]
+        assert leaf.attributes == {"Secure": AttrSet([False])}
+        plain = engine.delegate("Comp.NY", "Bob", "Comp.NY.Member")
+        with pytest.raises(TypeError):
+            plain.attributes["Secure"] = AttrSet([True])
+        assert engine.prove("Bob", "Comp.NY.Member").chain == [plain]
+        assert engine.find_proof("Bob", "Comp.NY.Member").chain == [plain]
+
+    def test_rekey_raises(self):
         store = KeyStore(key_bits=KEY_BITS)
-        engine = DrbacEngine(key_store=store)
-        forged = self._publish_forgery(engine)
-        assert engine.find_proof("Mallory", "Comp.NY.Admin") is None
-        assert verifies.of(forged) == 1
-        store._identities["Comp.NY"] = Identity.generate("Comp.NY", KEY_BITS)
-        for searches in (1, 2):
-            assert engine.find_proof("Mallory", "Comp.NY.Admin") is None
-            assert verifies.of(forged) == 1 + searches
+        bound = store.identity("Comp.NY")
+        with pytest.raises(KeyBindingError):
+            store.bind(Identity.generate("Comp.NY", KEY_BITS))
+        store.bind(bound)  # binding the same identity again is a no-op
+        assert store.identity("Comp.NY") is bound
+        assert len(store) == 1
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_issuer_bound_after_publish_is_refused_by_both_paths(
+        self, key_store, incremental
+    ):
+        store = KeyStore(key_bits=KEY_BITS)
+        store.identity("Alice")
+        engine = DrbacEngine(key_store=store, incremental=incremental)
+        stranger = key_store.identity("Comp.NY")
+        engine.repository.publish(
+            issue(stranger, EntityRef("Alice"), Role.parse("Comp.NY.Member"))
+        )
+        store.bind(stranger)
+        assert engine.prove("Alice", "Comp.NY.Member") is None
+        assert engine.find_proof("Alice", "Comp.NY.Member") is None
+
+
+_PROPERTY_STORE = KeyStore(key_bits=KEY_BITS)
+_ISSUERS = ["Comp.NY", "Comp.SD", "Mail"]
+_NUMBERS = st.integers(-100, 100) | st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _attribute_values(draw):
+    kind = draw(st.sampled_from(["set", "range", "scalar"]))
+    if kind == "set":
+        items = st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
+        return AttrSet(draw(st.lists(items, min_size=1, max_size=3)))
+    if kind == "range":
+        return AttrRange(*sorted(draw(st.lists(_NUMBERS, min_size=2, max_size=2))))
+    return AttrScalar(draw(_NUMBERS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    issuer=st.sampled_from(_ISSUERS),
+    subject=st.sampled_from(["Alice", "Bob", "Comp.SD.Member"]),
+    attributes=st.dictionaries(
+        st.sampled_from(["Secure", "Trust", "CPU"]), _attribute_values(), max_size=3
+    ),
+    expires_at=st.none() | st.integers(1, 10**6) | st.floats(1, 1e6),
+    requires_monitoring=st.booleans(),
+    home=st.none() | st.sampled_from(_ISSUERS),
+)
+def test_wire_copy_equals_the_credential_and_shares_its_verdict(
+    issuer, subject, attributes, expires_at, requires_monitoring, home
+):
+    engine = DrbacEngine(key_store=_PROPERTY_STORE)
+    subject_ref = Role.parse(subject) if "." in subject else EntityRef(subject)
+    original = issue(
+        engine.identity(issuer), subject_ref, Role(issuer, "Member"),
+        attributes=attributes, expires_at=expires_at,
+        requires_monitoring=requires_monitoring, home=home,
+    )
+    engine.repository.publish(original)
+    copy = delegation_from_wire(json.loads(json.dumps(delegation_to_wire(original))))
+    assert copy is not original
+    assert copy == original and hash(copy) == hash(original)
+    assert copy.signing_bytes() == original.signing_bytes()
+    with mock.patch.object(
+        RsaPublicKey, "verify", autospec=True, side_effect=RsaPublicKey.verify
+    ) as verify:
+        assert engine.proof_engine().usable(copy)
+    assert verify.call_count == 0

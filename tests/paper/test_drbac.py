@@ -165,7 +165,7 @@ def _drbac_records(key_store, p: int, u: int) -> int:
     """One credential per user (its home role), one role-definition
     credential per provider domain policy, plus a constant number of
     cross-domain mappings (c)."""
-    engine = DrbacEngine(key_store=key_store, verify_signatures=False)
+    engine = DrbacEngine(key_store=key_store)
     for i in range(p):
         engine.delegate("Home", f"Provider{i}.Service", "Home.Accessible")
     for j in range(u):
@@ -212,7 +212,7 @@ GRANT_COUNTS = [10, 50, 200]
 
 
 def _translation(key_store, grants: int):
-    engine = DrbacEngine(key_store=key_store, verify_signatures=False)
+    engine = DrbacEngine(key_store=key_store)
     policy = CapabilityPolicy()
     for i in range(grants):
         policy.grant(f"user{i}", "access")

@@ -313,14 +313,13 @@ def _enclosing_callers(name: str, passes=lambda call: True) -> list[str]:
 
 
 class TestOneVerifyPath:
-    """A credential signature is checked in four places: once when the
-    engine folds its publish record, at search time for what that fold did
-    not vouch for, by the standalone proof verifier, and by the explicit
-    authenticity check.  A search-time memo would be a fifth."""
+    """A credential signature is checked in three places: once when the
+    engine folds its publish record, at search time for a credential equal
+    to none that fold vouched for, and by the standalone proof verifier.  A
+    search-time memo would be a fourth."""
 
-    def test_only_the_four_verify_sites_check_signatures(self):
+    def test_only_the_three_verify_sites_check_signatures(self):
         assert sorted(_enclosing_callers("verify_signature")) == [
-            "drbac/delegation.py:require_authentic",
             "drbac/engine.py:DrbacEngine._fold_authentic",
             "drbac/proof.py:ProofEngine.usable",
             "drbac/verify.py:ProofVerifier._check_credentials",
