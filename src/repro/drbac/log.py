@@ -105,6 +105,7 @@ class CredentialLog:
     def __init__(self) -> None:
         self._records: list[LogRecord] = []
         self._subscribers: list[tuple[Fold, Optional[Callable[[], None]]]] = []
+        self._published: dict[str, Delegation] = {}  # id -> its one value
 
     @property
     def seqno(self) -> int:
@@ -127,6 +128,12 @@ class CredentialLog:
     def publish(
         self, delegation: Delegation, tags: Iterable[DiscoveryTag] = BOTH_TAGS
     ) -> LogRecord:
+        """Append a publish record.  One credential id names one value: a
+        publish reusing an id for another credential (a renewal, say)
+        raises :class:`CredentialError`; an equal republish appends."""
+        held = self._published.get(delegation.credential_id, delegation)
+        if held is not delegation and held != delegation:
+            raise CredentialError(f"{delegation.credential_id!r} names another credential")
         return self._append(LogRecord(
             self.seqno + 1, "publish", delegation.credential_id,
             delegation.home_entity, delegation, frozenset(tags),
@@ -147,6 +154,8 @@ class CredentialLog:
     def _append(self, record: LogRecord) -> LogRecord:
         """Add the next record and deliver it to every fold."""
         self._records.append(record)
+        if record.kind == "publish":
+            self._published.setdefault(record.credential_id, record.delegation)
         for fold, _clear in list(self._subscribers):
             fold(record)
         return record
@@ -159,6 +168,7 @@ class CredentialLog:
             if clear is not None:
                 clear()
         self._records = []
+        self._published = {}
         for r in records:
             self._append(LogRecord(
                 self.seqno + 1, r.kind, r.credential_id, r.home, r.delegation, r.tags

@@ -20,14 +20,14 @@ arriving call frame when the endpoint was built with a
    itself is instantaneous.
 
 Every stage is instrumented: ``flow.*`` metrics, a ``flow.shed``
-structured event per refusal, and a ``flow.queue.wait`` span covering
-each request's time in queue.
+structured event per refusal, and — for a request submitted inside a
+span — a ``flow.queue.wait`` span covering its time in queue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from .. import obs
 from ..net.events import EventScheduler
@@ -51,7 +51,7 @@ class _Item:
     execute: Callable[[], None]
     cls: int
     arrived: float
-    span: Any = field(default=None, repr=False)
+    span: obs.Span = field(repr=False)
 
 
 class FlowController:
@@ -116,13 +116,11 @@ class FlowController:
                 return self._shed(
                     cls, "backlog", config.retry_after_s, target, method, principal
                 )
-        span = None
-        if obs.is_enabled():
-            tracer = obs.get_tracer()
-            span = tracer.start(
-                "flow.queue.wait", parent=tracer.current,
-                node=self.name, target=target, method=method, cls=cls,
-            )
+        tracer = obs.get_tracer()
+        span = tracer.start(
+            "flow.queue.wait", parent=tracer.current,
+            node=self.name, target=target, method=method, cls=cls,
+        )
         self.admitted_by_class[cls] += 1
         obs.counter(metric_names.FLOW_ADMITTED).inc()
         obs.histogram(metric_names.FLOW_QUEUE_DEPTH).observe(len(self.queue))
@@ -156,9 +154,7 @@ class FlowController:
             cls, item = self.queue.pop()
             now = self.scheduler.now()
             obs.histogram(metric_names.FLOW_QUEUE_WAIT).observe(now - item.arrived)
-            if item.span is not None:
-                item.span.finish()
-                item.span = None
+            item.span.finish()
             self.busy += 1
             obs.gauge(metric_names.FLOW_SERVICE_BUSY).set(self.busy)
             if self.config.service_time_s > 0:

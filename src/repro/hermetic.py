@@ -84,7 +84,6 @@ def harness_world(
     clients: Sequence[str],
     latency_s: float = 0.004,
     loss_rate: float = 0.0,
-    dist: bool | None = None,
 ) -> Iterator[HarnessWorld]:
     """A hermetic star world: each of ``clients`` linked to one ``server``.
 
@@ -92,10 +91,9 @@ def harness_world(
     pinned id counters, a scoped metrics registry / tracer / event log
     clocked on a fresh :class:`EventScheduler`, and a
     :class:`Transport` whose frame loss is seeded by ``seed``.  Links are
-    insecure 8 Mb/s; ``dist`` is passed to :func:`repro.obs.scoped`
-    (``None`` inherits the caller's wire-tracing setting).
+    insecure 8 Mb/s.
     """
-    with hermetic_counters(), obs.scoped(enabled=True, dist=dist):
+    with hermetic_counters(), obs.scoped(enabled=True):
         scheduler = EventScheduler()
         obs.set_tracer_clock(scheduler)
         network = Network()

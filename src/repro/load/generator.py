@@ -20,6 +20,9 @@ a write through the read-only view (interface narrowing).  Results are
 recorded per client in **issue order**, so a serial and a pipelined run
 are directly comparable: same transcripts, different clock.
 
+Each request is issued inside its own ``load.request`` root span, so
+every call is traced; the context rides beside the frames, changing nothing.
+
 Everything is deterministic: time is virtual, the workload comes from
 ``random.Random`` seeded per (seed, client), process-global id counters
 are pinned via the chaos harness's hermetic-counter guard, and floats in
@@ -33,6 +36,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -97,11 +101,10 @@ class LoadRun:
     """Flight-recorder snapshot taken as the run's world wound down; the
     report surfaces it only when the serial/pipelined transcripts
     mismatch."""
-    topology: list[list] | None = field(default=None, repr=False)
-    """Structural client→server span topology, captured only when the run
-    executed with wire tracing (``dist``) on — the differential tests
-    compare it between serial and pipelined runs.  Not part of the JSON
-    report."""
+    topology: list[list] = field(default_factory=list, repr=False)
+    """Structural client→server span topology of the run's traces — the
+    differential tests compare it between serial and pipelined runs.  Not
+    part of the JSON report."""
 
     @property
     def throughput(self) -> float:
@@ -241,8 +244,9 @@ class LoadGenerator:
                     return pending
 
                 pipeline = RpcPipeline(caller, scheduler, depth=depth)
-                for op in self._plans[index]:
-                    pipeline.call(*op)
+                for target, method, args in self._plans[index]:
+                    with obs.span("load.request", node=rpc.node_name, method=method):
+                        pipeline.call(target, method, args)
                 pipelines.append(pipeline)
 
             transcripts: list[list[str]] = []
@@ -298,11 +302,7 @@ class LoadGenerator:
                 # Captured while the scoped obs state is still alive; the
                 # report only surfaces it on a transcript mismatch.
                 flight=obs.flight_snapshot("load.transcript_mismatch"),
-                topology=(
-                    _trace_topology(obs.get_tracer())
-                    if obs.dist_enabled()
-                    else None
-                ),
+                topology=_trace_topology(obs.get_tracer()),
             )
 
     # -- the comparison report ----------------------------------------------
@@ -344,23 +344,18 @@ def _trace_topology(tracer: obs.Tracer) -> list[list]:
     batch membership) and timing, both of which batching and pipelining
     legitimately change.
     """
-    servers_by_trace: dict[int, int] = {}
-    for root in tracer.finished:
-        if root.name == "rpc.server":
-            servers_by_trace[root.trace_id] = (
-                servers_by_trace.get(root.trace_id, 0) + 1
-            )
-    calls = []
-    for root in tracer.finished:
-        if root.name == "rpc.client":
-            calls.append((
-                str(root.attributes.get("node")),
-                root.start,
-                root.span_id,
-                str(root.attributes.get("target")),
-                str(root.attributes.get("method")),
-                servers_by_trace.get(root.trace_id, 0),
-            ))
+    servers_by_trace = Counter(server.trace_id for server in tracer.find("rpc.server"))
+    calls = [
+        (
+            str(call.attributes.get("node")),
+            call.start,
+            call.span_id,
+            str(call.attributes.get("target")),
+            str(call.attributes.get("method")),
+            servers_by_trace[call.trace_id],
+        )
+        for call in tracer.find("rpc.client")
+    ]
     # Span ids mint in issue order, so (node, start, span_id) reproduces
     # per-client issue order regardless of completion interleaving.
     calls.sort(key=lambda c: (c[0], c[1], c[2]))

@@ -85,18 +85,19 @@ class _Entry:
     service: str
     payload: bytes
     on_dropped: DropCallback | None
-    ctx: tuple[int, int] | None = None
-    """(trace_id, span_id) of the span active at enqueue time, so a
-    deferred batch flush — which runs in a scheduler tick with an empty
-    span stack — can still stitch its wire span into the issuing trace."""
+    ctx: tuple[int, int] | None
+    """(trace_id, span_id) of the span the frame was sent under: it rides
+    beside the payload, never billed as bytes, to the receiving service
+    and to a deferred batch flush (a tick with an empty span stack)."""
 
 
 def _finish_wire_span(span: obs.Span, deliver_at: float) -> None:
     """Close a wire-transfer span so its bar covers the in-flight window
     (virtual now → scheduled delivery) rather than the zero-width instant
     the transmit bookkeeping itself took."""
-    span.finish()
-    span.end = deliver_at
+    if span is not obs.NULL_SPAN:
+        span.finish()
+        span.end = deliver_at
 
 
 _BATCH_MAGIC = b"RBAT1"
@@ -162,6 +163,9 @@ class Transport:
         self._queues: dict[tuple[str, str], list[_Entry]] = {}
         self._flush_scheduled: set[tuple[str, str]] = set()
         self._rng = random.Random(loss_seed)
+        self.delivery_ctx: tuple[int, int] | None = None
+        """While a service handler runs, the ``ctx`` beside its frame: data
+        the service may continue a trace from, never an active span."""
 
     # -- batching control ---------------------------------------------------
 
@@ -220,11 +224,11 @@ class Transport:
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(payload)
         self._snoop(route[1], payload, src, dst)
-        entry = _Entry(service=service, payload=payload, on_dropped=on_dropped)
-        if obs.dist_enabled():
-            current = obs.get_tracer().current
-            if current is not None:
-                entry.ctx = current.context()
+        current = obs.get_tracer().current
+        entry = _Entry(
+            service, payload, on_dropped,
+            None if current is None else current.context(),
+        )
         if self.batching is None:
             return self._transmit(src, dst, [entry], route)
         return self._enqueue(src, dst, entry)
@@ -313,15 +317,15 @@ class Transport:
         self._flow_clock[flow] = deliver_at
         delay = deliver_at - now
 
-        span = None
-        if obs.dist_enabled():
-            tracer = obs.get_tracer()
-            # Parent preference: the span active right now (serial send
-            # under an activated rpc span), else the enqueue-time context
-            # of the first batched frame (deferred flush tick).
-            remote_ctx = next((e.ctx for e in entries if e.ctx is not None), None)
+        # Parent preference: the span active right now (serial send under
+        # an activated rpc span), else the send-time context of the batch's
+        # first frame (deferred flush tick); with neither, untraced.
+        tracer = obs.get_tracer()
+        parent, remote = tracer.current, entries[0].ctx
+        span = obs.NULL_SPAN
+        if parent is not None or remote is not None:
             span = tracer.start(
-                "net.transmit", parent=tracer.current, remote=remote_ctx,
+                "net.transmit", parent=parent, remote=remote,
                 node=src, dst=dst, frames=len(entries), bytes=nbytes,
             )
             if len(entries) > 1:
@@ -340,17 +344,15 @@ class Transport:
                         "net.loss", node=src, dst=dst,
                         link=f"{link.a}<->{link.b}", frames=len(entries),
                     )
-                if span is not None:
-                    span.set_error("FrameLost")
-                    _finish_wire_span(span, deliver_at)
+                span.set_error("FrameLost")
+                _finish_wire_span(span, deliver_at)
                 return delay
 
         self.scheduler.schedule(
             delay,
             lambda: self._deliver(src, dst, entries, route, MAX_REROUTES),
         )
-        if span is not None:
-            _finish_wire_span(span, deliver_at)
+        _finish_wire_span(span, deliver_at)
         return delay
 
     def _deliver(
@@ -391,6 +393,7 @@ class Transport:
             return
         node = self.network.node(dst)
         for entry in entries:
+            self.delivery_ctx = entry.ctx
             try:
                 node.deliver(entry.service, entry.payload, src)
                 self.stats.messages_delivered += 1
@@ -398,6 +401,7 @@ class Transport:
                 self.stats.messages_dropped += 1
                 if entry.on_dropped is not None:
                     entry.on_dropped(exc)
+        self.delivery_ctx = None
 
     def _route_alive(self, route: Route) -> bool:
         path, links = route

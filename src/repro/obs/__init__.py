@@ -18,13 +18,10 @@ the ``REPRO_OBS=0`` environment variable).
 :func:`scoped` installs fresh state for the duration of a ``with`` block
 so tests and differential experiments read counters in isolation.
 
-Distributed tracing adds a second, independent gate: the ``dist`` flag
-(:func:`dist_enabled`, set per :func:`scoped` block).  It controls
-whether RPC layers *mint and propagate* trace context inside wire frames
-— which changes frame bytes, hence virtual transfer timings — so it
-defaults off and is switched on only by harnesses that want stitched
-cross-node traces (``python -m repro trace``) and by tests.  Local spans,
-events, and the flight recorder work regardless of ``dist``.
+Distributed tracing has no switch: an RPC issued inside a span is
+traced, because the RPC layers' spans only continue a trace
+(:meth:`Tracer.start`), and the transport carries span context beside
+each frame, never inside it, so tracing changes no byte and no timing.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ __all__ = [
     "COUNT_BUCKETS", "DEFAULT_BUCKETS",
     "counter", "gauge", "histogram", "span", "activate", "event",
     "get_registry", "get_tracer", "get_event_log", "set_tracer_clock",
-    "enable", "disable", "is_enabled", "dist_enabled", "reset", "scoped",
+    "enable", "disable", "is_enabled", "reset", "scoped",
     "flight_snapshot",
     "snapshot", "format_snapshot", "names",
 ]
@@ -71,11 +68,10 @@ _CATALOGUE_BUCKETS: dict[str, tuple[float, ...]] = {
 class _ObsState:
     """The process-wide active registry + tracer + event-log triple."""
 
-    __slots__ = ("registry", "tracer", "events", "enabled", "dist")
+    __slots__ = ("registry", "tracer", "events", "enabled")
 
     def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
-        self.dist = False
         self.registry: MetricsRegistry = (
             MetricsRegistry() if enabled else NULL_REGISTRY
         )
@@ -127,11 +123,6 @@ def is_enabled() -> bool:
     return _state.enabled
 
 
-def dist_enabled() -> bool:
-    """True when RPC layers should mint/propagate wire trace context."""
-    return _state.enabled and _state.dist
-
-
 def enable() -> None:
     """Turn observation on (fresh state if it was off)."""
     if not _state.enabled:
@@ -144,7 +135,6 @@ def enable() -> None:
 def disable() -> None:
     """Swap in the null twins; every instrumentation site becomes a no-op."""
     _state.enabled = False
-    _state.dist = False
     _state.registry = NULL_REGISTRY
     _state.tracer = NULL_TRACER
     _state.events = NULL_EVENT_LOG
@@ -179,30 +169,25 @@ def reset() -> None:
 
 @contextmanager
 def scoped(
-    *, enabled: bool = True, clock: Clock | None = None, dist: bool | None = None
+    *, enabled: bool = True, clock: Clock | None = None
 ) -> Iterator[MetricsRegistry]:
     """Install a fresh registry/tracer/event log for the block, then restore.
 
-    ``dist=True`` additionally turns on wire trace-context propagation for
-    the block; ``None`` inherits the surrounding setting.  Yields the
-    scoped registry so callers can read counters directly::
+    Yields the scoped registry so callers can read counters directly::
 
         with obs.scoped() as reg:
             engine.find_proof(...)
         assert reg.counter_value(names.PROOF_FOUND) == 1
     """
-    saved = (_state.enabled, _state.dist, _state.registry, _state.tracer, _state.events)
+    saved = (_state.enabled, _state.registry, _state.tracer, _state.events)
     _state.enabled = enabled
-    if dist is not None:
-        _state.dist = dist and enabled
     _state.registry = MetricsRegistry() if enabled else NULL_REGISTRY
     _state.tracer = Tracer(clock) if enabled else NULL_TRACER
     _state.events = EventLog(clock) if enabled else NULL_EVENT_LOG
     try:
         yield _state.registry
     finally:
-        (_state.enabled, _state.dist, _state.registry,
-         _state.tracer, _state.events) = saved
+        _state.enabled, _state.registry, _state.tracer, _state.events = saved
 
 
 # -- flight recorder --------------------------------------------------------

@@ -3,13 +3,13 @@
 Builds the smallest world that exercises every distributed-tracing hop —
 a client and a server star-linked over a lossy-capable simulated link,
 frame batching on, an authorization- and view-guarded key-value object
-exported over plain RPC — and replays a short fixed workload through it
-with wire trace-context propagation (``dist``) enabled.  The result is a
-Chrome/Perfetto trace-event JSON object in which a single trace id ties
+exported over plain RPC — and replays a short fixed workload through it,
+issuing each op inside its own ``trace.op`` root span.  The result is a
+Chrome/Perfetto trace-event JSON object in which each op's trace id ties
 together:
 
-* the client-side ``rpc.client`` span (and, under ``--chaos``, one
-  ``rpc.attempt`` child per retransmission),
+* the root span and its client-side ``rpc.client`` child (and, under
+  ``--chaos``, one ``rpc.attempt`` child per retransmission),
 * the transport's ``net.transmit`` spans for the batches that carried
   the frames,
 * the server-side ``rpc.server`` span, with the dRBAC
@@ -25,8 +25,8 @@ the full at-least-once story: lost transmissions, per-attempt spans, and
 the attempt that finally stitched to a server span.
 
 Everything runs over virtual time under ``hermetic_counters`` inside a
-``dist``-enabled :func:`repro.obs.scoped` block, so one seed produces a
-byte-identical export — the property the CI determinism step diffs.
+:func:`repro.obs.scoped` block, so one seed produces a byte-identical
+export — the property the CI determinism step diffs.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def run_trace(
         domain="TRACE",
         clients=["client"],
         loss_rate=CHAOS_LOSS_RATE if chaos else 0.0,
-        dist=True,
     ) as world:
         scheduler, transport = world.scheduler, world.transport
         transport.configure_batching(max_frames=4, window=0.002)
@@ -135,12 +134,15 @@ def run_trace(
         )
         results: list[list[str]] = []
         for method, args in _OPS:
-            if chaos:
-                pending = client.call_with_retry(
-                    "server", "TraceKV", method, args, policy=retry_policy
-                )
-            else:
-                pending = client.call("server", "TraceKV", method, args)
+            # The root covers the issue only: waiting inside it would let
+            # every event the wait runs inherit the span.
+            with obs.span("trace.op", node="client", method=method):
+                if chaos:
+                    pending = client.call_with_retry(
+                        "server", "TraceKV", method, args, policy=retry_policy
+                    )
+                else:
+                    pending = client.call("server", "TraceKV", method, args)
             try:
                 value = pending.wait(timeout=60.0)
                 results.append([method, "ok", repr(value)])

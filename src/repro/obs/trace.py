@@ -18,7 +18,9 @@ tracing shapes :mod:`repro.obs.dist` needs:
   export time.
 * **Manual spans** (:meth:`Tracer.start` / :meth:`Span.finish`) for
   operations that outlive a call frame — an RPC future that completes
-  events later — without touching the ambient stack.
+  events later — without touching the ambient stack.  A manual span only
+  continues a trace (Dapper's rule: a child follows its parent's decision
+  to trace), so a call is traced exactly when it is made inside a span.
 * **Remote parents.**  ``tracer.start(name, remote=(trace_id, span_id))``
   continues a trace propagated across the simulated wire: the span is a
   local root (it lands in ``finished`` on its own) but records the remote
@@ -187,12 +189,13 @@ class Tracer:
         ``parent`` attaches the span under a local span (its subtree);
         ``remote`` continues a trace propagated from another node — the
         span becomes a local root carrying the remote ``parent_id``.
-        With neither, the span roots a fresh trace.  The span is *not*
-        pushed on the stack; use :meth:`activate` for that.  A child of
-        the untraced :data:`NULL_SPAN` is untraced too.
+        With neither, or under :data:`NULL_SPAN`, there is no trace to
+        continue and the span is :data:`NULL_SPAN` (a trace starts at a
+        ``with`` span).  The span is *not* pushed on the stack; use
+        :meth:`activate` for that.
         """
-        if parent is NULL_SPAN:
-            return parent
+        if parent is NULL_SPAN or (parent is None and remote is None):
+            return NULL_SPAN  # type: ignore[return-value]
         span = Span(self, name, attributes)
         span.start = self.clock.now()
         self._assign_ids(span, parent=parent, remote=remote)

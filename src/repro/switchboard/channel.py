@@ -81,7 +81,6 @@ from .rpc import (
     decode_frame,
     encode_frame,
     serve,
-    with_trace_context,
 )
 
 SWITCHBOARD_SERVICE = "switchboard"
@@ -235,7 +234,7 @@ class SwitchboardConnection:
             "args": args or [],
         }
         with obs.activate(pending.span):
-            self._send(with_trace_context(inner, pending.span))
+            self._send(inner)
         return pending
 
     def call_sync(self, target: str, method: str, args: list | None = None) -> Any:
@@ -374,6 +373,8 @@ class SwitchboardConnection:
         return self.conn_id.encode() + b"|" + direction + b"|" + seq.to_bytes(8, "big")
 
     def _receive(self, from_initiator: bool, seq: int, ciphertext: bytes) -> None:
+        """Open a sealed frame; one failing authentication or opening to no
+        well-formed inner frame is dropped and counted as tampering."""
         if seq <= self._recv_seq:
             self.stats.replays_rejected += 1
             obs.counter(metric_names.SWB_REPLAYS_REJECTED).inc()
@@ -389,7 +390,12 @@ class SwitchboardConnection:
         if obs.is_enabled():
             obs.counter(metric_names.SWB_FRAMES_RECEIVED).inc()
             obs.counter(metric_names.SWB_BYTES_RECEIVED).inc(len(ciphertext))
-        self._handle(decode_frame(plaintext))
+        try:
+            inner = decode_frame(plaintext)
+        except SwitchboardError:
+            self._reject_tampered()
+            return
+        self._handle(inner)
 
     def _reject_tampered(self) -> None:
         self.stats.tamper_rejected += 1
@@ -420,12 +426,13 @@ class SwitchboardConnection:
         elif kind == "close":
             self._teardown(ChannelState.CLOSED)
         else:
-            raise SwitchboardError(f"unknown channel frame kind {kind!r}")
+            self._reject_tampered()
 
     def _serve_call(self, inner: dict) -> None:
         response = {"kind": "result", "call_id": inner["call_id"]}
         serve(
             self._dispatch, inner, response, self._reply,
+            self.endpoint.transport.delivery_ctx,
             node=self.endpoint.node_name, channel=self.conn_id,
         )
 

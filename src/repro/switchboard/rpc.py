@@ -11,11 +11,11 @@ Two transport personalities share this module:
 
 The two differ only in what seals the frame, so each step of a call is
 written once here and used by both: :class:`CallTable` pairs correlation
-ids with futures (and mints the ``rpc.client`` span),
-:func:`with_trace_context` stamps a frame, and :func:`serve` is the
-server half.  Frame vocabularies stay separate (``type``/``reply_to``
-here, ``kind`` on a channel) because frame bytes set the simulated
-transfer delays.
+ids with futures (and starts the ``rpc.client`` span), and :func:`serve`
+is the server half, continuing the trace from the context the transport
+carried beside the frame (never in it).  Frame vocabularies stay
+separate (``type``/``reply_to`` here, ``kind`` on a channel) because
+frame bytes set the simulated transfer delays.
 
 The simulation is single-threaded over virtual time, so remote calls
 return :class:`PendingCall` futures; :meth:`PendingCall.wait` pumps the
@@ -100,8 +100,8 @@ class PendingCall:
     completion latency in virtual time."""
     span: obs.Span = field(default=obs.NULL_SPAN, repr=False)
     """Client-side span covering issue → completion (the shared no-op
-    span unless dist tracing is on); settling finishes it and tags
-    failures ``error=<type>``."""
+    span unless the call was made inside a span); settling finishes it
+    and tags failures ``error=<type>``."""
     _value: Any = None
     _error: Optional[str] = None
     _exception: Optional[Exception] = field(default=None, repr=False)
@@ -219,22 +219,22 @@ class CallTable:
     ) -> PendingCall:
         """Register a new call under a fresh correlation id.
 
-        ``where`` (node, peer or channel, target) asks for the call's
-        ``rpc.client`` span, minted only while wire tracing is on.
-        Otherwise the future keeps the shared no-op span, so every later
-        ``set_error`` / ``activate`` / ``finish`` is one statement in both
-        modes and the untraced path allocates nothing.
+        ``where`` (node, peer or channel, target) tags the call's
+        ``rpc.client`` span, a child of the current span.  Outside any
+        span the future keeps the shared no-op span, so every later
+        ``set_error`` / ``activate`` / ``finish`` is one statement either
+        way and the untraced path allocates nothing.
         """
         call_id = self._ids.acquire(reusable=reusable)
         pending = PendingCall(
             call_id=call_id, method=method, _scheduler=self._scheduler
         )
         self._pending[call_id] = pending
-        if where and obs.dist_enabled():
-            tracer = obs.get_tracer()
+        tracer = obs.get_tracer()
+        parent = tracer.current
+        if parent is not None:  # else nothing to continue: skip the tags
             pending.span = tracer.start(
-                "rpc.client", parent=tracer.current, **where,
-                method=method, call_id=call_id,
+                "rpc.client", parent=parent, **where, method=method, call_id=call_id,
             )
         return pending
 
@@ -273,38 +273,28 @@ class CallTable:
         return self._ids.high_water
 
 
-def with_trace_context(frame: dict, span: obs.Span) -> dict:
-    """``frame`` carrying ``span``'s wire context as its last key ``tc``;
-    unchanged when untraced — the key changes frame bytes, hence virtual
-    transfer timings, which is why ``dist`` is a gate at all."""
-    if span is obs.NULL_SPAN:
-        return frame
-    return {**frame, "tc": list(span.context())}
-
-
 def serve(
     dispatch: Callable[[str, str, list], Any],
     frame: dict,
     response: dict,
     reply: Callable[[dict, dict], None],
+    ctx: tuple[int, int] | None,
     **where: Any,
 ) -> None:
     """The server half of a call: dispatch, error-to-text, reply.
 
     ``response`` arrives holding the caller's own envelope keys and
     leaves as ``reply(frame, response)`` with ``value`` or ``error``
-    added.  A frame carrying ``tc`` continues the propagated trace: the
-    ``rpc.server`` span is a local root remote-parented to the client (or
-    attempt) span that sent it, so exports stitch both sides by shared
-    trace id, and dispatch and reply run under it so work done on the
-    call's behalf (proof search, view resolution, the reply's transmit)
-    nests there.
+    added.  ``ctx`` is the trace context the frame was delivered with; a
+    call sent inside a span continues its trace: the ``rpc.server`` span
+    is a local root remote-parented to the client (or attempt) span that
+    sent it, so exports stitch both sides by shared trace id, and
+    dispatch and reply run under it so work done on the call's behalf
+    (proof search, view resolution, the reply's transmit) nests there.
     """
-    tc = frame.get("tc")
-    span = obs.NULL_SPAN if tc is None else obs.get_tracer().start(
-        "rpc.server", remote=(tc[0], tc[1]), **where,
-        target=frame.get("target", ""), method=frame.get("method", ""),
-        call_id=frame["call_id"],
+    span = obs.NULL_SPAN if ctx is None else obs.get_tracer().start(
+        "rpc.server", remote=ctx, **where,
+        target=frame["target"], method=frame["method"], call_id=frame["call_id"],
     )
     try:
         with obs.activate(span):
@@ -325,7 +315,8 @@ class RpcPipeline:
 
     Up to ``depth`` calls ride the wire at once; further calls queue
     locally and are issued the instant a slot frees, so the window never
-    sits idle waiting for a drain.  Completions may land out of order
+    sits idle waiting for a drain (under the span it was queued under, not
+    the completion's).  Completions may land out of order
     (correlation ids pair responses with calls); :meth:`results` and
     :meth:`drain` always report in **issue order**, which is what makes a
     pipelined run byte-comparable with a serial one — the differential
@@ -346,7 +337,7 @@ class RpcPipeline:
         self.depth = depth
         self.in_flight = 0
         self._order: list[PendingCall] = []
-        self._backlog: deque[tuple[PendingCall, tuple, dict]] = deque()
+        self._backlog: deque[tuple[PendingCall, obs.Span, tuple, dict]] = deque()
 
     def call(self, *args, **kwargs) -> PendingCall:
         """Issue (or queue) one call; returns its future immediately.
@@ -361,16 +352,19 @@ class RpcPipeline:
             _scheduler=self._scheduler,
         )
         self._order.append(shell)
-        self._backlog.append((shell, args, kwargs))
+        self._backlog.append(
+            (shell, obs.get_tracer().current or obs.NULL_SPAN, args, kwargs)
+        )
         obs.counter(metric_names.RPC_PIPELINE_CALLS).inc()
         self._pump()
         return shell
 
     def _pump(self) -> None:
         while self._backlog and self.in_flight < self.depth:
-            shell, args, kwargs = self._backlog.popleft()
+            shell, span, args, kwargs = self._backlog.popleft()
             try:
-                inner = self._caller(*args, **kwargs)
+                with obs.activate(span):
+                    inner = self._caller(*args, **kwargs)
             except Exception as exc:  # noqa: BLE001 - surface via the future
                 shell.abort(exc)
                 continue
@@ -557,14 +551,14 @@ class PlainRpcEndpoint:
                 pending.abort(exc)
 
         try:
-            # Activated so the transport's transmit/batch spans nest
-            # under this call instead of floating as roots.
+            # Activated so the frame carries this call's context and the
+            # transport's transmit/batch spans nest under it.
             with obs.activate(span):
                 self.transport.send(
                     self.node_name,
                     remote_node,
                     PLAIN_RPC_SERVICE,
-                    encode_frame(with_trace_context(frame, span)),
+                    encode_frame(frame),
                     on_dropped=dropped,
                 )
         except NetworkError as exc:
@@ -656,9 +650,9 @@ class PlainRpcEndpoint:
                     attempt=attempts,
                 )
             # Each attempt is its own child span carrying the shared
-            # correlation id; the wire frame carries the *attempt's*
-            # context, so the server span stitches to the exact
-            # transmission that reached it.
+            # correlation id; the frame is sent under the *attempt*, so
+            # the server span stitches to the exact transmission that
+            # reached it.
             attempt = obs.get_tracer().start(
                 "rpc.attempt", parent=span, node=self.node_name,
                 call_id=call_id, attempt=attempts, retry=is_retry,
@@ -667,7 +661,7 @@ class PlainRpcEndpoint:
                 with obs.activate(attempt):
                     self.transport.send(
                         self.node_name, remote_node, PLAIN_RPC_SERVICE,
-                        encode_frame(with_trace_context(frame, attempt)),
+                        encode_frame(frame),
                     )
             except NetworkError:
                 # No route right now; keep the schedule ticking — the
@@ -699,7 +693,7 @@ class PlainRpcEndpoint:
             frame = {}
         kind = frame.get("type")
         if kind == "call":
-            self._serve(frame)
+            self._serve(frame, self.transport.delivery_ctx)
         elif kind == "result":
             self._complete(frame)
         else:
@@ -707,18 +701,18 @@ class PlainRpcEndpoint:
             # counted, never raised into the peer's event loop.
             obs.counter(metric_names.RPC_FRAMES_REJECTED).inc()
 
-    def _serve(self, frame: dict) -> None:
+    def _serve(self, frame: dict, ctx: tuple[int, int] | None) -> None:
         if self.controller is not None:
             shed = self.controller.submit(
                 frame.get("reply_to", ""),
                 frame["target"],
                 frame["method"],
-                lambda: self._execute(frame),
+                lambda: self._execute(frame, ctx),
             )
             if shed is not None:
                 self._send_shed(frame, shed)
             return
-        self._execute(frame)
+        self._execute(frame, ctx)
 
     def _reply(self, frame: dict, response: dict) -> None:
         try:
@@ -745,16 +739,13 @@ class PlainRpcEndpoint:
                 "class": shed.cls,
             },
         }
-        if frame.get("tc") is not None:
-            response["tc"] = frame["tc"]
         self._reply(frame, response)
 
-    def _execute(self, frame: dict) -> None:
+    def _execute(self, frame: dict, ctx: tuple[int, int] | None) -> None:
         response: dict[str, Any] = {"type": "result", "call_id": frame["call_id"]}
-        if frame.get("tc") is not None:
-            response["tc"] = frame["tc"]
         serve(
-            self.exporter.dispatch, frame, response, self._reply, node=self.node_name
+            self.exporter.dispatch, frame, response, self._reply, ctx,
+            node=self.node_name,
         )
 
     def _complete(self, frame: dict) -> None:
@@ -781,32 +772,37 @@ def encode_frame(frame: dict) -> bytes:
     return json.dumps(frame, separators=(",", ":")).encode()
 
 
+_CALL = {"call_id": int, "target": str, "method": str, "args": list}
+_ID = {"call_id": int}
+#: The typed fields a handler reads from a plain RPC frame (by ``type``)
+#: or a channel's inner frame (by ``kind``); other frames pass through.
+_FIELDS: dict[tuple[str, str], dict[str, type | tuple[type, ...]]] = {
+    ("type", "call"): {**_CALL, "reply_to": str}, ("type", "result"): _ID,
+    ("kind", "call"): _CALL, ("kind", "result"): _ID, ("kind", "revalidated"): _ID,
+    ("kind", "revalidate"): {**_ID, "credentials": list},
+    ("kind", "ping"): {"t": (int, float)}, ("kind", "pong"): {"t": (int, float)},
+    ("kind", "stream"): {"stream_id": str, "data": str},
+    ("kind", "stream-end"): {"stream_id": str},
+}
+
+
 def decode_frame(payload: bytes) -> dict:
-    """A JSON frame; a plain-RPC ``call`` or ``result`` frame must also
-    carry every field its handler reads, with the right type."""
+    """A JSON object carrying every field its handler reads, with the
+    right type (see ``_FIELDS``)."""
     try:
         frame = json.loads(payload.decode())
     except (ValueError, UnicodeDecodeError) as exc:
         raise SwitchboardError(f"undecodable RPC frame: {exc}") from exc
     if not isinstance(frame, dict):
         raise SwitchboardError("RPC frame must be a JSON object")
-    kind = frame.get("type")
-    if kind in ("call", "result") and not isinstance(frame.get("call_id"), int):
-        raise SwitchboardError(f"RPC {kind} frame without an integer call_id")
-    if kind == "call" and not (
-        isinstance(frame.get("reply_to"), str)
-        and isinstance(frame.get("target"), str)
-        and isinstance(frame.get("method"), str)
-        and isinstance(frame.get("args"), list)
-    ):
-        raise SwitchboardError("RPC call frame needs reply_to, target, method and args")
-    tc = frame.get("tc")
-    if kind == "call" and tc is not None and not (
-        isinstance(tc, list) and len(tc) == 2 and all(isinstance(part, int) for part in tc)
-    ):
-        raise SwitchboardError("RPC call frame's tc must be a [trace_id, span_id] pair")
+    for key in ("type", "kind"):
+        name = frame.get(key)
+        fields = _FIELDS.get((key, name), {}) if isinstance(name, str) else {}
+        for field_name, types in fields.items():
+            if not isinstance(frame.get(field_name), types):
+                raise SwitchboardError(f"{name!r} frame needs {', '.join(fields)}")
     shed = frame.get("shed")
-    if kind == "result" and shed is not None and not (
+    if frame.get("type") == "result" and shed is not None and not (
         isinstance(shed, dict)
         and isinstance(shed.get("retry_after", 0.0), (int, float))
     ):

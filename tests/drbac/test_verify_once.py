@@ -30,7 +30,7 @@ from repro.drbac.delegation import Delegation, issue
 from repro.drbac.log import LogRecord
 from repro.drbac.model import AttrRange, AttrScalar, AttrSet, EntityRef, Role
 from repro.drbac.wire import delegation_from_wire, delegation_to_wire
-from repro.errors import KeyBindingError
+from repro.errors import CredentialError, KeyBindingError
 from repro.net import EventScheduler, Network, Transport
 from repro.switchboard import AuthorizationSuite, RoleAuthorizer, SwitchboardEndpoint
 
@@ -304,7 +304,8 @@ class TestForgedPublish:
     def test_forgery_reusing_an_id_keeps_the_authentic_verdict(self, engine, verifies):
         guest = engine.delegate("Comp.NY", "Mallory", "Comp.NY.Guest")
         forged = dataclasses.replace(guest, role=Role.parse("Comp.NY.Admin"))
-        engine.repository.publish(forged)
+        with pytest.raises(CredentialError):
+            engine.repository.publish(forged)
         for _ in range(3):
             assert engine.find_proof("Mallory", "Comp.NY.Guest").chain == [guest]
         assert verifies.of(guest) == 1
@@ -354,6 +355,27 @@ class TestCredentialsAreValues:
             issue(stranger, EntityRef("Alice"), Role.parse("Comp.NY.Member"))
         )
         store.bind(stranger)
+        assert engine.prove("Alice", "Comp.NY.Member") is None
+        assert engine.find_proof("Alice", "Comp.NY.Member") is None
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_one_credential_id_names_one_value(self, key_store, clock, incremental):
+        # A renewal under a live id: the incremental fold would skip it
+        # and then expire the first copy while the full search granted
+        # through the second, so the log refuses it at publish.
+        engine = DrbacEngine(key_store=key_store, clock=clock, incremental=incremental)
+        issuer = key_store.identity("Comp.NY")
+        alice, member = EntityRef("Alice"), Role.parse("Comp.NY.Member")
+        old = issue(issuer, alice, member, expires_at=10.0, credential_id="c1")
+        new = issue(issuer, alice, member, expires_at=100.0, credential_id="c1")
+        engine.repository.publish(old)
+        seqno = engine.log.seqno
+        with pytest.raises(CredentialError, match="c1"):
+            engine.repository.publish(new)
+        assert engine.log.seqno == seqno
+        engine.repository.publish(old)  # an equal republish is accepted
+        assert engine.log.seqno == seqno + 1
+        clock.set(20.0)
         assert engine.prove("Alice", "Comp.NY.Member") is None
         assert engine.find_proof("Alice", "Comp.NY.Member") is None
 

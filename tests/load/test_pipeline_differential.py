@@ -14,9 +14,10 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.load import LoadGenerator, run_bench
 from repro.load.generator import transcript_digest
+
+from ..obs import run_observed
 
 SEED = 7
 CLIENTS = 4
@@ -85,22 +86,29 @@ class TestTraceTopology:
         generator = LoadGenerator(
             seed=SEED, clients=2, requests=10, key_store=key_store
         )
-        # dist must be on in the surrounding scope: the generator's own
-        # scoped block inherits it (it never passes dist explicitly).
-        with obs.scoped(enabled=True, dist=True):
-            serial = generator.run(pipelined=False, batching=False)
-            fast = generator.run(pipelined=True, batching=True)
+        # Each request is issued inside its own root span, so both runs
+        # are traced; test_inert_tracing checks the traces change nothing.
+        serial = generator.run(pipelined=False, batching=False)
+        fast = generator.run(pipelined=True, batching=True)
         return serial, fast
 
-    def test_topology_captured_only_under_dist(self, serial):
-        # The module-scope runs execute with dist off: no wire tracing,
-        # no topology, and — critically — unchanged frame bytes.
-        assert serial.topology is None
+    def test_topology_captured_only_under_dist(self, key_store):
+        # Distributed tracing is on exactly for ops issued inside a span:
+        # without the per-request root spans no call is traced.
+        def run():
+            return LoadGenerator(
+                seed=SEED, clients=2, requests=10, key_store=key_store
+            ).run(pipelined=True, batching=True)
+
+        traced, _ = run_observed(run, traced=True)
+        untraced, _ = run_observed(run, traced=False)
+        assert len(traced.topology) == 2 * 10
+        assert untraced.topology == []
 
     def test_fast_path_preserves_span_topology(self, traced_runs):
         serial, fast = traced_runs
-        assert serial.topology is not None
-        assert fast.topology is not None
+        assert serial.topology
+        assert fast.topology
         assert serial.topology == fast.topology
 
     def test_every_call_stitched_to_one_server_span(self, traced_runs):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.errors import LinkDownError
 from repro.net.events import EventScheduler
 from repro.net.simnet import Network
@@ -29,6 +30,24 @@ class TestDelivery:
         transport.send("a", "b", "svc", b"ping")
         scheduler.run()
         assert got == [(b"ping", "a")]
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_sender_span_context_rides_beside_the_payload(self, world, batching):
+        net, scheduler, transport = world
+        if batching:
+            transport.configure_batching(window=0.001)
+        got = []
+        net.node("b").bind(
+            "svc", lambda p, s: got.append((p, transport.delivery_ctx))
+        )
+        with obs.scoped(enabled=True):
+            transport.send("a", "b", "svc", b"bare")
+            with obs.span("request") as root:
+                transport.send("a", "b", "svc", b"traced")
+            scheduler.run()
+        assert got == [(b"bare", None), (b"traced", root.context())]
+        assert transport.delivery_ctx is None
+        assert transport.stats.bytes_sent == len(b"bare") + len(b"traced")
 
     def test_delay_matches_path(self, world):
         net, scheduler, transport = world

@@ -172,6 +172,6 @@ class TestDeterminismAndIsolation:
         assert json.loads(json.dumps(clean_trace, sort_keys=True)) == clean_trace
 
     def test_scenario_restores_ambient_obs_state(self, key_store):
-        before = (obs.is_enabled(), obs.dist_enabled(), obs.get_tracer())
+        before = (obs.is_enabled(), obs.get_tracer(), obs.get_registry())
         run_trace(5, key_store=key_store)
-        assert (obs.is_enabled(), obs.dist_enabled(), obs.get_tracer()) == before
+        assert (obs.is_enabled(), obs.get_tracer(), obs.get_registry()) == before

@@ -92,7 +92,7 @@ class TestFlightRecorder:
             tracer = obs.get_tracer()
             with tracer.span("finished.root"):
                 pass
-            live = tracer.start("live.span")
+            live = tracer.start("live.span", remote=(7, 3))
             with tracer.activate(live):
                 snap = obs.flight_snapshot("simtest.divergence")
             live.finish()

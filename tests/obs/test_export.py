@@ -14,7 +14,8 @@ def _sample_tracer() -> tuple[Tracer, EventLog, ManualClock]:
     clock = ManualClock()
     tracer = Tracer(clock)
     log = EventLog(clock)
-    client = tracer.start("rpc.client", node="client", method="get")
+    with tracer.span("request", node="client") as request:
+        client = tracer.start("rpc.client", parent=request, node="client", method="get")
     clock.advance(0.004)
     server = tracer.start("rpc.server", remote=client.context(), node="server")
     with tracer.activate(server):
@@ -54,11 +55,13 @@ class TestExportShape:
         trace = to_chrome_trace(tracer, log)
         spans = {e["name"]: e for e in trace["traceEvents"] if e["ph"] == "X"}
         client, server = spans["rpc.client"], spans["rpc.server"]
-        # One shared trace id; the server's parent is the client span.
+        # One shared trace id; the server's parent is the client span,
+        # itself the child of the request span that started the trace.
         assert server["args"]["trace_id"] == client["args"]["trace_id"]
         assert server["args"]["parent_id"] == client["args"]["span_id"]
         assert client["args"]["trace_id"] == format_trace_id(1)
-        assert server["args"]["parent_id"] == format_span_id(1)
+        assert client["args"]["parent_id"] == format_span_id(1)
+        assert server["args"]["parent_id"] == format_span_id(2)
         # Attributes ride along; the node moved to the track name.
         assert client["args"]["method"] == "get"
         assert "node" not in client["args"]

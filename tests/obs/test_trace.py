@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro import obs
 from repro.clock import ManualClock
 from repro.obs import names
-from repro.obs.trace import Tracer, format_span_id, format_trace_id
+from repro.obs.trace import NULL_SPAN, Tracer, format_span_id, format_trace_id
 
 
 class TestNesting:
@@ -164,10 +164,19 @@ class TestIdentifiers:
 
 
 class TestManualSpans:
+    """A manual span continues a trace — under a local parent or from a
+    remote context — and never starts one."""
+
+    def test_without_parent_or_remote_there_is_no_trace(self):
+        tracer = Tracer(ManualClock())
+        assert tracer.start("rpc.client", node="client") is NULL_SPAN
+        assert tracer.start("rpc.client", parent=None, remote=None) is NULL_SPAN
+        assert tracer.roots() == []
+
     def test_start_finish_lifecycle(self):
         clock = ManualClock()
         tracer = Tracer(clock)
-        span = tracer.start("rpc.client", node="client")
+        span = tracer.start("rpc.client", remote=(7, 3), node="client")
         clock.advance(1.5)
         span.finish()
         assert span.end == 1.5
@@ -176,7 +185,7 @@ class TestManualSpans:
     def test_finish_is_idempotent(self):
         clock = ManualClock()
         tracer = Tracer(clock)
-        span = tracer.start("once")
+        span = tracer.start("once", remote=(7, 3))
         span.finish()
         clock.advance(5.0)
         span.finish()
@@ -185,7 +194,7 @@ class TestManualSpans:
 
     def test_explicit_parent_attaches_without_stack(self):
         tracer = Tracer(ManualClock())
-        parent = tracer.start("parent")
+        parent = tracer.start("parent", remote=(7, 3))
         child = tracer.start("child", parent=parent)
         child.finish()
         parent.finish()
@@ -216,7 +225,7 @@ class TestManualSpans:
 
     def test_error_tagging(self):
         tracer = Tracer(ManualClock())
-        span = tracer.start("rpc.client")
+        span = tracer.start("rpc.client", remote=(7, 3))
         assert span.ok
         span.set_error("RpcTimeoutError")
         assert not span.ok
@@ -225,7 +234,7 @@ class TestManualSpans:
     def test_to_dict_round_trips_the_subtree(self):
         clock = ManualClock()
         tracer = Tracer(clock)
-        root = tracer.start("root", node="client")
+        root = tracer.start("root", remote=(7, 3), node="client")
         child = tracer.start("child", parent=root)
         clock.advance(0.5)
         child.finish()
@@ -238,5 +247,5 @@ class TestManualSpans:
 
     def test_open_span_dumps_as_open(self):
         tracer = Tracer(ManualClock())
-        span = tracer.start("live")
+        span = tracer.start("live", remote=(7, 3))
         assert span.to_dict()["open"] is True

@@ -328,6 +328,51 @@ class TestMalformedDataFrames:
         assert conn.call_sync("mail", "note", ["again"]) == 2
 
 
+MALFORMED_INNER_FRAMES = {
+    "ping-without-t": b'{"kind":"ping"}',
+    "pong-string-t": b'{"kind":"pong","t":"x"}',
+    "call-without-call-id": b'{"kind":"call","target":"mail","method":"note","args":[]}',
+    "call-without-target": b'{"kind":"call","call_id":9,"method":"note","args":[]}',
+    "result-string-call-id": b'{"kind":"result","call_id":"1"}',
+    "revalidate-without-call-id": b'{"kind":"revalidate","credentials":[]}',
+    "revalidated-without-call-id": b'{"kind":"revalidated"}',
+    "stream-without-id": b'{"kind":"stream","data":""}',
+    "unknown-kind": b'{"kind":"nope"}',
+    "no-kind": b'{"call_id":1}',
+    "not-an-object": b"[1]",
+    "undecodable": b"\xff",
+}
+
+
+class TestMalformedInnerFrames:
+    """An authenticated peer can still seal anything: an inner frame that
+    is undecodable, lacks a field its handler reads, carries one of the
+    wrong type or names no kind is dropped and counted as tampering."""
+
+    @staticmethod
+    def _seal(conn, transport, plaintext: bytes) -> None:
+        """Send ``plaintext`` as ``conn``'s next sealed frame, exactly as
+        ``SwitchboardConnection._send`` seals an encoded one."""
+        seq = conn._send_seq
+        conn._send_seq += 1
+        ad = conn._associated_data(sender_is_initiator=conn.is_initiator, seq=seq)
+        transport.send(
+            "cnode", "snode", "switchboard",
+            conn._envelope_head + seq.to_bytes(8, "big") + conn.cipher.encrypt(plaintext, ad),
+        )
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_INNER_FRAMES))
+    def test_dropped_and_counted_as_tamper(self, world, shape):
+        _, transport, _, _, service = world
+        conn, server_conn, _ = _open_and_capture(world)
+        self._seal(conn, transport, MALFORMED_INNER_FRAMES[shape])
+        transport.scheduler.run_until(transport.scheduler.now() + 1.0)
+        assert server_conn.stats.tamper_rejected == 1
+        assert server_conn.state is ChannelState.OPEN
+        assert service.notes == ["real"]
+        assert conn.call_sync("mail", "note", ["again"]) == 2
+
+
 _MUTATIONS = (
     st.tuples(st.just("flip-header"), st.integers(0, 255), st.integers(1, 255))
     | st.tuples(st.just("flip"), st.integers(0, 4095), st.integers(1, 255))

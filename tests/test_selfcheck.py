@@ -537,6 +537,60 @@ class TestOneSelfFieldAnalysis:
         assert "method_effects" in _callees(func)
 
 
+def _src_nodes() -> list[tuple[str, ast.AST]]:
+    """``(file, node)`` for every AST node under ``repro``."""
+    root = Path(repro.__file__).parent
+    return [
+        (str(path.relative_to(root)), node)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+    ]
+
+
+class TestOneTracingPath:
+    """Trace context travels beside a frame, never inside it, and a call
+    is traced when it runs inside a span: no gate, no frame key, and every
+    manual span continues a trace."""
+
+    nodes = _src_nodes()
+
+    @pytest.mark.parametrize("name", ["dist_enabled", "with_trace_context"])
+    def test_retired_mechanism_is_gone(self, name):
+        offenders = _files_naming(name)
+        assert not offenders, f"{name} is back in {offenders}"
+
+    def test_no_tc_frame_key(self):
+        offenders = [
+            path for path, node in self.nodes
+            if isinstance(node, ast.Constant) and node.value == "tc"
+        ]
+        assert not offenders
+
+    def test_no_dist_parameter(self):
+        offenders = [
+            path for path, node in self.nodes
+            if (isinstance(node, ast.arg) and node.arg == "dist")
+            or (isinstance(node, ast.keyword) and node.arg == "dist")
+        ]
+        assert not offenders
+
+    def test_every_manual_span_continues_a_trace(self):
+        starts = [
+            (path, {keyword.arg for keyword in node.keywords})
+            for path, node in self.nodes
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "start"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ]
+        assert sorted(path for path, _ in starts) == [
+            "flow/controller.py", "net/transport.py", "switchboard/rpc.py",
+            "switchboard/rpc.py", "switchboard/rpc.py",
+        ]
+        assert all({"parent", "remote"} & keywords for _, keywords in starts)
+
+
 def _bench_layers():
     """``bench/layers.py``, imported read-only from its file (``bench/`` is
     not a package and must not be edited by PRs that guard performance)."""
